@@ -12,48 +12,45 @@ import sys
 
 from z2bord.gf2 import ResourceLimitError, Subspace, parse_vec, vec_str
 from z2bord.membership import (
+    NonFaithfulError,
     build_constraint_system,
     check_membership,
-    image_dimension,
 )
-from z2bord.repalg import parse_polynomial, render_polynomial
+from z2bord.repalg import content_lines, parse_polynomial, render_polynomial
 
 
 class InputError(ValueError):
     """Malformed input file or inconsistent flags; maps to exit 2."""
 
 
-def _read_polynomial(path):
+def _read(path, parse, *args):
+    """parse(text of the file, *args), with every failure as an InputError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_polynomial(fh.read())
+            return parse(fh.read(), *args)
     except OSError as e:
         raise InputError(f"{path}: {e.strerror}") from e
     except ValueError as e:
         raise InputError(f"{path}: {e}") from e
 
 
-def _read_subgroup(path, k: int):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
-        if any(len(l) != k for l in lines):
-            raise ValueError(f"each row must be a bit-string of width {k}")
-        basis = [parse_vec(l)[0] for l in lines]
-    except OSError as e:
-        raise InputError(f"{path}: {e.strerror}") from e
-    except ValueError as e:
-        raise InputError(f"{path}: {e}") from e
-    return basis
+def _parse_subgroup(text: str, k: int) -> list[int]:
+    rows = [ln for _, ln in content_lines(text)]
+    if any(len(ln) != k for ln in rows):
+        raise ValueError(f"each row must be a bit-string of width {k}")
+    return [parse_vec(ln)[0] for ln in rows]
 
 
 def cmd_check(args) -> int:
-    p = _read_polynomial(args.polynomial)
+    p = _read(args.polynomial, parse_polynomial)
     if p.is_zero:
         print("accepted")
         print("zero polynomial")
         return 0
-    cert = check_membership(p)
+    try:
+        cert = check_membership(p)
+    except NonFaithfulError as e:
+        raise InputError(f"{args.polynomial}: {e}") from e
     if cert.accepted:
         print("accepted")
         for dec in cert.decompositions:
@@ -90,7 +87,7 @@ def cmd_dim(args) -> int:
 def cmd_orbit(args) -> int:
     from z2bord.orbits import orbit
 
-    p = _read_polynomial(args.polynomial)
+    p = _read(args.polynomial, parse_polynomial)
     if p.is_zero:
         raise InputError("orbit of the zero polynomial is trivial; give a nonzero input")
     o = orbit(p, p.k)
@@ -106,7 +103,7 @@ def cmd_orbit(args) -> int:
 def cmd_span(args) -> int:
     from z2bord.orbits import extract_basis, span_dimension
 
-    ps = [_read_polynomial(path) for path in args.polynomials]
+    ps = [_read(path, parse_polynomial) for path in args.polynomials]
     ps = [p for p in ps if not p.is_zero]
     if not ps:
         print("span_dimension=0")
@@ -126,14 +123,7 @@ def cmd_span(args) -> int:
 def cmd_graph_validate(args) -> int:
     from z2bord.graphs import parse_graph, validate_graph
 
-    try:
-        with open(args.graph, encoding="utf-8") as fh:
-            g = parse_graph(fh.read())
-    except OSError as e:
-        raise InputError(f"{args.graph}: {e.strerror}") from e
-    except ValueError as e:
-        raise InputError(f"{args.graph}: {e}") from e
-    report = validate_graph(g)
+    report = validate_graph(_read(args.graph, parse_graph))
     if report.ok:
         print("valid")
         return 0
@@ -145,8 +135,6 @@ def cmd_graph_validate(args) -> int:
 
 def cmd_smallcover(args) -> int:
     from z2bord.smallcover import (
-        CharacteristicFunction,
-        InvalidCharacteristicError,
         NonIsolatedError,
         ProductOfSimplices,
         fixed_polynomial,
@@ -156,19 +144,16 @@ def cmd_smallcover(args) -> int:
 
     try:
         polytope = ProductOfSimplices.parse(args.polytope)
-        with open(getattr(args, "lambda"), encoding="utf-8") as fh:
-            cf = parse_characteristic(fh.read(), polytope.factor_dims)
-    except OSError as e:
-        raise InputError(f"{getattr(args, 'lambda')}: {e.strerror}") from e
-    except (ValueError, InvalidCharacteristicError) as e:
+    except ValueError as e:
         raise InputError(str(e)) from e
+    cf = _read(getattr(args, "lambda"), parse_characteristic, polytope.factor_dims)
     if not cf.is_valid():
         print("invalid characteristic function")
         return 1
     if args.subgroup is None:
         p = fixed_polynomial(cf)
     else:
-        basis = _read_subgroup(args.subgroup, polytope.dim)
+        basis = _read(args.subgroup, _parse_subgroup, polytope.dim)
         h = Subspace.span(basis, polytope.dim)
         if h.dim != len(basis):
             raise InputError(f"{args.subgroup}: rows are not independent")
@@ -182,20 +167,15 @@ def cmd_smallcover(args) -> int:
 
 
 def cmd_milnor(args) -> int:
-    from z2bord.milnor import (
-        InvalidFamilyError,
-        NonIsolatedError,
-        SubsetFamily,
-        milnor_fixed_polynomial,
-    )
+    from z2bord.milnor import NonIsolatedError, SubsetFamily, milnor_fixed_polynomial
 
     try:
         family = SubsetFamily.parse(args.r, args.sets)
         p = milnor_fixed_polynomial(args.m, args.n, family)
-    except (ValueError, InvalidFamilyError) as e:
-        if isinstance(e, NonIsolatedError):
-            print(f"non-isolated: {e}")
-            return 1
+    except NonIsolatedError as e:
+        print(f"non-isolated: {e}")
+        return 1
+    except ValueError as e:
         raise InputError(str(e)) from e
     print(render_polynomial(p), end="")
     return 0

@@ -42,12 +42,21 @@ def parse_vec(s: str) -> tuple[int, int]:
     return int(s, 2), len(s)
 
 
+def reduce_by(v: int, basis) -> int:
+    """Reduce v by an echelon basis listed in decreasing pivot order.
+
+    The result is 0 exactly when v lies in the span of the basis.
+    """
+    for b in basis:
+        v = min(v, v ^ b)
+    return v
+
+
 def row_reduce(rows) -> list[int]:
     """Reduced row echelon form; returns nonzero rows, pivots high-bit first."""
     basis: list[int] = []  # kept fully reduced, in decreasing pivot order
     for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
+        row = reduce_by(row, basis)
         if row:
             basis = [min(b, b ^ row) for b in basis]
             basis.append(row)
@@ -75,12 +84,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: int) -> bool:
-        for b in self.basis:
-            v = min(v, v ^ b)
-        return v == 0
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(b) for b in other.basis)
+        return reduce_by(v, self.basis) == 0
 
     def vectors(self) -> list[int]:
         """All 2^dim elements, in increasing numeric order."""
@@ -142,25 +146,23 @@ class Mat:
     @classmethod
     def from_columns(cls, cols, k: int) -> "Mat":
         """Build a k x len(cols) matrix from bit-packed column vectors."""
-        cols = list(cols)
-        n = len(cols)
-        rows = []
-        for i in range(1, k + 1):
-            r = 0
-            for j, c in enumerate(cols):
-                r |= coord(c, i, k) << (n - 1 - j)
-            rows.append(r)
-        return cls(tuple(rows), n)
+        return cls(tuple(cols), k).transpose()
 
     def entry(self, i: int, j: int) -> int:
         """Entry in row i, column j (both 1-based)."""
         return (self.rows[i - 1] >> (self.n_cols - j)) & 1
 
     def column(self, j: int) -> int:
-        return int("".join(str(self.entry(i, j)) for i in range(1, self.n_rows + 1)), 2)
+        return self.transpose().rows[j - 1]
 
     def transpose(self) -> "Mat":
-        return Mat.from_columns(self.rows, self.n_cols) if self.rows else Mat((), 0)
+        cols = []
+        for shift in range(self.n_cols - 1, -1, -1):
+            c = 0
+            for r in self.rows:
+                c = (c << 1) | ((r >> shift) & 1)
+            cols.append(c)
+        return Mat(tuple(cols), self.n_rows)
 
     def apply(self, v: int) -> int:
         """Matrix-vector product over GF(2)."""
@@ -173,8 +175,7 @@ class Mat:
         if self.n_cols != other.n_rows:
             raise ValueError("shape mismatch")
         return Mat.from_columns(
-            [self.apply(other.column(j)) for j in range(1, other.n_cols + 1)],
-            self.n_rows,
+            [self.apply(c) for c in other.transpose().rows], self.n_rows
         )
 
     def rank(self) -> int:

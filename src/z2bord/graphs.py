@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from z2bord.gf2 import parse_vec, rank_of, unit, vec_str
-from z2bord.repalg import Monomial, Polynomial
+from z2bord.repalg import Monomial, Polynomial, content_lines
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,8 @@ def labeling_polynomial(g: LabeledGraph) -> Polynomial:
     valences = {len(g.incident_labels(x)) for x in verts}
     if len(valences) > 1:
         raise ValueError("labeling polynomial requires a regular graph")
-    monos: frozenset[Monomial] = frozenset()
-    for x in verts:
-        monos ^= {Monomial.make(g.incident_labels(x), g.k)}
-    return Polynomial(monos, valences.pop(), g.k)
+    monos = [Monomial.make(g.incident_labels(x), g.k) for x in verts]
+    return Polynomial.make(monos, valences.pop(), g.k)
 
 
 def projective_space_graph(n: int) -> LabeledGraph:
@@ -162,11 +160,7 @@ def projective_space_graph(n: int) -> LabeledGraph:
 
 def parse_graph(text: str) -> LabeledGraph:
     """Graph file: header 'k n', then one 'u v bitstring' line per edge."""
-    lines = [
-        ln.split("#", 1)[0].strip()
-        for ln in text.splitlines()
-    ]
-    lines = [ln for ln in lines if ln]
+    lines = [ln for _, ln in content_lines(text)]
     if not lines:
         raise ValueError("empty graph file")
     try:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from z2bord import gf2
-from z2bord.gf2 import ResourceLimitError, Subspace, dot, nullspace, rank_of
+from z2bord.gf2 import ResourceLimitError, nullspace, rank_of
 from z2bord.repalg import Monomial, Polynomial, sub_multiset_multiplicity
 
 
@@ -32,15 +32,7 @@ def kernel_basis(rho: int, k: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def restriction_class(m: Monomial, rho: int) -> Monomial:
     """Restriction of every factor of m to ker rho, over rank k-1."""
-    basis = kernel_basis(rho, m.k)
-    r = len(basis)
-    factors = []
-    for f in m.factors:
-        v = 0
-        for j, b in enumerate(basis):
-            v |= dot(f, b) << (r - 1 - j)
-        factors.append(v)
-    return Monomial.make(factors, r)
+    return m.restrict(kernel_basis(rho, m.k))
 
 
 @dataclass(frozen=True)
@@ -158,15 +150,12 @@ class ConstraintSystem:
     monomials: tuple[Monomial, ...]
     rows: tuple[int, ...]
 
-    def index(self, m: Monomial) -> int:
-        return self._index_map()[m]
-
-    @lru_cache(maxsize=None)
-    def _index_map(self):
+    @cached_property
+    def _index(self) -> dict[Monomial, int]:
         return {m: j for j, m in enumerate(self.monomials)}
 
     def indicator(self, p: Polynomial) -> int:
-        idx = self._index_map()
+        idx = self._index
         bits = 0
         for m in p.monomials:
             bits |= 1 << idx[m]
@@ -196,8 +185,9 @@ def build_constraint_system(n: int, k: int) -> ConstraintSystem:
     monomials = tuple(enumerate_faithful_monomials(n, k))
     index = {m: j for j, m in enumerate(monomials)}
     rows: set[int] = set()
+    everything = Polynomial.make(monomials)
     for rho in range(1, 1 << k):
-        dec = decompose_for_rho(Polynomial.make(monomials), rho)
+        dec = decompose_for_rho(everything, rho)
         for group in dec.groups:
             for s in _witness_candidates(group):
                 row = 0

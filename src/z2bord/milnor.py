@@ -11,16 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from z2bord.gf2 import ResourceLimitError, vec_str
-from z2bord.repalg import Monomial, Polynomial
+from z2bord.gf2 import ResourceLimitError
+from z2bord.repalg import Monomial, NonIsolatedError, Polynomial
 
 
 class InvalidFamilyError(ValueError):
     """The subset family violates the distinct-nonempty precondition."""
-
-
-class NonIsolatedError(ValueError):
-    """A trivial factor appeared, so the fixed-point data is not isolated."""
 
 
 def rho_of_subset(s, r: int) -> int:
@@ -73,34 +69,34 @@ def _validate(m: int, n: int, family: SubsetFamily):
         raise InvalidFamilyError("subsets must be distinct")
 
 
-def _accumulate(monos: frozenset[Monomial], factors, r: int) -> frozenset[Monomial]:
-    if 0 in factors:
+def _polynomial(terms, n: int, r: int) -> Polynomial:
+    """Mod-2 sum of the factor lists in terms, each a degree-n monomial."""
+    if any(0 in factors for factors in terms):
         raise NonIsolatedError("a factor is the trivial representation")
-    return monos ^ {Monomial.make(factors, r)}
+    return Polynomial.make((Monomial.make(factors, r) for factors in terms), n, r)
 
 
 def milnor_fixed_polynomial(m: int, n: int, family: SubsetFamily) -> Polynomial:
     """Literal evaluation of the two-part fixed-point formula, mod 2."""
     _validate(m, n, family)
-    r = family.r
     f = family
-    monos: frozenset[Monomial] = frozenset()
+    terms = []
     # First part: prod_i<=m rho_{S_i} times the degree-(n-1) symmetric sum.
     for j in range(1, n + 1):
         factors = [f.rho(i) for i in range(1, m + 1)]
         factors += [f.rho_sym(k, j) for k in range(1, n + 1) if k != j]
-        monos = _accumulate(monos, factors, r)
+        terms.append(factors)
     # Second part: one block per i <= m.
     for i in range(1, m + 1):
         base = [f.rho(i)] + [f.rho_sym(k, i) for k in range(1, m + 1) if k != i]
-        monos = _accumulate(monos, base + [f.rho(l) for l in range(1, n + 1) if l != i], r)
+        terms.append(base + [f.rho(l) for l in range(1, n + 1) if l != i])
         for j in range(1, n + 1):
             if j == i:
                 continue
             factors = base + [f.rho(j)]
             factors += [f.rho_sym(l, j) for l in range(1, n + 1) if l not in (i, j)]
-            monos = _accumulate(monos, factors, r)
-    return Polynomial(monos, m + n - 1, r)
+            terms.append(factors)
+    return _polynomial(terms, m + n - 1, family.r)
 
 
 def six_term_expansion(family: SubsetFamily) -> Polynomial:
@@ -117,10 +113,7 @@ def six_term_expansion(family: SubsetFamily) -> Polynomial:
         (f.rho(2), f.rho(3), f.rho_sym(1, 2), f.rho_sym(1, 3), f.rho_sym(3, 4)),
         (f.rho(2), f.rho(4), f.rho_sym(1, 2), f.rho_sym(1, 4), f.rho_sym(3, 4)),
     ]
-    monos: frozenset[Monomial] = frozenset()
-    for t in terms:
-        monos = _accumulate(monos, list(t), family.r)
-    return Polynomial(monos, 5, family.r)
+    return _polynomial(terms, 5, family.r)
 
 
 @dataclass
@@ -167,8 +160,3 @@ def search_orbit_hits(m: int, n: int, r: int, targets) -> SearchReport:
 def family_label(family: SubsetFamily) -> str:
     return ";".join("".join(map(str, sorted(s))) for s in family.sets)
 
-
-def describe(p: Polynomial) -> str:
-    return " + ".join(
-        "*".join(vec_str(f, p.k) for f in m.factors) for m in p.support()
-    ) or "0"

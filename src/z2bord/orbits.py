@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from z2bord.gf2 import Mat, ResourceLimitError, enumerate_gl, rank_of
+from z2bord.gf2 import Mat, ResourceLimitError, enumerate_gl, rank_of, reduce_by
 from z2bord.membership import build_constraint_system, check_membership
 from z2bord.repalg import Polynomial, ShapeError, apply_automorphism
 
@@ -67,8 +67,7 @@ def extract_basis(ps) -> list[Polynomial]:
     basis_rows: list[int] = []
     out = []
     for p, row in zip(ps, rows):
-        for b in basis_rows:
-            row = min(row, row ^ b)
+        row = reduce_by(row, basis_rows)
         if row:
             basis_rows.append(row)
             basis_rows.sort(reverse=True)

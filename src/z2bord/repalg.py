@@ -27,6 +27,10 @@ class InvalidBasisError(ValueError):
     """The supplied list is not an ordered basis of the subspace."""
 
 
+class NonIsolatedError(ValueError):
+    """A factor is the trivial representation, so fixed points are not isolated."""
+
+
 @dataclass(frozen=True, order=True)
 class Monomial:
     """A multiset of functionals, stored as a sorted tuple of bit-packed ints."""
@@ -48,6 +52,18 @@ class Monomial:
     def counter(self) -> Counter:
         return Counter(self.factors)
 
+    def restrict(self, basis) -> "Monomial":
+        """Factor rho becomes the vector (rho(b_1), ..., rho(b_r)) over the
+        ordered basis; the basis is not validated."""
+        r = len(basis)
+        factors = []
+        for f in self.factors:
+            v = 0
+            for j, b in enumerate(basis):
+                v |= dot(f, b) << (r - 1 - j)
+            factors.append(v)
+        return Monomial.make(factors, r)
+
     def is_faithful(self) -> bool:
         """No trivial factor, and the factors span the full dual space."""
         if 0 in self.factors:
@@ -68,16 +84,21 @@ class Polynomial:
 
     @classmethod
     def make(cls, monomials, n: int | None = None, k: int | None = None) -> "Polynomial":
-        monos = frozenset(monomials)
-        degrees = {m.degree for m in monos}
-        ranks = {m.k for m in monos}
+        """Mod-2 sum of the monomials: a monomial that repeats cancels in pairs.
+
+        The shape is read before cancelling, so make([m, m]) is the zero
+        polynomial of m's degree and rank; an empty input needs n and k.
+        """
+        counts = Counter(monomials)
+        degrees = {m.degree for m in counts}
+        ranks = {m.k for m in counts}
         if len(degrees) > 1 or len(ranks) > 1:
             raise ShapeError("monomials of mixed degree or rank")
-        if monos:
+        if counts:
             n, k = degrees.pop(), ranks.pop()
         if n is None or k is None:
             raise ShapeError("zero polynomial needs explicit degree and rank")
-        return cls(monos, n, k)
+        return cls(frozenset(m for m, c in counts.items() if c & 1), n, k)
 
     @classmethod
     def zero(cls, n: int, k: int) -> "Polynomial":
@@ -127,23 +148,21 @@ def apply_automorphism(p: Polynomial, a: Mat) -> Polynomial:
     return Polynomial(frozenset(monos), p.n, p.k)
 
 
+def ordered_basis(h: Subspace, h_basis) -> tuple[int, ...]:
+    """h_basis as a tuple, after checking that it is an ordered basis of h."""
+    h_basis = tuple(h_basis)
+    if len(h_basis) != h.dim or Subspace.span(h_basis, h.k) != h:
+        raise InvalidBasisError("h_basis is not an ordered basis of h")
+    return h_basis
+
+
 def restrict_monomial(m: Monomial, h: Subspace, h_basis) -> Monomial:
     """Restrict every factor to the subgroup h via the ordered basis h_basis.
 
-    Factor rho becomes the length-r vector (rho(b_1), ..., rho(b_r)); this
-    is a concrete representative of the restricted representation class.
+    The result is a concrete representative of the restricted
+    representation class; see Monomial.restrict.
     """
-    h_basis = list(h_basis)
-    if len(h_basis) != h.dim or Subspace.span(h_basis, h.k) != h:
-        raise InvalidBasisError("h_basis is not an ordered basis of h")
-    r = len(h_basis)
-    factors = []
-    for f in m.factors:
-        v = 0
-        for j, b in enumerate(h_basis):
-            v |= dot(f, b) << (r - 1 - j)
-        factors.append(v)
-    return Monomial.make(factors, r)
+    return m.restrict(ordered_basis(h, h_basis))
 
 
 def sub_multiset_multiplicity(t: Monomial, s) -> int:
@@ -160,18 +179,26 @@ def sub_multiset_multiplicity(t: Monomial, s) -> int:
     return return_val
 
 
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number from 1, stripped text) of every line that is not blank
+    once its '#' comment is removed; shared by all input file formats."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((lineno, line))
+    return out
+
+
 def parse_polynomial(text: str) -> Polynomial:
     """Parse the one-monomial-per-line polynomial file format.
 
     Factors are comma-separated bit-strings of equal width; '#' starts a
     comment; blank lines are ignored; duplicate monomials cancel mod 2.
     """
-    monos: set[Monomial] = set()
+    monos = []
     n = k = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         factors = []
         width = None
         for tok in line.split(","):
@@ -189,10 +216,10 @@ def parse_polynomial(text: str) -> Polynomial:
         if n is not None and len(factors) != n:
             raise ValueError(f"line {lineno}: degree {len(factors)} != earlier degree {n}")
         k, n = width, len(factors)
-        monos ^= {Monomial.make(factors, k)}
+        monos.append(Monomial.make(factors, k))
     if k is None:
         return Polynomial.zero(0, 0)
-    return Polynomial(frozenset(monos), n, k)
+    return Polynomial.make(monos)
 
 
 def render_polynomial(p: Polynomial) -> str:

@@ -15,7 +15,13 @@ from functools import cached_property
 
 from z2bord.gf2 import Mat, Subspace, dot, enumerate_subspaces, nullspace, vec_str
 from z2bord.graphs import LabeledGraph
-from z2bord.repalg import InvalidBasisError, Monomial, Polynomial
+from z2bord.repalg import (
+    Monomial,
+    NonIsolatedError,
+    Polynomial,
+    content_lines,
+    ordered_basis,
+)
 
 Facet = tuple[int, int]  # (factor index, facet index within the factor)
 Vertex = tuple[int, ...]
@@ -23,10 +29,6 @@ Vertex = tuple[int, ...]
 
 class InvalidCharacteristicError(ValueError):
     """Facet labels fail the basis condition at some vertex."""
-
-
-class NonIsolatedError(ValueError):
-    """A restricted factor is trivial, so fixed points are not isolated."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ class CharacteristicFunction:
             raise ValueError(
                 f"label matrix must be {p.dim} x {len(p.facets)}, got {m.n_rows} x {m.n_cols}"
             )
-        return cls(p, tuple(m.column(j) for j in range(1, m.n_cols + 1)))
+        return cls(p, m.transpose().rows)
 
     def label(self, f: Facet) -> int:
         return self.labels[self.polytope.facets.index(f)]
@@ -131,10 +133,8 @@ def tangent_reps(cf: CharacteristicFunction) -> dict[Vertex, Monomial]:
 
 def fixed_polynomial(cf: CharacteristicFunction) -> Polynomial:
     """Mod-2 sum of the tangent monomials over all vertices."""
-    monos: frozenset[Monomial] = frozenset()
-    for m in tangent_reps(cf).values():
-        monos ^= {m}
-    return Polynomial(monos, cf.polytope.dim, cf.polytope.dim)
+    dim = cf.polytope.dim
+    return Polynomial.make(tangent_reps(cf).values(), dim, dim)
 
 
 def skeleton_graph(cf: CharacteristicFunction) -> LabeledGraph:
@@ -169,34 +169,25 @@ def admissible_subgroups(cf: CharacteristicFunction, r: int) -> list[Subspace]:
 
 def restricted_polynomial(cf: CharacteristicFunction, h: Subspace, h_basis) -> Polynomial:
     """Restrict every vertex monomial to the subgroup h via h_basis and sum."""
-    h_basis = list(h_basis)
-    if len(h_basis) != h.dim or Subspace.span(h_basis, h.k) != h:
-        raise InvalidBasisError("h_basis is not an ordered basis of h")
-    r = len(h_basis)
-    monos: frozenset[Monomial] = frozenset()
+    basis = ordered_basis(h, h_basis)
+    monos = []
     for v, m in tangent_reps(cf).items():
-        factors = []
-        for f in m.factors:
-            restricted = 0
-            for j, b in enumerate(h_basis):
-                restricted |= dot(f, b) << (r - 1 - j)
-            if restricted == 0:
-                raise NonIsolatedError(
-                    f"factor {vec_str(f, m.k)} at vertex {v} restricts to the "
-                    "trivial representation"
-                )
-            factors.append(restricted)
-        monos ^= {Monomial.make(factors, r)}
-    return Polynomial(monos, cf.polytope.dim, r)
+        restricted = m.restrict(basis)
+        if 0 in restricted.factors:
+            f = next(f for f in m.factors if not any(dot(f, b) for b in basis))
+            raise NonIsolatedError(
+                f"factor {vec_str(f, m.k)} at vertex {v} restricts to the "
+                "trivial representation"
+            )
+        monos.append(restricted)
+    return Polynomial.make(monos, cf.polytope.dim, len(basis))
 
 
 def parse_characteristic(text: str, factor_dims=None) -> CharacteristicFunction:
     """Matrix file: optional header 'n_1 ... n_l', then rows of 0/1."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+    rows = [ln.split() for _, ln in content_lines(text)]
+    if not rows:
         raise ValueError("empty characteristic matrix file")
-    rows = [ln.split() for ln in lines]
     # A leading line with an entry other than 0/1, or with too few columns,
     # is the factor-dimension header.
     has_header = any(t not in ("0", "1") for t in rows[0]) or (

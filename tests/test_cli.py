@@ -41,6 +41,14 @@ class TestCheck:
         path.write_text("100,0x0\n")
         assert main(["check", str(path)]) == 2
 
+    def test_non_faithful_input(self, tmp_path, capsys):
+        path = tmp_path / "nonfaithful.poly"
+        path.write_text("100,100,010\n")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not faithful" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestDim:
     def test_headline_value(self, capsys):
@@ -115,6 +123,14 @@ class TestSmallcover:
     def test_restriction(self, lam_file, tmp_path, capsys):
         sub = tmp_path / "h.sub"
         sub.write_text("01111\n11010\n11001\n")
+        assert main(["smallcover", "--polytope", "1x4", "--lambda", lam_file,
+                     "--subgroup", str(sub)]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 10 and all(len(l.split(",")) == 5 for l in out)
+
+    def test_subgroup_file_comments(self, lam_file, tmp_path, capsys):
+        sub = tmp_path / "h.sub"
+        sub.write_text("# basis of h\n01111 # first row\n  # indented\n11010\n11001\n")
         assert main(["smallcover", "--polytope", "1x4", "--lambda", lam_file,
                      "--subgroup", str(sub)]) == 0
         out = capsys.readouterr().out.strip().splitlines()

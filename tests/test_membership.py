@@ -1,7 +1,9 @@
 """Realizability criterion: direct checker and linear constraint system."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,14 @@ class TestConstraintSystem:
         assert image_dimension(3, 3) == 13
         assert image_dimension(1, 3) == 0
         assert image_dimension(2, 3) == 0
+
+    def test_dropped_system_is_freed(self):
+        cs = build_constraint_system(2, 2)
+        assert cs.accepts(RP2)
+        ref = weakref.ref(cs)
+        del cs
+        gc.collect()
+        assert ref() is None
 
     def test_indicator_round_trip(self):
         cs = build_constraint_system(5, 3)

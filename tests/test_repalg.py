@@ -56,6 +56,12 @@ class TestPolynomial:
     def test_zero_polynomials_equal_across_shapes(self):
         assert Polynomial.zero(5, 3) == Polynomial.zero(2, 2)
 
+    def test_make_cancels_repeats_mod_2(self):
+        m = mono("1 2 3", 3)
+        pair = Polynomial.make([m, m])
+        assert pair.is_zero and (pair.n, pair.k) == (3, 3)
+        assert Polynomial.make([m, m, m]) == Polynomial.make([m])
+
     def test_generator_sizes(self):
         assert [len(g) for g in GENERATORS] == [4, 6, 10, 12]
 
