@@ -105,6 +105,8 @@ def cmd_span(args) -> int:
 
     ps = [_read(path, parse_polynomial) for path in args.polynomials]
     ps = [p for p in ps if not p.is_zero]
+    if len({(p.n, p.k) for p in ps}) > 1:
+        raise InputError("polynomials of different degree or rank")
     if not ps:
         print("span_dimension=0")
         return 0
@@ -183,11 +185,14 @@ def cmd_milnor(args) -> int:
 
 def cmd_milnor_search(args) -> int:
     from z2bord.catalog import GENERATORS
-    from z2bord.milnor import family_label, search_orbit_hits
+    from z2bord.milnor import InvalidFamilyError, family_label, search_orbit_hits
     from z2bord.orbits import orbit
 
     targets = [orbit(g, args.r) for g in GENERATORS] if args.r == 3 else []
-    report = search_orbit_hits(args.m, args.n, args.r, targets)
+    try:
+        report = search_orbit_hits(args.m, args.n, args.r, targets)
+    except InvalidFamilyError as e:
+        raise InputError(str(e)) from e
     print(f"families_tried={report.families_tried}")
     print(f"skipped_non_isolated={report.skipped_non_isolated}")
     print(f"distinct_polynomials={report.distinct_polynomials()}")

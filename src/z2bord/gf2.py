@@ -3,7 +3,9 @@
 A length-k vector is an int whose bit (k - i) holds coordinate i, so the
 bit-string "110" is the vector (1, 1, 0) and numeric order on ints equals
 lexicographic order on bit-strings.  All operations are pure; matrices
-and subspaces are immutable and hashable.
+and subspaces are immutable and hashable.  Every elimination goes through
+one step, reduce_into, on a pivot table: a dict from a pivot bit to the
+one row whose highest set bit it is.
 """
 
 from __future__ import annotations
@@ -42,30 +44,73 @@ def parse_vec(s: str) -> tuple[int, int]:
     return int(s, 2), len(s)
 
 
-def reduce_by(v: int, basis) -> int:
-    """Reduce v by an echelon basis listed in decreasing pivot order.
+def set_bits(v: int) -> list[int]:
+    """Positions of the set bits of v, highest first."""
+    s = format(v, "b")
+    top = len(s) - 1
+    out = []
+    i = s.find("1")
+    while i >= 0:
+        out.append(top - i)
+        i = s.find("1", i + 1)
+    return out
 
-    The result is 0 exactly when v lies in the span of the basis.
+
+def reduce_into(table: dict[int, int], v: int) -> int:
+    """Reduce v by a pivot table and file the remainder under its top bit.
+
+    The table maps each pivot bit to the one row whose highest set bit it
+    is, so its rows are in echelon form.  v is XORed with the row filed
+    under its current top bit until no row is; a nonzero remainder is then
+    added to the table.  Returns the remainder, which is 0 exactly when v
+    already lay in the span of the table's rows.
     """
-    for b in basis:
-        v = min(v, v ^ b)
-    return v
+    while v:
+        top = v.bit_length() - 1
+        row = table.get(top)
+        if row is None:
+            table[top] = v
+            return v
+        v ^= row
+    return 0
+
+
+def pivot_table(rows) -> dict[int, int]:
+    """Pivot table of the rows' span, filled by reduce_into."""
+    table: dict[int, int] = {}
+    for row in rows:
+        reduce_into(table, row)
+    return table
 
 
 def row_reduce(rows) -> list[int]:
-    """Reduced row echelon form; returns nonzero rows, pivots high-bit first."""
-    basis: list[int] = []  # kept fully reduced, in decreasing pivot order
-    for row in rows:
-        row = reduce_by(row, basis)
-        if row:
-            basis = [min(b, b ^ row) for b in basis]
-            basis.append(row)
-            basis.sort(reverse=True)
-    return basis
+    """Reduced row echelon form; returns nonzero rows, pivots high-bit first.
+
+    The rows are filed into one pivot table (see reduce_into), whose
+    invariant is that each key is the highest set bit of its row.  Each
+    table row is then cleared of the lower pivot bits, in increasing pivot
+    order, so the rows it is XORed with are already reduced.  The result is
+    the canonical RREF of the span: every pivot bit is set in its own row
+    only.
+    """
+    table = pivot_table(rows)
+    lower = 0  # the pivot bits below the current one
+    for top in sorted(table):
+        row = table[top]
+        for bit in set_bits(row & lower):
+            row ^= table[bit]
+        table[top] = row
+        lower |= 1 << top
+    return [table[top] for top in sorted(table, reverse=True)]
 
 
 def rank_of(rows) -> int:
-    return len(row_reduce(rows))
+    """Dimension of the span: the size of the rows' pivot table.
+
+    Each key of the table is the highest set bit of its row (see
+    reduce_into), so the rows are independent and span the input.
+    """
+    return len(pivot_table(rows))
 
 
 @dataclass(frozen=True)
@@ -84,7 +129,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: int) -> bool:
-        return reduce_by(v, self.basis) == 0
+        return not reduce_into({b.bit_length() - 1: b for b in self.basis}, v)
 
     def vectors(self) -> list[int]:
         """All 2^dim elements, in increasing numeric order."""
@@ -101,19 +146,35 @@ class Subspace:
         return "{" + ", ".join(vec_str(b, self.k) for b in self.basis) + "}"
 
 
+_REVERSED_BYTE = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
+
+
+def reverse_bits(v: int, k: int) -> int:
+    """v < 2^k with bit i moved to bit k - 1 - i."""
+    n = (k + 7) // 8
+    flipped = v.to_bytes(n, "little").translate(_REVERSED_BYTE)
+    return int.from_bytes(flipped, "big") >> (8 * n - k)
+
+
 def nullspace(rows, k: int) -> Subspace:
-    """Canonical right-nullspace of the matrix with the given rows."""
-    red = row_reduce(rows)
-    pivots = {r.bit_length() - 1 for r in red}
-    free = [p for p in range(k - 1, -1, -1) if p not in pivots]
-    basis = []
-    for f in free:
-        v = 1 << f
-        for r in red:
-            if (r >> f) & 1:
-                v ^= 1 << (r.bit_length() - 1)
-        basis.append(v)
-    return Subspace.span(basis, k)
+    """Canonical right-nullspace of the matrix with the given rows.
+
+    The rows are reduced with their bit order reversed (see row_reduce: a
+    pivot table keyed by each row's highest set bit, then back-substitution),
+    which gives the RREF whose pivots are the rows' lowest set bits.  The
+    nullspace then has one basis vector per non-pivot bit g: bit g, plus the
+    pivot bit q of every reduced row with bit g set.  Its highest bit is g
+    and its other bits are pivots q, so these vectors are already the
+    canonical RREF.  Only the set bits of the reduced rows are visited.
+    """
+    vectors = {g: 1 << g for g in range(k)}
+    for rev in row_reduce(reverse_bits(r, k) for r in rows):
+        bits = set_bits(rev)
+        q = k - 1 - bits[0]  # the row's lowest bit, in the original order
+        del vectors[q]
+        for j in bits[1:]:
+            vectors[k - 1 - j] |= 1 << q
+    return Subspace(tuple(vectors[g] for g in sorted(vectors, reverse=True)), k)
 
 
 @dataclass(frozen=True)
@@ -207,15 +268,17 @@ def enumerate_gl(k: int) -> list[Mat]:
         raise ResourceLimitError(f"GL({k},2) enumeration not supported (k <= 5)")
     out: list[Mat] = []
 
-    def extend(rows: list[int], space: Subspace):
+    def extend(rows: list[int], table: dict[int, int]):
         if len(rows) == k:
             out.append(Mat(tuple(rows), k))
             return
         for v in range(1, 1 << k):
-            if not space.contains(v):
-                extend(rows + [v], Subspace.span(rows + [v], k))
+            new = reduce_into(table, v)
+            if new:
+                extend(rows + [v], table)
+                del table[new.bit_length() - 1]
 
-    extend([], Subspace.span([], k))
+    extend([], {})
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from z2bord import gf2
-from z2bord.gf2 import ResourceLimitError, nullspace, rank_of
+from z2bord.gf2 import ResourceLimitError, nullspace, rank_of, set_bits
 from z2bord.repalg import Monomial, Polynomial, sub_multiset_multiplicity
 
 
@@ -172,13 +172,11 @@ class ConstraintSystem:
 
     def nullspace_basis(self) -> list[Polynomial]:
         """Polynomials whose indicators form a basis of the nullspace."""
-        width = len(self.monomials)
-        sub = nullspace(self.rows, width)
-        out = []
-        for b in sub.basis:
-            monos = [self.monomials[j] for j in range(width) if (b >> j) & 1]
-            out.append(Polynomial.make(monos, self.n, self.k))
-        return out
+        monomials = self.monomials
+        return [
+            Polynomial.make([monomials[j] for j in set_bits(b)], self.n, self.k)
+            for b in nullspace(self.rows, len(monomials)).basis
+        ]
 
 
 def build_constraint_system(n: int, k: int) -> ConstraintSystem:

@@ -58,9 +58,13 @@ class SubsetFamily:
         return self.rho(i) ^ self.rho(j)
 
 
-def _validate(m: int, n: int, family: SubsetFamily):
+def _check_sizes(m: int, n: int):
     if not 1 <= m <= n:
         raise InvalidFamilyError(f"need 1 <= m <= n, got m={m}, n={n}")
+
+
+def _validate(m: int, n: int, family: SubsetFamily):
+    _check_sizes(m, n)
     if len(family.sets) != n:
         raise InvalidFamilyError(f"need {n} subsets, got {len(family.sets)}")
     if any(not s for s in family.sets):
@@ -136,6 +140,7 @@ def search_orbit_hits(m: int, n: int, r: int, targets) -> SearchReport:
     subsets of {1..r}; reports which target orbits are reached."""
     if r > 3 or n > 5:
         raise ResourceLimitError("search bounded by r <= 3, n <= 5")
+    _check_sizes(m, n)
     targets = list(targets)
     report = SearchReport(m, n, r, hits=[[] for _ in targets])
     subsets = [frozenset(s) for size in range(1, r + 1)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from z2bord.gf2 import Mat, ResourceLimitError, enumerate_gl, rank_of, reduce_by
+from z2bord.gf2 import Mat, ResourceLimitError, enumerate_gl, rank_of, reduce_into
 from z2bord.membership import build_constraint_system, check_membership
 from z2bord.repalg import Polynomial, ShapeError, apply_automorphism
 
@@ -63,16 +63,8 @@ def span_dimension(ps) -> int:
 def extract_basis(ps) -> list[Polynomial]:
     """Greedy maximal linearly independent sublist, in input order."""
     ps = list(ps)
-    rows = _indicator_rows(ps)
-    basis_rows: list[int] = []
-    out = []
-    for p, row in zip(ps, rows):
-        row = reduce_by(row, basis_rows)
-        if row:
-            basis_rows.append(row)
-            basis_rows.sort(reverse=True)
-            out.append(p)
-    return out
+    table: dict[int, int] = {}
+    return [p for p, row in zip(ps, _indicator_rows(ps)) if reduce_into(table, row)]
 
 
 def verify_generating_set(n: int, k: int, generators) -> bool:

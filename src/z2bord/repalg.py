@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
-from z2bord.gf2 import Mat, Subspace, dot, parse_vec, rank_of, vec_str
+from z2bord.gf2 import Mat, Subspace, parse_vec, rank_of, vec_str
 
 
 class ShapeError(ValueError):
@@ -49,20 +50,13 @@ class Monomial:
     def mult(self, gamma: int) -> int:
         return self.factors.count(gamma)
 
-    def counter(self) -> Counter:
-        return Counter(self.factors)
-
     def restrict(self, basis) -> "Monomial":
         """Factor rho becomes the vector (rho(b_1), ..., rho(b_r)) over the
-        ordered basis; the basis is not validated."""
-        r = len(basis)
-        factors = []
-        for f in self.factors:
-            v = 0
-            for j, b in enumerate(basis):
-                v |= dot(f, b) << (r - 1 - j)
-            factors.append(v)
-        return Monomial.make(factors, r)
+        ordered basis, read from restriction_table; the basis is not
+        validated."""
+        basis = tuple(basis)
+        table = restriction_table(basis, self.k)
+        return Monomial.make([table[f] for f in self.factors], len(basis))
 
     def is_faithful(self) -> bool:
         """No trivial factor, and the factors span the full dual space."""
@@ -72,6 +66,26 @@ class Monomial:
 
     def __str__(self) -> str:
         return ",".join(vec_str(f, self.k) for f in self.factors)
+
+
+# Bound on the table caches below: all of GL(4,2) (20,160 matrices) fits.
+_TABLE_CACHE = 1 << 15
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def restriction_table(basis: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Entry f is the functional f over rank k restricted to the ordered
+    basis: the vector (f(b_1), ..., f(b_r)), with f(b_1) the highest bit.
+
+    Restriction is linear in f, so the table is built from the images of
+    the k unit functionals by XOR, doubling once per unit.
+    """
+    r = len(basis)
+    table = [0]
+    for i in range(k):
+        image = sum(((b >> i) & 1) << (r - 1 - j) for j, b in enumerate(basis))
+        table += [t ^ image for t in table]
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -137,14 +151,20 @@ class Polynomial:
         return render_polynomial(self)
 
 
+@lru_cache(maxsize=_TABLE_CACHE)
+def automorphism_columns(a: Mat, k: int) -> tuple[int, ...]:
+    """The columns A e_1, ..., A e_k of an automorphism of (Z/2)^k, checked
+    once per matrix: f composed with g -> Ag is f restricted to this
+    ordered basis."""
+    if a.n_cols != k or not a.is_invertible():
+        raise InvalidAutomorphismError("matrix is singular or of the wrong size")
+    return a.transpose().rows
+
+
 def apply_automorphism(p: Polynomial, a: Mat) -> Polynomial:
     """Precompose every factor functional with the automorphism g -> Ag."""
-    if not a.is_invertible() or a.n_cols != p.k:
-        raise InvalidAutomorphismError("matrix is singular or of the wrong size")
-    at = a.transpose()
-    monos = {
-        Monomial.make([at.apply(f) for f in m.factors], p.k) for m in p.monomials
-    }
+    columns = automorphism_columns(a, p.k)
+    monos = {m.restrict(columns) for m in p.monomials}
     return Polynomial(frozenset(monos), p.n, p.k)
 
 
@@ -172,11 +192,11 @@ def sub_multiset_multiplicity(t: Monomial, s) -> int:
     binomial coefficients of multiplicities, and 0 when s is not a
     sub-multiset of t.
     """
-    tc = t.counter()
-    return_val = 1
-    for gamma, mult in Counter(s).items():
-        return_val *= comb(tc.get(gamma, 0), mult)
-    return return_val
+    s = tuple(s)
+    out = 1
+    for gamma in set(s):
+        out *= comb(t.factors.count(gamma), s.count(gamma))
+    return out
 
 
 def content_lines(text: str) -> list[tuple[int, str]]:

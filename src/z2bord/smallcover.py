@@ -203,6 +203,8 @@ def parse_characteristic(text: str, factor_dims=None) -> CharacteristicFunction:
         factor_dims = header
     elif factor_dims is None:
         raise ValueError("no factor-dimension header and no polytope given")
+    if not rows:
+        raise ValueError("no matrix rows after the header")
     entries = []
     for r in rows:
         if any(t not in ("0", "1") for t in r):

@@ -84,6 +84,13 @@ class TestOrbitAndSpan:
         assert main(["span", gen1_file, gen1_file]) == 0
         assert "span_dimension=1" in capsys.readouterr().out
 
+    def test_span_of_different_shapes(self, gen1_file, tmp_path, capsys):
+        path = tmp_path / "rp2.poly"
+        path.write_text("01,10\n01,11\n10,11\n")
+        assert main(["span", gen1_file, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestGraphValidate:
     def test_valid(self, tmp_path, capsys):
@@ -139,6 +146,13 @@ class TestSmallcover:
     def test_polytope_mismatch(self, lam_file):
         assert main(["smallcover", "--polytope", "2x3", "--lambda", lam_file]) == 2
 
+    def test_header_without_rows(self, tmp_path, capsys):
+        path = tmp_path / "header.lam"
+        path.write_text("1 4\n")
+        assert main(["smallcover", "--polytope", "1x4", "--lambda", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_dependent_subgroup_rows(self, lam_file, tmp_path):
         sub = tmp_path / "h.sub"
         sub.write_text("01111\n01111\n11001\n")
@@ -162,6 +176,11 @@ class TestMilnor:
         out = capsys.readouterr().out
         assert "families_tried=840" in out
         assert "unreached_orbits=3,4" in out
+
+    def test_search_with_m_zero(self, capsys):
+        assert main(["milnor-search", "--m", "0", "--n", "4", "--r", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestReproduce:

@@ -1,6 +1,8 @@
 """Bit-packed GF(2) linear algebra."""
 
+import functools
 import math
+import operator
 import random
 
 import pytest
@@ -31,6 +33,37 @@ def gaussian_binomial(k, r):
     num = math.prod(2**k - 2**j for j in range(r))
     den = math.prod(2**r - 2**j for j in range(r))
     return num // den
+
+
+def reference_rref(rows):
+    """RREF by sorted-list insertion: each new row is reduced by the basis,
+    which is then fully re-reduced by it and re-sorted."""
+    basis = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis = [min(b, b ^ row) for b in basis]
+            basis.append(row)
+            basis.sort(reverse=True)
+    return basis
+
+
+@st.composite
+def bit_matrices(draw):
+    """(rows, width): up to 40 rows of width up to 80, mixing random rows,
+    XORs of a few fixed vectors (so the rank is often low), zero rows and
+    repeats."""
+    width = draw(st.integers(1, 80))
+    vec = st.integers(0, 2**width - 1)
+    generators = draw(st.lists(vec, min_size=1, max_size=6))
+    combination = st.lists(st.sampled_from(generators), max_size=4).map(
+        lambda vs: functools.reduce(operator.xor, vs, 0)
+    )
+    rows = draw(st.lists(st.one_of(vec, combination, st.just(0)), max_size=32))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=8))
+    return draw(st.permutations(rows)), width
 
 
 class TestVectors:
@@ -74,6 +107,24 @@ class TestRowReduce:
     def test_rank_matches_span_size(self, rows):
         r = rank_of(rows)
         assert len(Subspace.span(rows, 6).vectors()) == 2**r
+
+    @settings(max_examples=300, deadline=None)
+    @given(bit_matrices())
+    def test_matches_reference_rref(self, matrix):
+        rows, width = matrix
+        expected = reference_rref(rows)
+        assert row_reduce(rows) == expected
+        assert rank_of(rows) == len(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bit_matrices())
+    def test_nullspace_dimension_and_orthogonality(self, matrix):
+        rows, width = matrix
+        ns = nullspace(rows, width)
+        assert ns.dim == width - rank_of(rows)
+        assert all(dot(r, v) == 0 for r in rows for v in ns.basis)
+        assert all(0 < v < 2**width for v in ns.basis)
+        assert list(ns.basis) == reference_rref(ns.basis)
 
 
 class TestSubspace:

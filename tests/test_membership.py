@@ -22,6 +22,7 @@ from z2bord.membership import (
     restriction_class,
 )
 from z2bord.repalg import Polynomial
+from test_acceptance import closed_form_dimension
 
 
 RP2 = poly("1 2\n1 12\n2 12", 2)  # the unique realizable class at degree 2, rank 2
@@ -150,6 +151,16 @@ class TestConstraintSystem:
                 for _ in range(300)
             ]
             self._oracle_agreement(n, k, subsets)
+
+    def test_wide_system_at_full_rank(self):
+        # (4,4) has 840 faithful monomials; n = k gives a closed form.
+        assert image_dimension(4, 4) == closed_form_dimension(4) == 511
+        cs = build_constraint_system(4, 4)
+        basis = cs.nullspace_basis()
+        assert len(cs.monomials) == 840 and len(basis) == 511
+        for p in basis:
+            assert cs.accepts(p)
+            assert check_membership(p).accepted
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))

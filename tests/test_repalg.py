@@ -109,6 +109,25 @@ class TestRestriction:
         assert list(r.factors) == expect
         assert r.k == 3
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_restrict_matches_dot_formula(self, data):
+        k = data.draw(st.integers(1, 6), label="k")
+        vec = st.integers(1, 2**k - 1)
+        basis = []
+        for v in data.draw(st.lists(vec, min_size=1, max_size=k), label="vectors"):
+            if not Subspace.span(basis, k).contains(v):
+                basis.append(v)
+        m = Monomial.make(data.draw(st.lists(vec, min_size=1, max_size=8)), k)
+        r = len(basis)
+        expect = sorted(
+            sum(dot(f, b) << (r - 1 - j) for j, b in enumerate(basis))
+            for f in m.factors
+        )
+        restricted = m.restrict(basis)
+        assert list(restricted.factors) == expect
+        assert restricted.k == r
+
     def test_rejects_non_basis(self):
         h = Subspace.span([0b100, 0b010], 3)
         with pytest.raises(InvalidBasisError):
@@ -123,6 +142,20 @@ class TestMultisetMultiplicity:
         assert sub_multiset_multiplicity(t, (0b100, 0b010)) == 3
         assert sub_multiset_multiplicity(t, (0b001,)) == 0
         assert sub_multiset_multiplicity(t, ()) == 1
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_counter_definition(self, data):
+        factors = data.draw(st.lists(st.integers(1, 15), min_size=1, max_size=8))
+        t = Monomial.make(factors, 4)
+        inside = st.sets(st.integers(0, t.degree - 1)).map(
+            lambda picks: tuple(t.factors[i] for i in sorted(picks))
+        )
+        anything = st.lists(st.integers(1, 15), max_size=5).map(tuple)
+        s = data.draw(st.one_of(inside, anything))
+        tc, sc = Counter(t.factors), Counter(s)
+        expect = math.prod(math.comb(tc[g], c) for g, c in sc.items())
+        assert sub_multiset_multiplicity(t, s) == expect
 
     def test_vandermonde_total(self):
         # summing over all distinct size-j sub-multisets counts C(degree, j)
