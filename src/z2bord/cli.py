@@ -15,6 +15,7 @@ from z2bord.membership import (
     NonFaithfulError,
     build_constraint_system,
     check_membership,
+    require_faithful,
 )
 from z2bord.repalg import content_lines, parse_polynomial, render_polynomial
 
@@ -34,6 +35,16 @@ def _read(path, parse, *args):
         raise InputError(f"{path}: {e}") from e
 
 
+def _read_faithful(path):
+    """The polynomial in the file, refused unless every monomial is faithful."""
+    p = _read(path, parse_polynomial)
+    try:
+        require_faithful(p)
+    except NonFaithfulError as e:
+        raise InputError(f"{path}: {e}") from e
+    return p
+
+
 def _parse_subgroup(text: str, k: int) -> list[int]:
     rows = [ln for _, ln in content_lines(text)]
     if any(len(ln) != k for ln in rows):
@@ -42,15 +53,12 @@ def _parse_subgroup(text: str, k: int) -> list[int]:
 
 
 def cmd_check(args) -> int:
-    p = _read(args.polynomial, parse_polynomial)
+    p = _read_faithful(args.polynomial)
     if p.is_zero:
         print("accepted")
         print("zero polynomial")
         return 0
-    try:
-        cert = check_membership(p)
-    except NonFaithfulError as e:
-        raise InputError(f"{args.polynomial}: {e}") from e
+    cert = check_membership(p)
     if cert.accepted:
         print("accepted")
         for dec in cert.decompositions:
@@ -87,7 +95,7 @@ def cmd_dim(args) -> int:
 def cmd_orbit(args) -> int:
     from z2bord.orbits import orbit
 
-    p = _read(args.polynomial, parse_polynomial)
+    p = _read_faithful(args.polynomial)
     if p.is_zero:
         raise InputError("orbit of the zero polynomial is trivial; give a nonzero input")
     o = orbit(p, p.k)
@@ -103,7 +111,7 @@ def cmd_orbit(args) -> int:
 def cmd_span(args) -> int:
     from z2bord.orbits import extract_basis, span_dimension
 
-    ps = [_read(path, parse_polynomial) for path in args.polynomials]
+    ps = [_read_faithful(path) for path in args.polynomials]
     ps = [p for p in ps if not p.is_zero]
     if len({(p.n, p.k) for p in ps}) > 1:
         raise InputError("polynomials of different degree or rank")

@@ -84,6 +84,16 @@ class TestOrbitAndSpan:
         assert main(["span", gen1_file, gen1_file]) == 0
         assert "span_dimension=1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("monomial", ["100,100,010", "000,100,010,001"])
+    @pytest.mark.parametrize("command", ["orbit", "span"])
+    def test_non_faithful_input(self, command, monomial, tmp_path, capsys):
+        path = tmp_path / "nonfaithful.poly"
+        path.write_text(monomial + "\n")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not faithful" in err
+        assert len(err.splitlines()) == 1
+
     def test_span_of_different_shapes(self, gen1_file, tmp_path, capsys):
         path = tmp_path / "rp2.poly"
         path.write_text("01,10\n01,11\n10,11\n")

@@ -12,16 +12,20 @@ from hypothesis import strategies as st
 from z2bord.catalog import GEN_1, GENERATORS, REJECTED_SINGLETON, mono, poly
 from z2bord.gf2 import ResourceLimitError
 from z2bord.membership import (
+    MembershipCertificate,
     NonFaithfulError,
+    Violation,
     build_constraint_system,
     check_membership,
     decompose_for_rho,
     enumerate_faithful_monomials,
     image_dimension,
     kernel_basis,
+    odd_submultisets,
     restriction_class,
+    submultiset,
 )
-from z2bord.repalg import Polynomial
+from z2bord.repalg import Monomial, Polynomial, sub_multiset_multiplicity
 from test_acceptance import closed_form_dimension
 
 
@@ -84,6 +88,12 @@ class TestChecker:
     def test_non_faithful_input_raises(self):
         with pytest.raises(NonFaithfulError):
             check_membership(poly("1 1 2 1 12", 3))  # factors span rank 2 only
+
+    def test_non_faithful_error_names_the_smallest(self):
+        # 1,1,2 and 1,2,2 span rank 2 only; 1,2,2 is 010,010,100 and sorts first.
+        p = poly("1 2 3\n1 1 2\n1 2 2", 3)
+        with pytest.raises(NonFaithfulError, match="monomial 010,010,100 is"):
+            check_membership(p)
 
 
 class TestFaithfulEnumeration:
@@ -172,3 +182,107 @@ class TestConstraintSystem:
             if rng.random() < 0.5:
                 p = p + b
         assert check_membership(p).accepted
+
+
+def reference_candidates(group):
+    """Every S with |S| < multiplicity that is a sub-multiset of a member,
+    in (len(S), S) order; any other S has a zero parity sum."""
+    cands = set()
+    for m in group.members:
+        for size in range(group.multiplicity):
+            cands.update(itertools.combinations(m.factors, size))
+    return sorted(cands, key=lambda s: (len(s), s))
+
+
+def reference_check(p):
+    """The criterion by definition: decompose_for_rho, then the parity of
+    sub_multiset_multiplicity summed over each group, per candidate.
+    p must be faithful."""
+    decs = []
+    for rho in range(1, 1 << p.k):
+        dec = decompose_for_rho(p, rho)
+        for group in dec.groups:
+            for s in reference_candidates(group):
+                if sum(sub_multiset_multiplicity(m, s) for m in group.members) & 1:
+                    return MembershipCertificate(False, violation=Violation(
+                        rho, group.multiplicity, group.restriction, s))
+        decs.append(dec)
+    return MembershipCertificate(True, decompositions=tuple(decs))
+
+
+def reference_rows(n, k):
+    """The constraint rows by definition: one per group and candidate."""
+    monomials = enumerate_faithful_monomials(n, k)
+    index = {m: j for j, m in enumerate(monomials)}
+    everything = Polynomial.make(monomials, n, k)
+    rows = set()
+    for rho in range(1, 1 << k):
+        for group in decompose_for_rho(everything, rho).groups:
+            for s in reference_candidates(group):
+                row = 0
+                for m in group.members:
+                    if sub_multiset_multiplicity(m, s) & 1:
+                        row |= 1 << index[m]
+                if row:
+                    rows.add(row)
+    return tuple(sorted(rows))
+
+
+class TestParityKernel:
+    """The odd sub-multiset listing behind check_membership and the build."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_lists_exactly_the_odd_sub_multisets(self, data):
+        k = data.draw(st.integers(1, 4))
+        pool = data.draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=4))
+        factors = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+        m = Monomial.make(factors, k)
+        subs = {s for size in range(m.degree + 1)
+                for s in itertools.combinations(m.factors, size)}
+        odd = {s for s in subs if sub_multiset_multiplicity(m, s) & 1}
+        codes = odd_submultisets(m)
+        listed = [submultiset(code, k) for code in codes]
+        assert len(set(listed)) == len(listed) and set(listed) == odd
+        assert list(codes) == sorted(codes)
+        assert listed == sorted(listed, key=lambda s: (len(s), s))
+
+    def test_codes(self):
+        m = Monomial.make((0b001, 0b010, 0b010, 0b010), 3)
+        # C(3, j) is odd for j = 0..3, C(1, j) for j = 0, 1.
+        assert [submultiset(c, 3) for c in odd_submultisets(m)] == [
+            (), (1,), (2,), (1, 2), (2, 2), (1, 2, 2), (2, 2, 2), (1, 2, 2, 2),
+        ]
+        assert submultiset(1, 3) == ()
+        assert submultiset(0b1_001_010, 3) == (1, 2)
+
+
+class TestAgainstReference:
+    """check_membership and build_constraint_system share the parity
+    kernel; these tests compare both with the criterion by definition."""
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 3), (5, 3), (6, 3), (4, 4)])
+    def test_rows(self, n, k):
+        assert build_constraint_system(n, k).rows == reference_rows(n, k)
+
+    def test_catalog_certificates(self):
+        for p in (*GENERATORS, REJECTED_SINGLETON, RP2):
+            assert check_membership(p) == reference_check(p)
+        assert not check_membership(REJECTED_SINGLETON).accepted
+
+    @pytest.mark.parametrize("n,k", [(5, 3), (4, 4)])
+    def test_seeded_certificates(self, n, k):
+        rng = random.Random(f"reference/{n},{k}")
+        cs = build_constraint_system(n, k)
+        basis = cs.nullspace_basis()
+        for i in range(110):
+            count = 1 + i % 3 if i % 2 else rng.randint(1, len(basis) // 2)
+            monos = frozenset()
+            for q in rng.sample(basis, count):
+                monos ^= q.monomials
+            twin = monos ^ {rng.choice(cs.monomials)}
+            for support, accepted in ((monos, True), (twin, False)):
+                p = Polynomial(support, n, k)
+                cert = check_membership(p)
+                assert cert.accepted == accepted
+                assert cert == reference_check(p)
