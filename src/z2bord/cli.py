@@ -80,10 +80,6 @@ def cmd_dim(args) -> int:
     n, k = args.n, args.k
     if n < 0 or k < 1:
         raise InputError("need n >= 0 and k >= 1")
-    if 0 < n < k:
-        print(f"n={n} k={k} faithful=0 constraints=0 dimension=0")
-        print(0)
-        return 0
     cs = build_constraint_system(n, k)
     d = cs.nullspace_dimension()
     print(f"n={n} k={k} faithful={len(cs.monomials)}"
@@ -219,7 +215,10 @@ def cmd_reproduce(args) -> int:
     for line in report.lines():
         print(line)
     if args.emit_data:
-        names = emit_data(args.emit_data)
+        try:
+            names = emit_data(args.emit_data)
+        except OSError as e:
+            raise InputError(f"{args.emit_data}: {e.strerror}") from e
         print(f"emitted {len(names)} files to {args.emit_data}")
     if report.ok:
         print("all checkpoints passed")

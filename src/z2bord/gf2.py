@@ -29,10 +29,6 @@ def unit(i: int, k: int) -> int:
     return 1 << (k - i)
 
 
-def coord(v: int, i: int, k: int) -> int:
-    return (v >> (k - i)) & 1
-
-
 def vec_str(v: int, k: int) -> str:
     return format(v, f"0{k}b")
 

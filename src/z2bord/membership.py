@@ -217,7 +217,10 @@ _ENUM_BOUNDS = (8, 4)  # max degree, max rank
 
 
 def enumerate_faithful_monomials(n: int, k: int) -> list[Monomial]:
-    """All degree-n faithful monomials over rank k, lexicographic order."""
+    """All degree-n faithful monomials over rank k, lexicographic order;
+    none when 0 < n < k, as n factors span rank at most n."""
+    if 0 < n < k:
+        return []
     if n > _ENUM_BOUNDS[0] or k > _ENUM_BOUNDS[1]:
         raise ResourceLimitError(
             f"faithful-monomial enumeration bounded by degree {_ENUM_BOUNDS[0]}, "
@@ -291,6 +294,4 @@ def build_constraint_system(n: int, k: int) -> ConstraintSystem:
 
 def image_dimension(n: int, k: int) -> int:
     """Dimension of the realizable degree-n space over rank k."""
-    if 0 < n < k:
-        return 0
     return build_constraint_system(n, k).nullspace_dimension()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from z2bord.gf2 import Mat, ResourceLimitError, enumerate_gl, rank_of, reduce_into
-from z2bord.membership import build_constraint_system, check_membership
+from z2bord.membership import ConstraintSystem, check_membership
 from z2bord.repalg import Polynomial, ShapeError, apply_automorphism
 
 
@@ -36,11 +36,9 @@ def orbit(p: Polynomial, k: int) -> PolynomialOrbit:
     return PolynomialOrbit(p, frozenset(elements), tuple(stab))
 
 
-def stabilizer_matches(p: Polynomial, k: int, predicted) -> bool:
-    """True iff the stabilizer is exactly {a in GL(k,2) : predicted(a)}."""
-    stab = set(orbit(p, k).stabilizer)
-    predicted_set = {a for a in enumerate_gl(k) if predicted(a)}
-    return stab == predicted_set
+def stabilizer_matches(o: PolynomialOrbit, predicted) -> bool:
+    """True iff o's stabilizer is exactly {a in GL(k,2) : predicted(a)}."""
+    return set(o.stabilizer) == {a for a in enumerate_gl(o.seed.k) if predicted(a)}
 
 
 def _indicator_rows(ps) -> list[int]:
@@ -67,10 +65,9 @@ def extract_basis(ps) -> list[Polynomial]:
     return [p for p, row in zip(ps, _indicator_rows(ps)) if reduce_into(table, row)]
 
 
-def verify_generating_set(n: int, k: int, generators) -> bool:
-    """True iff the generators span exactly the realizable degree-n space."""
+def verify_generating_set(cs: ConstraintSystem, generators) -> bool:
+    """True iff the generators span exactly the realizable space of cs."""
     generators = list(generators)
-    cs = build_constraint_system(n, k)
     for p in generators:
         if not check_membership(p).accepted:
             raise ValueError(f"generator rejected by the membership criterion:\n{p}")

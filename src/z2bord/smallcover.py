@@ -153,18 +153,16 @@ def skeleton_graph(cf: CharacteristicFunction) -> LabeledGraph:
 
 def admissible_subgroups(cf: CharacteristicFunction, r: int) -> list[Subspace]:
     """Rank-r subgroups whose restricted action keeps the fixed points
-    isolated: no edge's facet-label span contains the subgroup."""
+    isolated: no edge's facet-label span (a subspace) contains h's basis."""
     p = cf.polytope
     edge_spans = [
         Subspace.span([cf.label(f) for f in p.edge_facets(v, w)], p.dim)
         for v, w in p.edges
     ]
-    out = []
-    for h in enumerate_subspaces(p.dim, r):
-        nonzero = [v for v in h.vectors() if v]
-        if not any(all(w.contains(x) for x in nonzero) for w in edge_spans):
-            out.append(h)
-    return out
+    return [
+        h for h in enumerate_subspaces(p.dim, r)
+        if not any(all(w.contains(x) for x in h.basis) for w in edge_spans)
+    ]
 
 
 def restricted_polynomial(cf: CharacteristicFunction, h: Subspace, h_basis) -> Polynomial:

@@ -1,30 +1,19 @@
 """Acceptance gate: the nine headline criteria, one report line each.
 
 Every expected value here is an exact integer or boolean; there are no
-tolerances.  Time budgets are asserted where the criteria state them.
+tolerances.  Criteria 1-8 hold this file's literals and time budgets
+against the checkpoints of one run_reproduction(): each criterion reads
+the computed text of its checkpoints and sums their elapsed_s.  Criterion
+9, closed_form_dimension and image_dimension(1, 2) are computed here.
 """
 
 import itertools
 import math
 import random
-import time
 
-from z2bord.catalog import (
-    DELTA5,
-    GEN_1,
-    GEN_2,
-    GENERATORS,
-    MILNOR_FAMILY_1,
-    MILNOR_FAMILY_2,
-    ORBIT2_SQUARES,
-    ORBIT3_SQUARES,
-    ORBIT4_SQUARES,
-    REJECTED_SINGLETON,
-    SMALL_COVER_1,
-    SMALL_COVER_2,
-    STAB_SHAPES,
-    construction_subgroup,
-)
+import pytest
+
+from z2bord.catalog import GENERATORS, SMALL_COVER_1, SMALL_COVER_2
 from z2bord.gf2 import Mat, enumerate_gl, rank_of
 from z2bord.membership import (
     build_constraint_system,
@@ -32,17 +21,10 @@ from z2bord.membership import (
     enumerate_faithful_monomials,
     image_dimension,
 )
-from z2bord.milnor import SubsetFamily, milnor_fixed_polynomial, search_orbit_hits
-from z2bord.orbits import orbit, span_dimension, stabilizer_matches
+from z2bord.orbits import orbit
 from z2bord.repalg import Polynomial, apply_automorphism
-from z2bord.smallcover import (
-    CharacteristicFunction,
-    NonIsolatedError,
-    admissible_subgroups,
-    fixed_polynomial,
-    restricted_polynomial,
-    tangent_reps,
-)
+from z2bord.report import run_reproduction
+from z2bord.smallcover import CharacteristicFunction, fixed_polynomial
 
 
 def closed_form_dimension(n: int) -> int:
@@ -60,119 +42,95 @@ def report(name: str, expected, computed):
     assert expected == computed
 
 
+class Reproduction:
+    """The checkpoints of one run_reproduction(), read by name."""
+
+    def __init__(self):
+        self.by_name = {c.name: c for c in run_reproduction().checkpoints}
+
+    def count(self, name: str) -> int:
+        return int(self.by_name[name].computed)
+
+    def flag(self, name: str) -> bool:
+        return {"True": True, "False": False}[self.by_name[name].computed]
+
+    def elapsed(self, *prefixes: str) -> float:
+        """Seconds of every checkpoint whose name starts with a prefix."""
+        return sum(c.elapsed_s for n, c in self.by_name.items() if n.startswith(prefixes))
+
+
+@pytest.fixture(scope="module")
+def rep():
+    return Reproduction()
+
+
 class TestAcceptance:
-    def test_1_membership(self):
-        start = time.monotonic()
-        verdicts = [check_membership(g).accepted for g in GENERATORS]
-        verdicts.append(not check_membership(REJECTED_SINGLETON).accepted)
-        elapsed = time.monotonic() - start
-        assert elapsed < 1.0
+    def test_1_membership(self, rep):
+        assert rep.elapsed("generator_", "candidate_") < 1.0
+        verdicts = [rep.flag(f"generator_{i}_accepted") for i in range(1, 5)]
+        verdicts.append(not rep.flag("candidate_rejected"))
         report("criterion_1_membership", True, all(verdicts))
 
-    def test_2_dimensions(self):
-        start = time.monotonic()
+    def test_2_dimensions(self, rep):
+        assert rep.elapsed("faithful_", "constraint_", "dimension_") < 60.0
         values = (
-            image_dimension(5, 3),
-            image_dimension(4, 3),
-            image_dimension(2, 2),
-            image_dimension(3, 3),
+            rep.count("dimension_5_3"),
+            rep.count("dimension_4_3"),
+            rep.count("dimension_2_2"),
+            rep.count("dimension_3_3"),
             image_dimension(1, 2),
-            image_dimension(1, 3),
-            image_dimension(2, 3),
+            rep.count("dimension_1_3"),
+            rep.count("dimension_2_3"),
         )
-        elapsed = time.monotonic() - start
-        assert elapsed < 60.0
         expected = (77, 32, 1, closed_form_dimension(3), 0, 0, 0)
         assert closed_form_dimension(3) == 13
         assert closed_form_dimension(2) == 1
         report("criterion_2_dimensions", expected, values)
 
-    def test_3_orbits_and_stabilizers(self):
-        sizes = tuple(len(orbit(g, 3)) for g in GENERATORS)
-        shapes = all(
-            stabilizer_matches(g, 3, s) for g, s in zip(GENERATORS, STAB_SHAPES)
-        )
+    def test_3_orbits_and_stabilizers(self, rep):
+        sizes = tuple(rep.count(f"orbit_{i}_size") for i in range(1, 5))
+        shapes = all(rep.flag(f"stabilizer_{i}_shape") for i in range(1, 5))
         report("criterion_3_orbits", ((7, 28, 42, 28), True), (sizes, shapes))
 
-    def test_4_span_ladder_and_identities(self):
-        pool = []
-        ladder = []
-        for g in GENERATORS:
-            pool.extend(sorted(orbit(g, 3).elements, key=str))
-            ladder.append(span_dimension(pool))
-        s3, s4, s2 = ORBIT3_SQUARES, ORBIT4_SQUARES, ORBIT2_SQUARES
-        identities = (
-            s3[3] == s3[0] + s3[1] + s3[2]
-            and s3[4] == s3[1] + s3[2]
-            and s3[5] == s3[0] + s3[1]
-            and s4[3] == s4[0] + s4[1] + s4[2] + s2[0] + s2[1] + s2[2] + s2[3]
-        )
+    def test_4_span_ladder_and_identities(self, rep):
+        ladder = [rep.count(f"span_ladder_{i}") for i in range(1, 5)]
+        identities = (rep.flag("orbit3_dependency_456")
+                      and rep.flag("orbit4_seven_term_dependency"))
         report("criterion_4_span_ladder",
                ([7, 35, 56, 77], True), (ladder, identities))
 
-    def test_5_generating_set_equivalence(self):
-        cs = build_constraint_system(5, 3)
-        pool = []
-        for g in GENERATORS:
-            pool.extend(orbit(g, 3).elements)
-        # containment one way: every pool element satisfies the constraints
-        contained = all(cs.accepts(p) for p in pool)
-        # equality of dimensions closes the other containment
-        same_dim = span_dimension(pool) == cs.nullspace_dimension() == 77
-        report("criterion_5_generating_set", True, contained and same_dim)
+    def test_5_generating_set_equivalence(self, rep):
+        # every orbit element is accepted by check_membership and the (5,3)
+        # constraints, and the orbits span the whole 77-dimensional image
+        same_dim = rep.count("dimension_5_3") == 77
+        report("criterion_5_generating_set", True,
+               rep.flag("generating_set_spans_image") and same_dim)
 
-    def test_6_constructions(self):
-        results = []
-        for data, seed in ((SMALL_COVER_1, GENERATORS[2]),
-                           (SMALL_COVER_2, GENERATORS[3])):
-            cf = CharacteristicFunction.from_matrix(
-                data["factor_dims"], data["matrix"]
-            )
-            reps = tangent_reps(cf)
-            results.append(
-                sorted(sorted(m.factors) for m in reps.values())
-                == sorted(sorted(m.factors) for m in data["tangent_monomials"])
-            )
-            restricted = restricted_polynomial(
-                cf, construction_subgroup(data), data["subgroup_basis"]
-            )
-            results.append(restricted in orbit(seed, 3))
-        p1 = milnor_fixed_polynomial(2, 4, SubsetFamily.make(3, MILNOR_FAMILY_1))
-        p2 = milnor_fixed_polynomial(2, 4, SubsetFamily.make(3, MILNOR_FAMILY_2))
-        results.extend((p1 == GEN_1, p2 == GEN_2))
+    def test_6_constructions(self, rep):
+        results = [
+            rep.flag(name)
+            for idx in (1, 2)
+            for name in (f"small_cover_{idx}_tangent_reps",
+                         f"small_cover_{idx}_restriction_in_orbit_{2 + idx}")
+        ]
+        results.extend((rep.flag("milnor_family_1_gives_generator_1"),
+                        rep.flag("milnor_family_2_gives_generator_2")))
         report("criterion_6_constructions", True, all(results))
 
-    def test_7_simplex_five_impossibility(self):
-        start = time.monotonic()
-        cf = CharacteristicFunction.from_matrix(
-            DELTA5["factor_dims"], DELTA5["matrix"]
-        )
-        subs = admissible_subgroups(cf, 3)
-        assert len(subs) <= 155
-        bad = 0
-        for h in subs:
-            try:
-                p = restricted_polynomial(cf, h, h.basis)
-            except NonIsolatedError:
-                continue
-            if not p.is_zero:
-                bad += 1
-        elapsed = time.monotonic() - start
-        assert elapsed < 5.0
+    def test_7_simplex_five_impossibility(self, rep):
+        assert rep.elapsed("simplex5_") < 5.0
+        assert rep.count("simplex5_admissible_rank3_subgroups") <= 155
+        bad = rep.count("simplex5_isolated_nonzero_restrictions")
         report("criterion_7_simplex5_impossibility", 0, bad)
 
-    def test_8_milnor_search(self):
-        start = time.monotonic()
-        targets = [orbit(g, 3) for g in GENERATORS]
-        search = search_orbit_hits(2, 4, 3, targets)
-        elapsed = time.monotonic() - start
-        assert elapsed < 30.0
+    def test_8_milnor_search(self, rep):
+        assert rep.elapsed("milnor_search_") < 30.0
+        # The report states the hits on orbits 1 and 2 jointly, and that
+        # orbits 3 and 4 (and only they) are never hit.
+        reached = rep.flag("milnor_search_hits_orbits_1_2")
+        missed = 0 if rep.flag("milnor_search_misses_orbits_3_4") else None
         outcome = (
-            search.families_tried,
-            bool(search.hits[0]),
-            bool(search.hits[1]),
-            len(search.hits[2]),
-            len(search.hits[3]),
+            rep.count("milnor_search_families"), reached, reached, missed, missed,
         )
         report("criterion_8_milnor_search", (840, True, True, 0, 0), outcome)
 

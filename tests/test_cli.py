@@ -61,6 +61,15 @@ class TestDim:
         assert main(["dim", "--n", "1", "--k", "2"]) == 0
         assert capsys.readouterr().out.strip().splitlines()[-1] == "0"
 
+    def test_trivial_range_beyond_the_bounds(self, capsys):
+        assert main(["dim", "--n", "1", "--k", "9"]) == 0
+        assert capsys.readouterr().out == (
+            "n=1 k=9 faithful=0 constraints=0 dimension=0\n0\n"
+        )
+        for n, k in ((0, 9), (9, 3)):
+            assert main(["dim", "--n", str(n), "--k", str(k)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_flags(self, capsys):
         assert main(["dim", "--n", "5"]) == 2
         assert main(["dim", "--n", "-1", "--k", "2"]) == 2
@@ -209,6 +218,13 @@ class TestReproduce:
         assert "generator_1.poly" in names
         assert "small_cover_1.lam" in names
         assert "projective_3.graph" in names
+
+    def test_emit_data_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = str(blocker / "out")
+        assert main(["reproduce-paper", "--emit-data", target]) == 2
+        assert capsys.readouterr().err == f"error: {target}: Not a directory\n"
 
     def test_deterministic(self, capsys):
         main(["reproduce-paper"])

@@ -13,6 +13,7 @@ from z2bord.catalog import (
     poly,
 )
 from z2bord.gf2 import enumerate_gl
+from z2bord.membership import build_constraint_system
 from z2bord.orbits import (
     extract_basis,
     orbit,
@@ -56,7 +57,7 @@ class TestOrbit:
 
     def test_stabilizer_shapes(self):
         for g, shape in zip(GENERATORS, STAB_SHAPES):
-            assert stabilizer_matches(g, 3, shape)
+            assert stabilizer_matches(orbit(g, 3), shape)
 
     def test_named_squares_lie_in_their_orbits(self):
         o2, o3, o4 = (orbit(GENERATORS[i], 3) for i in (1, 2, 3))
@@ -106,15 +107,16 @@ class TestGeneratingSet:
         pool = []
         for g in GENERATORS:
             pool.extend(orbit(g, 3).elements)
-        assert verify_generating_set(5, 3, pool)
+        assert verify_generating_set(build_constraint_system(5, 3), pool)
 
     def test_first_orbit_alone_does_not(self):
-        assert not verify_generating_set(5, 3, list(orbit(GENERATORS[0], 3).elements))
+        cs = build_constraint_system(5, 3)
+        assert not verify_generating_set(cs, list(orbit(GENERATORS[0], 3).elements))
 
     def test_projective_plane_generates_degree_two(self):
         rp2 = poly("1 2\n1 12\n2 12", 2)
-        assert verify_generating_set(2, 2, [rp2])
+        assert verify_generating_set(build_constraint_system(2, 2), [rp2])
 
     def test_rejected_generator_raises(self):
         with pytest.raises(ValueError):
-            verify_generating_set(2, 2, [poly("1 2", 2)])
+            verify_generating_set(build_constraint_system(2, 2), [poly("1 2", 2)])
