@@ -173,14 +173,11 @@ def cmd_smallcover(args) -> int:
 
 
 def cmd_milnor(args) -> int:
-    from z2bord.milnor import NonIsolatedError, SubsetFamily, milnor_fixed_polynomial
+    from z2bord.milnor import SubsetFamily, milnor_fixed_polynomial
 
     try:
         family = SubsetFamily.parse(args.r, args.sets)
         p = milnor_fixed_polynomial(args.m, args.n, family)
-    except NonIsolatedError as e:
-        print(f"non-isolated: {e}")
-        return 1
     except ValueError as e:
         raise InputError(str(e)) from e
     print(render_polynomial(p), end="")
@@ -211,14 +208,15 @@ def cmd_milnor_search(args) -> int:
 def cmd_reproduce(args) -> int:
     from z2bord.report import emit_data, run_reproduction
 
-    report = run_reproduction()
-    for line in report.lines():
-        print(line)
     if args.emit_data:
         try:
             names = emit_data(args.emit_data)
         except OSError as e:
             raise InputError(f"{args.emit_data}: {e.strerror}") from e
+    report = run_reproduction()
+    for line in report.lines():
+        print(line)
+    if args.emit_data:
         print(f"emitted {len(names)} files to {args.emit_data}")
     if report.ok:
         print("all checkpoints passed")
@@ -303,10 +301,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as e:
+    except (InputError, ResourceLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

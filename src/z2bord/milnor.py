@@ -1,9 +1,12 @@
 """Fixed-point polynomials of Milnor hypersurfaces under pulled-back actions.
 
-An action of (Z/2)^r on the (m+n-1)-dimensional hypersurface in
-RP^m x RP^n is induced by n subsets S_1..S_n of {1..r}; the fixed-point
-polynomial is a two-part symmetric-difference formula evaluated literally
-with GF(2) cancellation.
+An action of (Z/2)^r on the (m+n-1)-dimensional hypersurface H(m, n) in
+RP^m x RP^n is induced by n subsets S_1..S_n of {1..r}.  H(m, n) is the
+projectivization RP(xi) of a real vector bundle xi over RP^m: with
+rho_0 = 0 and rho_l the functional of S_l, the fiber over the fixed point
+e_i carries the characters rho_j, j in {0..n} minus {i}.  The
+fixed-point polynomial sums, mod 2, one tangent monomial per fixed point
+(e_i, rho_j) of RP(xi).
 """
 
 from __future__ import annotations
@@ -81,26 +84,23 @@ def _polynomial(terms, n: int, r: int) -> Polynomial:
 
 
 def milnor_fixed_polynomial(m: int, n: int, family: SubsetFamily) -> Polynomial:
-    """Literal evaluation of the two-part fixed-point formula, mod 2."""
+    """Fixed-point sum of RP(xi) over RP^m, mod 2.
+
+    The fixed point (e_i, rho_j) has the tangent factors rho_i + rho_k
+    (k <= m, k != i) along the base and rho_j + rho_l (l != i, j) along
+    the fiber.  _validate makes rho_0..rho_n pairwise distinct, so no
+    factor is trivial and every fixed point is isolated.
+    """
     _validate(m, n, family)
-    f = family
+    rho = [0] + [family.rho(l) for l in range(1, n + 1)]
     terms = []
-    # First part: prod_i<=m rho_{S_i} times the degree-(n-1) symmetric sum.
-    for j in range(1, n + 1):
-        factors = [f.rho(i) for i in range(1, m + 1)]
-        factors += [f.rho_sym(k, j) for k in range(1, n + 1) if k != j]
-        terms.append(factors)
-    # Second part: one block per i <= m.
-    for i in range(1, m + 1):
-        base = [f.rho(i)] + [f.rho_sym(k, i) for k in range(1, m + 1) if k != i]
-        terms.append(base + [f.rho(l) for l in range(1, n + 1) if l != i])
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            factors = base + [f.rho(j)]
-            factors += [f.rho_sym(l, j) for l in range(1, n + 1) if l not in (i, j)]
-            terms.append(factors)
-    return _polynomial(terms, m + n - 1, family.r)
+    for i in range(m + 1):
+        base = [rho[i] ^ rho[k] for k in range(m + 1) if k != i]
+        for j in range(n + 1):
+            if j != i:
+                fiber = [rho[j] ^ rho[l] for l in range(n + 1) if l not in (i, j)]
+                terms.append(Monomial.make(base + fiber, family.r))
+    return Polynomial.make(terms, m + n - 1, family.r)
 
 
 def six_term_expansion(family: SubsetFamily) -> Polynomial:
@@ -122,12 +122,11 @@ def six_term_expansion(family: SubsetFamily) -> Polynomial:
 
 @dataclass
 class SearchReport:
-    m: int
-    n: int
-    r: int
     families_tried: int = 0
+    # Always 0: a validated family has isolated fixed points only.  Kept
+    # because milnor-search prints it.
     skipped_non_isolated: int = 0
-    produced: dict = field(default_factory=dict)  # Polynomial -> first family
+    produced: set = field(default_factory=set)  # distinct polynomials
     hits: list = field(default_factory=list)  # per target: list of families
     unreached: list = field(default_factory=list)  # target indices never hit
 
@@ -137,24 +136,24 @@ class SearchReport:
 
 def search_orbit_hits(m: int, n: int, r: int, targets) -> SearchReport:
     """Exhaustive search over ordered families of n distinct nonempty
-    subsets of {1..r}; reports which target orbits are reached."""
+    subsets of {1..r}; reports which target orbits are reached.
+
+    No family is skipped: _validate makes every fixed point isolated."""
     if r > 3 or n > 5:
         raise ResourceLimitError("search bounded by r <= 3, n <= 5")
+    if r < 1 or n > (1 << r) - 1:
+        raise InvalidFamilyError(
+            f"no family of {n} distinct nonempty subsets of 1..{r}")
     _check_sizes(m, n)
     targets = list(targets)
-    report = SearchReport(m, n, r, hits=[[] for _ in targets])
+    report = SearchReport(hits=[[] for _ in targets])
     subsets = [frozenset(s) for size in range(1, r + 1)
                for s in itertools.combinations(range(1, r + 1), size)]
     for sets in itertools.permutations(subsets, n):
         family = SubsetFamily(r, sets)
         report.families_tried += 1
-        try:
-            p = milnor_fixed_polynomial(m, n, family)
-        except NonIsolatedError:
-            report.skipped_non_isolated += 1
-            continue
-        if p not in report.produced:
-            report.produced[p] = family
+        p = milnor_fixed_polynomial(m, n, family)
+        report.produced.add(p)
         for t_i, t in enumerate(targets):
             if p in t.elements:
                 report.hits[t_i].append(family)

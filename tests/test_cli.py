@@ -201,6 +201,13 @@ class TestMilnor:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("n,r", [("4", "0"), ("4", "-2"), ("4", "2")])
+    def test_search_with_no_possible_family(self, capsys, n, r):
+        assert main(["milnor-search", "--m", "2", "--n", n, "--r", r]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestReproduce:
     def test_all_checkpoints_pass(self, capsys):
@@ -224,7 +231,9 @@ class TestReproduce:
         blocker.write_text("")
         target = str(blocker / "out")
         assert main(["reproduce-paper", "--emit-data", target]) == 2
-        assert capsys.readouterr().err == f"error: {target}: Not a directory\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {target}: Not a directory\n"
+        assert captured.out == ""
 
     def test_deterministic(self, capsys):
         main(["reproduce-paper"])

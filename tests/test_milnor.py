@@ -1,5 +1,6 @@
 """Milnor hypersurface fixed-point polynomials and the subset-family search."""
 
+import hashlib
 import itertools
 import random
 
@@ -18,6 +19,7 @@ from z2bord.milnor import (
     six_term_expansion,
 )
 from z2bord.orbits import orbit
+from z2bord.repalg import render_polynomial
 
 
 def all_families(n, r):
@@ -60,10 +62,22 @@ class TestFixedPolynomial:
         assert p2 == GEN_2
 
     def test_six_term_shape_matches_general_formula(self):
-        rng = random.Random(31)
-        fams = list(all_families(4, 3))
-        for f in rng.sample(fams, 60):
+        for f in all_families(4, 3):
             assert six_term_expansion(f) == milnor_fixed_polynomial(2, 4, f)
+
+    def test_outputs_pinned_over_the_small_range(self):
+        # Digest of every family with r <= 3, n <= 4, 1 <= m <= n, in the
+        # order of all_families; pinned from the two-part literal formula
+        # that the RP(xi) sum replaced.
+        digest = hashlib.sha256()
+        for r in range(1, 4):
+            for n in range(1, 5):
+                for m in range(1, n + 1):
+                    for f in all_families(n, r):
+                        p = milnor_fixed_polynomial(m, n, f)
+                        digest.update((render_polynomial(p) + "--\n").encode())
+        assert digest.hexdigest() == (
+            "82e48ffcabb3254172cbdd1418fd3a23dfd49b20a291a4d313fd9a064b819c32")
 
     def test_every_output_is_realizable(self):
         rng = random.Random(37)
