@@ -189,7 +189,7 @@ def cmd_milnor_search(args) -> int:
     from z2bord.milnor import InvalidFamilyError, family_label, search_orbit_hits
     from z2bord.orbits import orbit
 
-    targets = [orbit(g, args.r) for g in GENERATORS] if args.r == 3 else []
+    targets = [orbit(g, g.k) for g in GENERATORS]
     try:
         report = search_orbit_hits(args.m, args.n, args.r, targets)
     except InvalidFamilyError as e:

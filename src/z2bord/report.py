@@ -36,7 +36,6 @@ from z2bord.milnor import SubsetFamily, milnor_fixed_polynomial, search_orbit_hi
 from z2bord.orbits import orbit, span_dimension, stabilizer_matches, verify_generating_set
 from z2bord.smallcover import (
     CharacteristicFunction,
-    NonIsolatedError,
     admissible_subgroups,
     restricted_polynomial,
     tangent_reps,
@@ -145,14 +144,9 @@ def run_reproduction() -> ReproductionReport:
     d5 = CharacteristicFunction.from_matrix(DELTA5["factor_dims"], DELTA5["matrix"])
     admissible = admissible_subgroups(d5, 3)
     rep.add("simplex5_admissible_rank3_subgroups", 15, len(admissible))
-    realized = 0
-    for h in admissible:
-        try:
-            p = restricted_polynomial(d5, h, h.basis)
-        except NonIsolatedError:
-            continue
-        if not p.is_zero:
-            realized += 1
+    realized = sum(
+        not restricted_polynomial(d5, h, h.basis).is_zero for h in admissible
+    )
     rep.add("simplex5_isolated_nonzero_restrictions", 0, realized)
 
     # Milnor hypersurface actions.

@@ -3,8 +3,10 @@
 The polytope is a product of simplices; a characteristic function labels
 each facet with a nonzero vector of (Z/2)^n such that the labels at every
 vertex form a basis.  Inverting the vertex label matrix recovers the
-tangent monomial at the corresponding isolated fixed point; restricting
-to an admissible subgroup gives fixed-point data for lower-rank actions.
+tangent monomial at the corresponding isolated fixed point.  A subgroup
+is admissible when no tangent factor restricts to the trivial
+representation on it; restricting to one keeps the fixed points isolated
+and gives fixed-point data for lower-rank actions.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from z2bord.gf2 import Mat, Subspace, dot, enumerate_subspaces, nullspace, vec_str
+from z2bord.gf2 import Mat, Subspace, enumerate_subspaces, nullspace, vec_str
 from z2bord.graphs import LabeledGraph
 from z2bord.repalg import (
     Monomial,
@@ -21,6 +23,7 @@ from z2bord.repalg import (
     Polynomial,
     content_lines,
     ordered_basis,
+    restriction_table,
 )
 
 Facet = tuple[int, int]  # (factor index, facet index within the factor)
@@ -151,34 +154,35 @@ def skeleton_graph(cf: CharacteristicFunction) -> LabeledGraph:
     return LabeledGraph.make(p.dim, edges)
 
 
+def _trivial_factor(reps: dict[Vertex, Monomial], basis, k: int):
+    """The first (vertex, factor), in reps order and sorted factor order,
+    that restricts to the trivial representation on the ordered basis, or None."""
+    table = restriction_table(tuple(basis), k)
+    trivial = ((v, f) for v, m in reps.items() for f in m.factors if not table[f])
+    return next(trivial, None)
+
+
 def admissible_subgroups(cf: CharacteristicFunction, r: int) -> list[Subspace]:
-    """Rank-r subgroups whose restricted action keeps the fixed points
-    isolated: no edge's facet-label span (a subspace) contains h's basis."""
-    p = cf.polytope
-    edge_spans = [
-        Subspace.span([cf.label(f) for f in p.edge_facets(v, w)], p.dim)
-        for v, w in p.edges
-    ]
-    return [
-        h for h in enumerate_subspaces(p.dim, r)
-        if not any(all(w.contains(x) for x in h.basis) for w in edge_spans)
-    ]
+    """Rank-r subgroups on which no tangent factor restricts to the trivial
+    representation, so the restricted action keeps the fixed points
+    isolated.  The tangent factor along an edge vanishes exactly on the
+    edge's facet-label span, so equivalently no such span contains h.
+    Raises InvalidCharacteristicError for an invalid cf, as tangent_reps does."""
+    reps, dim = tangent_reps(cf), cf.polytope.dim
+    return [h for h in enumerate_subspaces(dim, r)
+            if _trivial_factor(reps, h.basis, dim) is None]
 
 
 def restricted_polynomial(cf: CharacteristicFunction, h: Subspace, h_basis) -> Polynomial:
     """Restrict every vertex monomial to the subgroup h via h_basis and sum."""
     basis = ordered_basis(h, h_basis)
-    monos = []
-    for v, m in tangent_reps(cf).items():
-        restricted = m.restrict(basis)
-        if 0 in restricted.factors:
-            f = next(f for f in m.factors if not any(dot(f, b) for b in basis))
-            raise NonIsolatedError(
-                f"factor {vec_str(f, m.k)} at vertex {v} restricts to the "
-                "trivial representation"
-            )
-        monos.append(restricted)
-    return Polynomial.make(monos, cf.polytope.dim, len(basis))
+    reps, dim = tangent_reps(cf), cf.polytope.dim
+    trivial = _trivial_factor(reps, basis, dim)
+    if trivial is not None:
+        v, f = trivial
+        raise NonIsolatedError(f"factor {vec_str(f, dim)} at vertex {v} restricts "
+                               "to the trivial representation")
+    return Polynomial.make((m.restrict(basis) for m in reps.values()), dim, len(basis))
 
 
 def parse_characteristic(text: str, factor_dims=None) -> CharacteristicFunction:

@@ -172,6 +172,16 @@ class TestSmallcover:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_non_isolated_subgroup(self, lam_file, tmp_path, capsys):
+        sub = tmp_path / "h.sub"
+        sub.write_text("10000\n01000\n00100\n")
+        assert main(["smallcover", "--polytope", "1x4", "--lambda", lam_file,
+                     "--subgroup", str(sub)]) == 1
+        assert capsys.readouterr().out == (
+            "non-isolated: factor 00010 at vertex (0, 2) restricts to the "
+            "trivial representation\n"
+        )
+
     def test_dependent_subgroup_rows(self, lam_file, tmp_path):
         sub = tmp_path / "h.sub"
         sub.write_text("01111\n01111\n11001\n")
@@ -195,6 +205,15 @@ class TestMilnor:
         out = capsys.readouterr().out
         assert "families_tried=840" in out
         assert "unreached_orbits=3,4" in out
+
+    def test_search_below_rank_three(self, capsys):
+        # Rank-2 polynomials never lie in a rank-3 generator orbit, so every
+        # orbit is reported as searched and unreached.
+        assert main(["milnor-search", "--m", "1", "--n", "2", "--r", "2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[3:] == [f"orbit_{i}_hits=0" for i in range(1, 5)] + [
+            "unreached_orbits=1,2,3,4"
+        ]
 
     def test_search_with_m_zero(self, capsys):
         assert main(["milnor-search", "--m", "0", "--n", "4", "--r", "3"]) == 2

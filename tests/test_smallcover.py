@@ -7,7 +7,7 @@ import random
 import pytest
 
 from z2bord.catalog import DELTA5, SMALL_COVER_1, SMALL_COVER_2, construction_subgroup
-from z2bord.gf2 import Mat, Subspace, rank_of
+from z2bord.gf2 import Mat, Subspace, enumerate_subspaces, rank_of
 from z2bord.membership import check_membership
 from z2bord.orbits import orbit
 from z2bord.repalg import Polynomial
@@ -174,6 +174,53 @@ class TestConstructions:
         assert subs == [Subspace.span([0b10, 0b01], 2)]
 
 
+def admissible_by_definition(cf, r):
+    """Rank-r subgroups contained in no edge's facet-label span."""
+    p = cf.polytope
+    spans = [Subspace.span([cf.label(f) for f in p.edge_facets(v, w)], p.dim)
+             for v, w in p.edges]
+    return [h for h in enumerate_subspaces(p.dim, r)
+            if not any(all(s.contains(x) for x in h.basis) for s in spans)]
+
+
+CATALOG_COVERS = [
+    pytest.param(CharacteristicFunction.from_matrix(d["factor_dims"], d["matrix"]), id=name)
+    for name, d in (("delta5", DELTA5), ("cover1", SMALL_COVER_1), ("cover2", SMALL_COVER_2))
+]
+
+
+class TestAdmissibility:
+    @pytest.mark.parametrize("dims", [(2,), (1, 1), (3,)])
+    def test_matches_edge_spans_on_every_valid_labeling(self, dims):
+        p = ProductOfSimplices(dims)
+        count = 0
+        for labels in itertools.product(range(1, 2**p.dim), repeat=len(p.facets)):
+            cf = CharacteristicFunction(p, labels)
+            if not cf.is_valid():
+                continue
+            count += 1
+            for r in range(p.dim + 1):
+                assert admissible_subgroups(cf, r) == admissible_by_definition(cf, r)
+        assert count > 0
+
+    @pytest.mark.parametrize("cf", CATALOG_COVERS)
+    def test_matches_edge_spans_on_catalog_covers(self, cf):
+        for r in range(cf.polytope.dim + 1):
+            assert admissible_subgroups(cf, r) == admissible_by_definition(cf, r)
+
+    @pytest.mark.parametrize("cf", CATALOG_COVERS)
+    def test_restriction_raises_exactly_off_admissible(self, cf):
+        dim = cf.polytope.dim
+        for r in range(dim + 1):
+            admissible = set(admissible_subgroups(cf, r))
+            for h in enumerate_subspaces(dim, r):
+                if h in admissible:
+                    restricted_polynomial(cf, h, h.basis)
+                else:
+                    with pytest.raises(NonIsolatedError):
+                        restricted_polynomial(cf, h, h.basis)
+
+
 class TestSimplexFiveObstruction:
     def test_no_isolated_nonzero_restriction(self):
         cf = CharacteristicFunction.from_matrix(
@@ -183,11 +230,7 @@ class TestSimplexFiveObstruction:
         subs = admissible_subgroups(cf, 3)
         assert len(subs) == 15
         for h in subs:
-            try:
-                p = restricted_polynomial(cf, h, h.basis)
-            except NonIsolatedError:
-                continue
-            assert p.is_zero
+            assert restricted_polynomial(cf, h, h.basis).is_zero
 
 
 class TestParsing:
