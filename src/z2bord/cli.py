@@ -2,7 +2,8 @@
 
 Subcommands: check, dim, orbit, span, graph-validate, smallcover, milnor,
 milnor-search, reproduce-paper.  Exit codes: 0 success/accepted, 1
-rejected or failed checkpoint, 2 usage or input error.
+rejected or failed checkpoint, 2 usage or input error (one 'error:' line
+on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from z2bord.repalg import content_lines, parse_polynomial, render_polynomial
 
 class InputError(ValueError):
     """Malformed input file or inconsistent flags; maps to exit 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise InputError(message)
 
 
 def _read(path, parse, *args):
@@ -94,7 +100,7 @@ def cmd_orbit(args) -> int:
     p = _read_faithful(args.polynomial)
     if p.is_zero:
         raise InputError("orbit of the zero polynomial is trivial; give a nonzero input")
-    o = orbit(p, p.k)
+    o = orbit(p)
     print(f"orbit_size={len(o)}")
     print(f"stabilizer_size={len(o.stabilizer)}")
     if args.elements:
@@ -105,7 +111,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_span(args) -> int:
-    from z2bord.orbits import extract_basis, span_dimension
+    from z2bord.orbits import extract_basis
 
     ps = [_read_faithful(path) for path in args.polynomials]
     ps = [p for p in ps if not p.is_zero]
@@ -117,12 +123,10 @@ def cmd_span(args) -> int:
     if args.expand_orbits:
         from z2bord.orbits import orbit
 
-        pool = []
-        for p in ps:
-            pool.extend(sorted(orbit(p, p.k).elements, key=render_polynomial))
-        ps = pool
-    print(f"span_dimension={span_dimension(ps)}")
-    print(f"basis_size={len(extract_basis(ps))}")
+        ps = [q for p in ps for q in orbit(p).elements]
+    rank = len(extract_basis(ps))
+    print(f"span_dimension={rank}")
+    print(f"basis_size={rank}")
     return 0
 
 
@@ -189,7 +193,7 @@ def cmd_milnor_search(args) -> int:
     from z2bord.milnor import InvalidFamilyError, family_label, search_orbit_hits
     from z2bord.orbits import orbit
 
-    targets = [orbit(g, g.k) for g in GENERATORS]
+    targets = [orbit(g) for g in GENERATORS]
     try:
         report = search_orbit_hits(args.m, args.n, args.r, targets)
     except InvalidFamilyError as e:
@@ -227,7 +231,7 @@ def cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="z2bord",
         description="Exact GF(2) engine for fixed-point data of involutions",
     )
@@ -294,13 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
+        # Before Python 3.13, argparse stores [] for an option written --NAME=--.
+        for name, value in vars(args).items():
+            if value == []:
+                raise InputError(f"argument --{name.replace('_', '-')}: expected one argument")
         return args.fn(args)
+    except SystemExit as e:  # --help
+        return 2 if e.code not in (0, None) else 0
     except (InputError, ResourceLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

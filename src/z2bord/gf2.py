@@ -260,8 +260,8 @@ class Mat:
 
 def enumerate_gl(k: int) -> list[Mat]:
     """All invertible k x k matrices, lexicographic in their row tuples."""
-    if k > 5:
-        raise ResourceLimitError(f"GL({k},2) enumeration not supported (k <= 5)")
+    if k > 4:
+        raise ResourceLimitError(f"GL({k},2) enumeration not supported (k <= 4)")
     out: list[Mat] = []
 
     def extend(rows: list[int], table: dict[int, int]):

@@ -42,11 +42,6 @@ class GraphReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __str__(self) -> str:
-        if self.ok:
-            return "valid"
-        return "\n".join(self.violations)
-
 
 def _mod_rho(labels, rho: int) -> Counter:
     """Multiset of label cosets mod rho; coset rep is min(l, l ^ rho)."""

@@ -1,10 +1,13 @@
-"""GL(k,2) orbits of polynomials and GF(2) span bookkeeping."""
+"""GL(k,2) orbits of polynomials and GF(2) span bookkeeping.
+
+The rank k is read from the polynomial; gf2.enumerate_gl bounds it at 4.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from z2bord.gf2 import Mat, ResourceLimitError, enumerate_gl, rank_of, reduce_into
+from z2bord.gf2 import Mat, enumerate_gl, rank_of, reduce_into
 from z2bord.membership import ConstraintSystem, check_membership
 from z2bord.repalg import Polynomial, ShapeError, apply_automorphism
 
@@ -22,13 +25,11 @@ class PolynomialOrbit:
         return len(self.elements)
 
 
-def orbit(p: Polynomial, k: int) -> PolynomialOrbit:
-    """Expand the orbit of p under all automorphisms of (Z/2)^k."""
-    if k > 4:
-        raise ResourceLimitError("orbit expansion supported for k <= 4")
+def orbit(p: Polynomial) -> PolynomialOrbit:
+    """Expand the orbit of p under all automorphisms of (Z/2)^k, k = p.k."""
     elements = set()
     stab = []
-    for a in enumerate_gl(k):
+    for a in enumerate_gl(p.k):
         q = apply_automorphism(p, a)
         elements.add(q)
         if q == p:
@@ -37,7 +38,7 @@ def orbit(p: Polynomial, k: int) -> PolynomialOrbit:
 
 
 def stabilizer_matches(o: PolynomialOrbit, predicted) -> bool:
-    """True iff o's stabilizer is exactly {a in GL(k,2) : predicted(a)}."""
+    """True iff o's stabilizer is exactly {a in GL(k,2) : predicted(a)}, k = o.seed.k."""
     return set(o.stabilizer) == {a for a in enumerate_gl(o.seed.k) if predicted(a)}
 
 
@@ -48,7 +49,7 @@ def _indicator_rows(ps) -> list[int]:
     shapes = {(p.n, p.k) for p in ps if not p.is_zero}
     if len(shapes) > 1:
         raise ShapeError("polynomials of mixed degree or rank")
-    monomials = sorted({m for p in ps for m in p.monomials})
+    monomials = {m for p in ps for m in p.monomials}
     index = {m: j for j, m in enumerate(monomials)}
     return [sum(1 << index[m] for m in p.monomials) for p in ps]
 

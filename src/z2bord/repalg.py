@@ -176,15 +176,6 @@ def ordered_basis(h: Subspace, h_basis) -> tuple[int, ...]:
     return h_basis
 
 
-def restrict_monomial(m: Monomial, h: Subspace, h_basis) -> Monomial:
-    """Restrict every factor to the subgroup h via the ordered basis h_basis.
-
-    The result is a concrete representative of the restricted
-    representation class; see Monomial.restrict.
-    """
-    return m.restrict(ordered_basis(h, h_basis))
-
-
 def sub_multiset_multiplicity(t: Monomial, s) -> int:
     """Number of ways the multiset s sits inside the factors of t.
 

@@ -113,8 +113,6 @@ class CharacteristicFunction:
         return Mat.from_columns(cols, self.polytope.dim)
 
     def is_valid(self) -> bool:
-        if 0 in self.labels:
-            return False
         return all(self.vertex_matrix(v).is_invertible() for v in self.polytope.vertices)
 
 

@@ -208,7 +208,7 @@ class TestAcceptance:
         # orbit-stabilizer product on every tested polynomial
         tested = list(GENERATORS) + rejects[:5]
         orbit_stab = all(
-            len(orbit(p, 3)) * len(orbit(p, 3).stabilizer) == 168 for p in tested
+            len(orbit(p)) * len(orbit(p).stabilizer) == 168 for p in tested
         )
 
         outcome = (equivariant, exhaustive, sampled, covers_ok, orbit_stab)

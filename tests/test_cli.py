@@ -1,16 +1,37 @@
 """Command-line interface: dispatch, output, and exit codes."""
 
+import argparse
+
 import pytest
 
-from z2bord.catalog import GEN_1, REJECTED_SINGLETON
+from z2bord.catalog import GEN_1, REJECTED_SINGLETON, SMALL_COVER_1
 from z2bord.cli import main
 from z2bord.repalg import render_polynomial
+
+
+def _argparse_keeps_dashes() -> bool:
+    """Python 3.13 passes the value of --NAME=-- through as '--'; earlier
+    versions store [] for it."""
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--x")
+    return ap.parse_args(["--x=--"]).x == "--"
+
+
+DASHES_KEPT = _argparse_keeps_dashes()
 
 
 @pytest.fixture
 def gen1_file(tmp_path):
     path = tmp_path / "gen1.poly"
     path.write_text(render_polynomial(GEN_1))
+    return str(path)
+
+
+@pytest.fixture
+def lam_file(tmp_path):
+    path = tmp_path / "sc1.lam"
+    rows = "\n".join(" ".join(map(str, r)) for r in SMALL_COVER_1["matrix"])
+    path.write_text("1 4\n" + rows + "\n")
     return str(path)
 
 
@@ -103,6 +124,15 @@ class TestOrbitAndSpan:
         assert err.startswith("error:") and "not faithful" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [["orbit"], ["span", "--expand-orbits"]])
+    def test_rank_five_refused(self, command, tmp_path, capsys):
+        path = tmp_path / "rank5.poly"
+        path.write_text("10000,01000,00100,00010,00001\n")
+        assert main([*command, str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: GL(5,2) enumeration not supported (k <= 4)\n"
+        )
+
     def test_span_of_different_shapes(self, gen1_file, tmp_path, capsys):
         path = tmp_path / "rp2.poly"
         path.write_text("01,10\n01,11\n10,11\n")
@@ -133,15 +163,6 @@ class TestGraphValidate:
 
 
 class TestSmallcover:
-    @pytest.fixture
-    def lam_file(self, tmp_path):
-        from z2bord.catalog import SMALL_COVER_1
-
-        path = tmp_path / "sc1.lam"
-        rows = "\n".join(" ".join(map(str, r)) for r in SMALL_COVER_1["matrix"])
-        path.write_text("1 4\n" + rows + "\n")
-        return str(path)
-
     def test_fixed_polynomial(self, lam_file, capsys):
         assert main(["smallcover", "--polytope", "1x4", "--lambda", lam_file]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 10
@@ -267,3 +288,47 @@ class TestDispatch:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["dim", "--n", "5"], ["frobnicate"], [], ["span"], ["orbit", "--elements=x"],
+    ])
+    def test_usage_error_is_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["dim", "--help"]])
+    def test_help(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: ")
+
+
+# argv with one option written --NAME=--, and the exit code where argparse
+# keeps the '--' as the value: then --emit-data names a directory '--'.
+DASH_CASES = {
+    "polytope": (["smallcover", "--polytope=--", "--lambda", "LAM"], 2),
+    "lambda": (["smallcover", "--polytope", "1x4", "--lambda=--"], 2),
+    "subgroup": (["smallcover", "--polytope", "1x4", "--lambda", "LAM",
+                  "--subgroup=--"], 2),
+    "sets": (["milnor", "--m", "2", "--n", "4", "--r", "3", "--sets=--"], 2),
+    "m": (["milnor", "--m=--", "--n", "4", "--r", "3", "--sets", "2;12"], 2),
+    "n": (["dim", "--n=--", "--k", "3"], 2),
+    "r": (["milnor-search", "--m", "2", "--n", "4", "--r=--"], 2),
+    "emit-data": (["reproduce-paper", "--emit-data=--"], 0),
+}
+
+
+@pytest.mark.parametrize("argv,kept_code", DASH_CASES.values(), ids=DASH_CASES.keys())
+def test_option_value_of_two_dashes(argv, kept_code, lam_file, tmp_path,
+                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main([lam_file if a == "LAM" else a for a in argv])
+    out, err = capsys.readouterr()
+    if not DASHES_KEPT:
+        option = next(a for a in argv if a.endswith("=--"))[:-3]
+        assert (code, out, err) == (2, "", f"error: argument {option}: expected one argument\n")
+    elif kept_code == 2:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code == 0 and (tmp_path / "--" / "generator_1.poly").is_file()

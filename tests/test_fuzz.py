@@ -2,8 +2,10 @@
 
 A parser may refuse its input only with ValueError; the CLI may end only
 in exit 0, 1 or 2, and exit 2 prints exactly one 'error:' line.  Labels
-are at most 3 bits wide, so every accepted input stays small.  dim, orbit
-and milnor-search are left out: large sizes there run for minutes.
+are at most 3 bits wide, so every accepted input stays small (orbit
+enumerates at most GL(3,2)).  dim is left out because the enumeration
+bounds admit (8, 4), which runs for minutes, and milnor-search because it
+is slow.
 """
 
 import contextlib
@@ -144,3 +146,18 @@ class TestCli:
             argv += ["--subgroup", "S"]
             files["S"] = subgroup
         run_cli(workdir, argv, files)
+
+    @FUZZ
+    @given(FILE_TEXT | polynomial_text(), st.booleans())
+    def test_orbit(self, workdir, text, elements):
+        argv = ["orbit", "P"] + (["--elements"] if elements else [])
+        run_cli(workdir, argv, {"P": text})
+
+    @FUZZ
+    @given(
+        st.lists(st.integers(-2, 6), min_size=3, max_size=3),
+        st.text(alphabet="0123456789;,- x", max_size=12),
+    )
+    def test_milnor(self, workdir, mnr, sets):
+        m, n, r = mnr
+        run_cli(workdir, ["milnor", f"--m={m}", f"--n={n}", f"--r={r}", f"--sets={sets}"], {})

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from z2bord.catalog import SMALL_COVER_1, SMALL_COVER_2, construction_subgroup
 from z2bord.gf2 import (
     Mat,
     ResourceLimitError,
@@ -145,14 +146,12 @@ class TestSubspace:
 
     def test_complement_of_construction_subgroup(self):
         # rank-3 subgroup of (Z/2)^5 used by the first small cover
-        h = Subspace.span([0b01111, 0b11010, 0b11001], 5)
-        expect = {0, 0b11100, 0b10011, 0b01111}
-        assert set(h.complement().vectors()) == expect
+        h = construction_subgroup(SMALL_COVER_1)
+        assert set(h.complement().vectors()) == {0, *SMALL_COVER_1["complement"]}
 
     def test_complement_of_second_construction_subgroup(self):
-        h = Subspace.span([0b01111, 0b01010, 0b11100], 5)
-        expect = {0, 0b11010, 0b10101, 0b01111}
-        assert set(h.complement().vectors()) == expect
+        h = construction_subgroup(SMALL_COVER_2)
+        assert set(h.complement().vectors()) == {0, *SMALL_COVER_2["complement"]}
 
     @settings(max_examples=50)
     @given(st.lists(st.integers(0, 2**5 - 1), max_size=5))
@@ -229,5 +228,6 @@ class TestEnumerateGL:
         assert all(a.is_invertible() for a in gl)
 
     def test_guard(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_gl(6)
+        for k in (5, 6):
+            with pytest.raises(ResourceLimitError):
+                enumerate_gl(k)

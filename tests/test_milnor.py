@@ -90,7 +90,7 @@ class TestFixedPolynomial:
         # permuting the ground set {1..r} maps outputs within one orbit
         f = SubsetFamily.make(3, MILNOR_FAMILY_1)
         base = milnor_fixed_polynomial(2, 4, f)
-        o = orbit(base, 3)
+        o = orbit(base)
         for perm in itertools.permutations((1, 2, 3)):
             relabeled = SubsetFamily.make(
                 3, [{perm[i - 1] for i in s} for s in MILNOR_FAMILY_1]
@@ -105,7 +105,7 @@ class TestFixedPolynomial:
 
 class TestSearch:
     def test_hits_first_two_orbits_only(self):
-        targets = [orbit(g, 3) for g in GENERATORS]
+        targets = [orbit(g) for g in GENERATORS]
         report = search_orbit_hits(2, 4, 3, targets)
         assert report.families_tried == 840
         assert report.skipped_non_isolated == 0

@@ -30,20 +30,20 @@ ORBIT_SIZES = (7, 28, 42, 28)
 class TestOrbit:
     def test_sizes(self):
         for g, size in zip(GENERATORS, ORBIT_SIZES):
-            assert len(orbit(g, 3)) == size
+            assert len(orbit(g)) == size
 
     def test_contains_seed(self):
         for g in GENERATORS:
-            o = orbit(g, 3)
+            o = orbit(g)
             assert g in o and o.seed == g
 
     def test_orbit_stabilizer_product(self):
         for g in GENERATORS:
-            o = orbit(g, 3)
+            o = orbit(g)
             assert len(o) * len(o.stabilizer) == 168
 
     def test_closed_under_action(self):
-        o = orbit(GENERATORS[0], 3)
+        o = orbit(GENERATORS[0])
         rng = random.Random(2)
         gl = enumerate_gl(3)
         for q in o.elements:
@@ -52,15 +52,15 @@ class TestOrbit:
 
     def test_stabilizer_fixes_seed(self):
         for g in GENERATORS:
-            for a in orbit(g, 3).stabilizer:
+            for a in orbit(g).stabilizer:
                 assert apply_automorphism(g, a) == g
 
     def test_stabilizer_shapes(self):
         for g, shape in zip(GENERATORS, STAB_SHAPES):
-            assert stabilizer_matches(orbit(g, 3), shape)
+            assert stabilizer_matches(orbit(g), shape)
 
     def test_named_squares_lie_in_their_orbits(self):
-        o2, o3, o4 = (orbit(GENERATORS[i], 3) for i in (1, 2, 3))
+        o2, o3, o4 = (orbit(GENERATORS[i]) for i in (1, 2, 3))
         assert all(p in o3 for p in ORBIT3_SQUARES)
         assert all(p in o4 for p in ORBIT4_SQUARES)
         assert all(p in o2 for p in ORBIT2_SQUARES)
@@ -70,7 +70,7 @@ class TestSpan:
     def _ladder_pools(self):
         pool = []
         for g in GENERATORS:
-            pool = pool + sorted(orbit(g, 3).elements, key=str)
+            pool = pool + sorted(orbit(g).elements, key=str)
             yield list(pool)
 
     def test_ladder(self):
@@ -78,7 +78,7 @@ class TestSpan:
         assert dims == [7, 35, 56, 77]
 
     def test_permutation_invariance(self):
-        pool = list(orbit(GENERATORS[1], 3).elements)
+        pool = list(orbit(GENERATORS[1]).elements)
         rng = random.Random(9)
         base = span_dimension(pool)
         for _ in range(5):
@@ -86,7 +86,7 @@ class TestSpan:
             assert span_dimension(pool) == base
 
     def test_extract_basis_size_matches_dimension(self):
-        pool = sorted(orbit(GENERATORS[2], 3).elements, key=str)
+        pool = sorted(orbit(GENERATORS[2]).elements, key=str)
         basis = extract_basis(pool)
         assert len(basis) == span_dimension(pool)
         assert span_dimension(basis) == len(basis)
@@ -106,12 +106,12 @@ class TestGeneratingSet:
     def test_full_pool_generates(self):
         pool = []
         for g in GENERATORS:
-            pool.extend(orbit(g, 3).elements)
+            pool.extend(orbit(g).elements)
         assert verify_generating_set(build_constraint_system(5, 3), pool)
 
     def test_first_orbit_alone_does_not(self):
         cs = build_constraint_system(5, 3)
-        assert not verify_generating_set(cs, list(orbit(GENERATORS[0], 3).elements))
+        assert not verify_generating_set(cs, list(orbit(GENERATORS[0]).elements))
 
     def test_projective_plane_generates_degree_two(self):
         rp2 = poly("1 2\n1 12\n2 12", 2)

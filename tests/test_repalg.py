@@ -17,9 +17,9 @@ from z2bord.repalg import (
     Polynomial,
     ShapeError,
     apply_automorphism,
+    ordered_basis,
     parse_polynomial,
     render_polynomial,
-    restrict_monomial,
     sub_multiset_multiplicity,
 )
 
@@ -101,7 +101,7 @@ class TestRestriction:
         basis = [0b01111, 0b11010, 0b11001]
         h = Subspace.span(basis, 5)
         m = Monomial.make((0b01000, 0b01100, 0b01010), 5)
-        r = restrict_monomial(m, h, basis)
+        r = m.restrict(ordered_basis(h, basis))
         expect = sorted(
             sum(dot(f, b) << (len(basis) - 1 - i) for i, b in enumerate(basis))
             for f in m.factors
@@ -131,7 +131,7 @@ class TestRestriction:
     def test_rejects_non_basis(self):
         h = Subspace.span([0b100, 0b010], 3)
         with pytest.raises(InvalidBasisError):
-            restrict_monomial(mono("1 2 3", 3), h, [0b100, 0b100])
+            mono("1 2 3", 3).restrict(ordered_basis(h, [0b100, 0b100]))
 
 
 class TestMultisetMultiplicity:

@@ -130,7 +130,7 @@ class TestConstructions:
         h = construction_subgroup(data)
         restricted = restricted_polynomial(cf, h, data["subgroup_basis"])
         assert check_membership(restricted).accepted
-        assert restricted in orbit(GENERATORS[orbit_seed_index], 3)
+        assert restricted in orbit(GENERATORS[orbit_seed_index])
 
     def test_restricted_factors_match_published_cosets(self):
         from z2bord.gf2 import dot
@@ -166,7 +166,7 @@ class TestConstructions:
         assert Subspace.span(alt, 5) == h
         p1 = restricted_polynomial(cf, h, b)
         p2 = restricted_polynomial(cf, h, alt)
-        assert p2 in orbit(p1, 3)
+        assert p2 in orbit(p1)
 
     def test_admissible_full_rank_is_whole_group(self):
         cf = CharacteristicFunction.from_matrix((2,), [[1, 0, 1], [0, 1, 1]])
