@@ -2,8 +2,9 @@
 
 Monomials are written with subscript tokens: "123" is the functional
 rho_1 + rho_2 + rho_3, so "1 1 2 3 123" is the degree-5 monomial
-rho_1^2 rho_2 rho_3 rho_123.  All data here is exact input data for the
-computations, not derived output.
+rho_1^2 rho_2 rho_3 rho_123.  Everything here is exact input, except the
+small covers' tangent_monomials, restricted_cosets and complement: those
+are published expected values that computed output is checked against.
 """
 
 from __future__ import annotations

@@ -111,7 +111,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_span(args) -> int:
-    from z2bord.orbits import extract_basis
+    from z2bord.orbits import span_dimension
 
     ps = [_read_faithful(path) for path in args.polynomials]
     ps = [p for p in ps if not p.is_zero]
@@ -124,7 +124,7 @@ def cmd_span(args) -> int:
         from z2bord.orbits import orbit
 
         ps = [q for p in ps for q in orbit(p).elements]
-    rank = len(extract_basis(ps))
+    rank = span_dimension(ps)
     print(f"span_dimension={rank}")
     print(f"basis_size={rank}")
     return 0

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from z2bord.gf2 import Mat, enumerate_gl, rank_of, reduce_into
+from z2bord.gf2 import Mat, enumerate_gl, rank_of
 from z2bord.membership import ConstraintSystem, check_membership
 from z2bord.repalg import Polynomial, ShapeError, apply_automorphism
 
@@ -42,28 +42,15 @@ def stabilizer_matches(o: PolynomialOrbit, predicted) -> bool:
     return set(o.stabilizer) == {a for a in enumerate_gl(o.seed.k) if predicted(a)}
 
 
-def _indicator_rows(ps) -> list[int]:
+def span_dimension(ps) -> int:
+    """GF(2) rank of the collection over its supporting monomials."""
     ps = list(ps)
-    if not ps:
-        return []
     shapes = {(p.n, p.k) for p in ps if not p.is_zero}
     if len(shapes) > 1:
         raise ShapeError("polynomials of mixed degree or rank")
     monomials = {m for p in ps for m in p.monomials}
     index = {m: j for j, m in enumerate(monomials)}
-    return [sum(1 << index[m] for m in p.monomials) for p in ps]
-
-
-def span_dimension(ps) -> int:
-    """GF(2) rank of the collection over its supporting monomials."""
-    return rank_of(_indicator_rows(ps))
-
-
-def extract_basis(ps) -> list[Polynomial]:
-    """Greedy maximal linearly independent sublist, in input order."""
-    ps = list(ps)
-    table: dict[int, int] = {}
-    return [p for p, row in zip(ps, _indicator_rows(ps)) if reduce_into(table, row)]
+    return rank_of([sum(1 << index[m] for m in p.monomials) for p in ps])
 
 
 def verify_generating_set(cs: ConstraintSystem, generators) -> bool:

@@ -2,9 +2,10 @@
 
 The polytope is a product of simplices; a characteristic function labels
 each facet with a nonzero vector of (Z/2)^n such that the labels at every
-vertex form a basis.  Inverting the vertex label matrix recovers the
-tangent monomial at the corresponding isolated fixed point.  A subgroup
-is admissible when no tangent factor restricts to the trivial
+vertex form a basis.  It inverts each vertex label matrix once: the rows,
+the dual basis of those labels, are the tangent monomial at that isolated
+fixed point, and the row dual to facet F labels the skeleton edge leaving
+F.  A subgroup is admissible when no tangent factor restricts to the trivial
 representation on it; restricting to one keeps the fixed points isolated
 and gives fixed-point data for lower-rank actions.
 """
@@ -14,8 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
-from z2bord.gf2 import Mat, Subspace, enumerate_subspaces, nullspace, vec_str
+from z2bord.gf2 import Mat, Subspace, enumerate_subspaces, vec_str
 from z2bord.graphs import LabeledGraph
 from z2bord.repalg import (
     Monomial,
@@ -107,29 +109,35 @@ class CharacteristicFunction:
     def label(self, f: Facet) -> int:
         return self.labels[self.polytope.facets.index(f)]
 
-    def vertex_matrix(self, v: Vertex) -> Mat:
-        """Columns are the labels of the facets through v, in printed order."""
-        cols = [self.label(f) for f in self.polytope.vertex_facets(v)]
-        return Mat.from_columns(cols, self.polytope.dim)
+    @cached_property
+    def _inverses(self) -> MappingProxyType | Vertex:
+        """Rows of each vertex's inverted label matrix (columns: the labels of
+        vertex_facets(v)), or the first vertex where they are not a basis."""
+        out = {}
+        for v in self.polytope.vertices:
+            cols = [self.label(f) for f in self.polytope.vertex_facets(v)]
+            try:
+                out[v] = Mat.from_columns(cols, self.polytope.dim).inverse().rows
+            except ValueError:
+                return v
+        return MappingProxyType(out)
 
     def is_valid(self) -> bool:
-        return all(self.vertex_matrix(v).is_invertible() for v in self.polytope.vertices)
+        return isinstance(self._inverses, MappingProxyType)
+
+    def dual_bases(self) -> MappingProxyType[Vertex, tuple[int, ...]]:
+        """The dual basis of the labels at each vertex, in vertex_facets(v)
+        order: row i is 1 on the i-th label and 0 on the others."""
+        if not self.is_valid():
+            raise InvalidCharacteristicError(
+                f"facet labels at vertex {self._inverses} are not a basis")
+        return self._inverses
 
 
 def tangent_reps(cf: CharacteristicFunction) -> dict[Vertex, Monomial]:
-    """Tangent monomial at each vertex: the rows of the inverted label matrix."""
+    """Tangent monomial at each vertex: the dual basis of its facet labels."""
     n = cf.polytope.dim
-    out = {}
-    for v in cf.polytope.vertices:
-        m = cf.vertex_matrix(v)
-        try:
-            inv = m.inverse()
-        except ValueError:
-            raise InvalidCharacteristicError(
-                f"facet labels at vertex {v} are not a basis"
-            ) from None
-        out[v] = Monomial.make(inv.rows, n)
-    return out
+    return {v: Monomial.make(rows, n) for v, rows in cf.dual_bases().items()}
 
 
 def fixed_polynomial(cf: CharacteristicFunction) -> Polynomial:
@@ -139,16 +147,16 @@ def fixed_polynomial(cf: CharacteristicFunction) -> Polynomial:
 
 
 def skeleton_graph(cf: CharacteristicFunction) -> LabeledGraph:
-    """The labeled one-skeleton: each edge carries the unique functional
-    annihilating the labels of the facets containing it."""
+    """The labeled one-skeleton: edge v-w carries the functional annihilating
+    the labels of the facets containing it, which is the dual row at v of
+    the one facet through v that it leaves, (j, w[j]) where v[j] != w[j]."""
     p = cf.polytope
+    duals = cf.dual_bases()
     edges = []
     for v, w in p.edges:
-        rows = [cf.label(f) for f in p.edge_facets(v, w)]
-        ann = nullspace(rows, p.dim)
-        if ann.dim != 1:
-            raise InvalidCharacteristicError(f"edge {v}-{w}: facet labels degenerate")
-        edges.append(("v" + "".join(map(str, v)), "v" + "".join(map(str, w)), ann.basis[0]))
+        j = next(i for i, (a, b) in enumerate(zip(v, w)) if a != b)
+        label = duals[v][p.vertex_facets(v).index((j, w[j]))]
+        edges.append(("v" + "".join(map(str, v)), "v" + "".join(map(str, w)), label))
     return LabeledGraph.make(p.dim, edges)
 
 

@@ -32,11 +32,14 @@ class TestProjectiveSpaceGraphs:
 
 class TestValidation:
     def test_single_edge_fails_congruence(self):
-        # a lone 1-valent pair has no second label to balance anything,
-        # but it is vacuously regular; the mono component check rejects it
+        # a doubled edge is regular, balances both congruences and forms a
+        # single label-11 component, so no other component can share its
+        # class; only the span check at each endpoint rejects it
         g = LabeledGraph.make(2, [("a", "b", 0b11), ("a", "b", 0b11)])
-        report = validate_graph(g)
-        assert not report.ok
+        assert validate_graph(g).violations == [
+            "labels at vertex a do not span the rank-2 dual space",
+            "labels at vertex b do not span the rank-2 dual space",
+        ]
 
     def test_irregular_graph_rejected(self):
         g = LabeledGraph.make(2, [("a", "b", 0b10), ("b", "c", 0b01),
@@ -60,8 +63,14 @@ class TestValidation:
         g = LabeledGraph.make(2, [("a", "b", 0b10), ("a", "b", 0b01),
                                   ("b", "c", 0b10), ("c", "a", 0b11),
                                   ("c", "a", 0b01), ("b", "c", 0b11)])
-        report = validate_graph(g)
-        assert isinstance(report.ok, bool)
+        assert validate_graph(g).violations == [
+            f"edge {e} (label {l}): endpoint label multisets disagree mod the edge label"
+            for e, l in (("a-b", "01"), ("a-b", "10"), ("a-c", "01"),
+                         ("a-c", "11"), ("b-c", "10"), ("b-c", "11"))
+        ] + [
+            f"label {l}: component ['a', 'b', 'c'] has nonconstant label multiplicity"
+            for l in ("01", "10", "11")
+        ]
 
 
 class TestSerialization:

@@ -15,7 +15,6 @@ from z2bord.catalog import (
 from z2bord.gf2 import enumerate_gl
 from z2bord.membership import build_constraint_system
 from z2bord.orbits import (
-    extract_basis,
     orbit,
     span_dimension,
     stabilizer_matches,
@@ -84,12 +83,6 @@ class TestSpan:
         for _ in range(5):
             rng.shuffle(pool)
             assert span_dimension(pool) == base
-
-    def test_extract_basis_size_matches_dimension(self):
-        pool = sorted(orbit(GENERATORS[2]).elements, key=str)
-        basis = extract_basis(pool)
-        assert len(basis) == span_dimension(pool)
-        assert span_dimension(basis) == len(basis)
 
     def test_dependency_identities(self):
         s = ORBIT3_SQUARES

@@ -7,12 +7,13 @@ import random
 import pytest
 
 from z2bord.catalog import DELTA5, SMALL_COVER_1, SMALL_COVER_2, construction_subgroup
-from z2bord.gf2 import Mat, Subspace, enumerate_subspaces, rank_of
+from z2bord.gf2 import Mat, Subspace, enumerate_subspaces, nullspace, rank_of
 from z2bord.membership import check_membership
 from z2bord.orbits import orbit
 from z2bord.repalg import Polynomial
 from z2bord.smallcover import (
     CharacteristicFunction,
+    InvalidCharacteristicError,
     NonIsolatedError,
     ProductOfSimplices,
     admissible_subgroups,
@@ -22,7 +23,7 @@ from z2bord.smallcover import (
     skeleton_graph,
     tangent_reps,
 )
-from z2bord.graphs import validate_graph
+from z2bord.graphs import LabeledGraph, validate_graph
 
 
 def random_invertible(k, rng):
@@ -30,6 +31,15 @@ def random_invertible(k, rng):
         rows = [rng.randrange(1, 2**k) for _ in range(k)]
         if rank_of(rows) == k:
             return Mat(tuple(rows), k)
+
+
+def valid_labelings(dims):
+    """Every valid characteristic function over the product of simplices."""
+    p = ProductOfSimplices(dims)
+    for labels in itertools.product(range(1, 2**p.dim), repeat=len(p.facets)):
+        cf = CharacteristicFunction(p, labels)
+        if cf.is_valid():
+            yield cf
 
 
 def randomized_valid_cf(data, rng):
@@ -85,18 +95,26 @@ class TestCharacteristicFunction:
         cf = CharacteristicFunction.from_matrix((2,), [[1, 1, 1], [1, 1, 1]])
         assert not cf.is_valid()
 
+    @pytest.mark.parametrize("compute", [
+        tangent_reps,
+        fixed_polynomial,
+        lambda cf: admissible_subgroups(cf, 1),
+        lambda cf: restricted_polynomial(cf, Subspace.span([0b10, 0b01], 2), [0b10, 0b01]),
+        skeleton_graph,
+    ], ids=["tangent_reps", "fixed_polynomial", "admissible_subgroups",
+            "restricted_polynomial", "skeleton_graph"])
+    def test_constant_labeling_raises(self, compute):
+        cf = CharacteristicFunction.from_matrix((2,), [[1, 1, 1], [1, 1, 1]])
+        with pytest.raises(InvalidCharacteristicError) as e:
+            compute(cf)
+        assert str(e.value) == "facet labels at vertex (0,) are not a basis"
+
     def test_all_valid_labelings_accepted_tiny(self):
         for dims in ((2,), (1, 1)):
-            p = ProductOfSimplices(dims)
-            n, nf = p.dim, len(p.facets)
-            count = 0
-            for labels in itertools.product(range(1, 2**n), repeat=nf):
-                cf = CharacteristicFunction(p, labels)
-                if not cf.is_valid():
-                    continue
-                count += 1
+            cfs = list(valid_labelings(dims))
+            assert cfs
+            for cf in cfs:
                 assert check_membership(fixed_polynomial(cf)).accepted
-            assert count > 0
 
     def test_randomized_valid_labelings_accepted(self):
         rng = random.Random(23)
@@ -192,16 +210,11 @@ CATALOG_COVERS = [
 class TestAdmissibility:
     @pytest.mark.parametrize("dims", [(2,), (1, 1), (3,)])
     def test_matches_edge_spans_on_every_valid_labeling(self, dims):
-        p = ProductOfSimplices(dims)
-        count = 0
-        for labels in itertools.product(range(1, 2**p.dim), repeat=len(p.facets)):
-            cf = CharacteristicFunction(p, labels)
-            if not cf.is_valid():
-                continue
-            count += 1
-            for r in range(p.dim + 1):
+        cfs = list(valid_labelings(dims))
+        assert cfs
+        for cf in cfs:
+            for r in range(cf.polytope.dim + 1):
                 assert admissible_subgroups(cf, r) == admissible_by_definition(cf, r)
-        assert count > 0
 
     @pytest.mark.parametrize("cf", CATALOG_COVERS)
     def test_matches_edge_spans_on_catalog_covers(self, cf):
@@ -219,6 +232,31 @@ class TestAdmissibility:
                 else:
                     with pytest.raises(NonIsolatedError):
                         restricted_polynomial(cf, h, h.basis)
+
+
+def skeleton_by_definition(cf):
+    """Each edge labeled by the one functional annihilating the labels of
+    the facets containing it."""
+    p = cf.polytope
+    edges = []
+    for v, w in p.edges:
+        ann = nullspace([cf.label(f) for f in p.edge_facets(v, w)], p.dim)
+        assert ann.dim == 1
+        edges.append(("v" + "".join(map(str, v)), "v" + "".join(map(str, w)), ann.basis[0]))
+    return LabeledGraph.make(p.dim, edges)
+
+
+class TestSkeletonGraph:
+    @pytest.mark.parametrize("dims", [(2,), (1, 1), (3,)])
+    def test_matches_definition_on_every_valid_labeling(self, dims):
+        cfs = list(valid_labelings(dims))
+        assert cfs
+        for cf in cfs:
+            assert skeleton_graph(cf) == skeleton_by_definition(cf)
+
+    @pytest.mark.parametrize("cf", CATALOG_COVERS)
+    def test_matches_definition_on_catalog_covers(self, cf):
+        assert skeleton_graph(cf) == skeleton_by_definition(cf)
 
 
 class TestSimplexFiveObstruction:
