@@ -9,7 +9,7 @@ are published expected values that computed output is checked against.
 
 from __future__ import annotations
 
-from z2bord.gf2 import Mat, Subspace, unit
+from z2bord.gf2 import Mat, unit
 from z2bord.repalg import Monomial, Polynomial
 
 
@@ -432,7 +432,3 @@ DELTA5 = {
 # hypersurface (m=2, n=4) hitting GEN_1 and GEN_2.
 MILNOR_FAMILY_1 = (frozenset({2}), frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 2, 3}))
 MILNOR_FAMILY_2 = (frozenset({1}), frozenset({2}), frozenset({1, 2}), frozenset({1, 2, 3}))
-
-
-def construction_subgroup(data) -> Subspace:
-    return Subspace.span(data["subgroup_basis"], 5)

@@ -11,18 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from z2bord.gf2 import ResourceLimitError, Subspace, parse_vec, vec_str
-from z2bord.membership import (
-    NonFaithfulError,
-    build_constraint_system,
-    check_membership,
-    require_faithful,
-)
+from z2bord.gf2 import InputError, ResourceLimitError, parse_vec, rank_of, vec_str
+from z2bord.membership import build_constraint_system, check_membership, require_faithful
 from z2bord.repalg import content_lines, parse_polynomial, render_polynomial
-
-
-class InputError(ValueError):
-    """Malformed input file or inconsistent flags; maps to exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,19 +34,17 @@ def _read(path, parse, *args):
 
 def _read_faithful(path):
     """The polynomial in the file, refused unless every monomial is faithful."""
-    p = _read(path, parse_polynomial)
-    try:
-        require_faithful(p)
-    except NonFaithfulError as e:
-        raise InputError(f"{path}: {e}") from e
-    return p
+    return _read(path, lambda text: require_faithful(parse_polynomial(text)))
 
 
 def _parse_subgroup(text: str, k: int) -> list[int]:
     rows = [ln for _, ln in content_lines(text)]
     if any(len(ln) != k for ln in rows):
-        raise ValueError(f"each row must be a bit-string of width {k}")
-    return [parse_vec(ln)[0] for ln in rows]
+        raise InputError(f"each row must be a bit-string of width {k}")
+    basis = [parse_vec(ln)[0] for ln in rows]
+    if rank_of(basis) != len(basis):
+        raise InputError("rows are not independent")
+    return basis
 
 
 def cmd_check(args) -> int:
@@ -152,10 +141,7 @@ def cmd_smallcover(args) -> int:
         restricted_polynomial,
     )
 
-    try:
-        polytope = ProductOfSimplices.parse(args.polytope)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    polytope = ProductOfSimplices.parse(args.polytope)
     cf = _read(getattr(args, "lambda"), parse_characteristic, polytope.factor_dims)
     if not cf.is_valid():
         print("invalid characteristic function")
@@ -164,11 +150,8 @@ def cmd_smallcover(args) -> int:
         p = fixed_polynomial(cf)
     else:
         basis = _read(args.subgroup, _parse_subgroup, polytope.dim)
-        h = Subspace.span(basis, polytope.dim)
-        if h.dim != len(basis):
-            raise InputError(f"{args.subgroup}: rows are not independent")
         try:
-            p = restricted_polynomial(cf, h, basis)
+            p = restricted_polynomial(cf, basis)
         except NonIsolatedError as e:
             print(f"non-isolated: {e}")
             return 1
@@ -179,25 +162,19 @@ def cmd_smallcover(args) -> int:
 def cmd_milnor(args) -> int:
     from z2bord.milnor import SubsetFamily, milnor_fixed_polynomial
 
-    try:
-        family = SubsetFamily.parse(args.r, args.sets)
-        p = milnor_fixed_polynomial(args.m, args.n, family)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    family = SubsetFamily.parse(args.r, args.sets)
+    p = milnor_fixed_polynomial(args.m, args.n, family)
     print(render_polynomial(p), end="")
     return 0
 
 
 def cmd_milnor_search(args) -> int:
     from z2bord.catalog import GENERATORS
-    from z2bord.milnor import InvalidFamilyError, family_label, search_orbit_hits
+    from z2bord.milnor import family_label, search_orbit_hits
     from z2bord.orbits import orbit
 
     targets = [orbit(g) for g in GENERATORS]
-    try:
-        report = search_orbit_hits(args.m, args.n, args.r, targets)
-    except InvalidFamilyError as e:
-        raise InputError(str(e)) from e
+    report = search_orbit_hits(args.m, args.n, args.r, targets)
     print(f"families_tried={report.families_tried}")
     print(f"skipped_non_isolated={report.skipped_non_isolated}")
     print(f"distinct_polynomials={report.distinct_polynomials()}")

@@ -14,6 +14,10 @@ import itertools
 from dataclasses import dataclass
 
 
+class InputError(ValueError):
+    """Malformed or inconsistent input to any z2bord function or command."""
+
+
 class ResourceLimitError(ValueError):
     """Enumeration request beyond the supported desk-scale bounds."""
 
@@ -25,7 +29,7 @@ def dot(a: int, b: int) -> int:
 def unit(i: int, k: int) -> int:
     """Standard basis vector e_i, coordinates numbered 1..k."""
     if not 1 <= i <= k:
-        raise ValueError(f"coordinate {i} out of range 1..{k}")
+        raise InputError(f"coordinate {i} out of range 1..{k}")
     return 1 << (k - i)
 
 
@@ -36,7 +40,7 @@ def vec_str(v: int, k: int) -> str:
 def parse_vec(s: str) -> tuple[int, int]:
     """Parse a bit-string, returning (bits, width)."""
     if not s or s.strip("01"):
-        raise ValueError(f"malformed bit-string {s!r}")
+        raise InputError(f"malformed bit-string {s!r}")
     return int(s, 2), len(s)
 
 
@@ -192,11 +196,11 @@ class Mat:
     def from_entries(cls, entries) -> "Mat":
         """Build from an iterable of 0/1 rows, e.g. [[1,0],[1,1]]."""
         entries = [list(r) for r in entries]
-        n_cols = len(entries[0])
+        n_cols = len(entries[0]) if entries else 0
         rows = []
         for r in entries:
             if len(r) != n_cols:
-                raise ValueError("ragged rows")
+                raise InputError("ragged rows")
             rows.append(int("".join(str(int(x)) for x in r), 2))
         return cls(tuple(rows), n_cols)
 
@@ -230,7 +234,7 @@ class Mat:
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.n_cols != other.n_rows:
-            raise ValueError("shape mismatch")
+            raise InputError("shape mismatch")
         return Mat.from_columns(
             [self.apply(c) for c in other.transpose().rows], self.n_rows
         )
@@ -243,13 +247,13 @@ class Mat:
 
     def inverse(self) -> "Mat":
         if self.n_rows != self.n_cols:
-            raise ValueError("not square")
+            raise InputError("not square")
         k = self.n_rows
         # Augment [A | I] and reduce A to the identity.
         aug = [(self.rows[i] << k) | (1 << (k - 1 - i)) for i in range(k)]
         red = row_reduce(aug)
         if len(red) != k or any((r >> k).bit_count() != 1 for r in red):
-            raise ValueError("singular matrix")
+            raise InputError("singular matrix")
         mask = (1 << k) - 1
         red.sort(key=lambda r: -(r >> k))
         return Mat(tuple(r & mask for r in red), k)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from z2bord.gf2 import parse_vec, rank_of, unit, vec_str
+from z2bord.gf2 import InputError, parse_vec, rank_of, unit, vec_str
 from z2bord.repalg import Monomial, Polynomial, content_lines
 
 
@@ -22,7 +22,7 @@ class LabeledGraph:
         for u, v, label in edges:
             u, v = str(u), str(v)
             if u == v:
-                raise ValueError(f"loop at vertex {u}")
+                raise InputError(f"loop at vertex {u}")
             canon.append((min(u, v), max(u, v), label))
         return cls(k, tuple(sorted(canon)))
 
@@ -131,7 +131,7 @@ def labeling_polynomial(g: LabeledGraph) -> Polynomial:
         return Polynomial.zero(0, g.k)
     valences = {len(g.incident_labels(x)) for x in verts}
     if len(valences) > 1:
-        raise ValueError("labeling polynomial requires a regular graph")
+        raise InputError("labeling polynomial requires a regular graph")
     monos = [Monomial.make(g.incident_labels(x), g.k) for x in verts]
     return Polynomial.make(monos, valences.pop(), g.k)
 
@@ -140,7 +140,7 @@ def projective_space_graph(n: int) -> LabeledGraph:
     """Complete graph on x0..xn at rank n; edge {xi, xj} labeled rho_i + rho_j
     with rho_0 = 0 (the fixed points of the standard action on RP^n)."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise InputError("n must be at least 1")
 
     def r(i):
         return 0 if i == 0 else unit(i, n)
@@ -157,24 +157,24 @@ def parse_graph(text: str) -> LabeledGraph:
     """Graph file: header 'k n', then one 'u v bitstring' line per edge."""
     lines = [ln for _, ln in content_lines(text)]
     if not lines:
-        raise ValueError("empty graph file")
+        raise InputError("empty graph file")
     try:
         k, n = map(int, lines[0].split())
     except ValueError:
-        raise ValueError(f"bad graph header {lines[0]!r}; expected 'k n'") from None
+        raise InputError(f"bad graph header {lines[0]!r}; expected 'k n'") from None
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
-            raise ValueError(f"bad edge line {ln!r}")
+            raise InputError(f"bad edge line {ln!r}")
         bits, width = parse_vec(parts[2])
         if width != k:
-            raise ValueError(f"edge label {parts[2]!r} has width {width}, expected {k}")
+            raise InputError(f"edge label {parts[2]!r} has width {width}, expected {k}")
         edges.append((parts[0], parts[1], bits))
     g = LabeledGraph.make(k, edges)
     valences = {len(g.incident_labels(x)) for x in g.vertices}
     if valences and valences != {n}:
-        raise ValueError(f"declared valence {n} but graph has valences {sorted(valences)}")
+        raise InputError(f"declared valence {n} but graph has valences {sorted(valences)}")
     return g
 
 

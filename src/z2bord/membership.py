@@ -27,16 +27,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from z2bord import gf2
-from z2bord.gf2 import ResourceLimitError, nullspace, rank_of, set_bits
+from z2bord.gf2 import InputError, ResourceLimitError, nullspace, rank_of, set_bits
 from z2bord.repalg import Monomial, Polynomial
-
-
-class NonFaithfulError(ValueError):
-    """A monomial is not faithful, so the criterion does not apply."""
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +81,7 @@ class MembershipCertificate:
 def decompose_for_rho(p: Polynomial, rho: int) -> RhoDecomposition:
     """Finest grouping of the rho-divisible support by (multiplicity, class)."""
     if rho == 0:
-        raise ValueError("rho must be nonzero")
+        raise InputError("rho must be nonzero")
     buckets: dict[tuple[int, Monomial], set[Monomial]] = {}
     for m in p.monomials:
         mult = m.mult(rho)
@@ -98,23 +95,26 @@ def decompose_for_rho(p: Polynomial, rho: int) -> RhoDecomposition:
 
 
 def odd_submultisets(m: Monomial) -> tuple[int, ...]:
-    """Codes of every sub-multiset s of m's factors whose
-    sub_multiset_multiplicity(m, s) is odd, in increasing order.
+    """Codes of every sub-multiset s of m's factors, smaller than m's
+    largest factor multiplicity, whose sub_multiset_multiplicity(m, s) is
+    odd, in increasing order.  parity_profile reads no larger s.
 
     By Lucas's theorem s qualifies iff its count of each factor is a
     submask of m's count (see the module docstring), so the codes are
     listed directly, one submask per distinct factor.
     """
     k, factors = m.k, m.factors
+    counts = {f: factors.count(f) for f in dict.fromkeys(factors)}
+    below = 1 << k * max(counts.values(), default=1)  # the codes of smaller s
     codes = [1]
-    for f in dict.fromkeys(factors):
-        c = factors.count(f)
+    for f, c in counts.items():
         runs = []  # (shift, f repeated j times) for each nonzero submask j of c
         j = c
         while j:
             runs.append((j * k, f * ((1 << j * k) - 1) // ((1 << k) - 1)))
             j = (j - 1) & c
-        codes += [code << shift | run for code in codes for shift, run in runs]
+        codes += [new for code in codes for shift, run in runs
+                  if (new := code << shift | run) < below]
     return tuple(sorted(codes))
 
 
@@ -172,11 +172,12 @@ def _checked_profile(m: Monomial):
     )
 
 
-def require_faithful(p: Polynomial) -> None:
-    """Raise NonFaithfulError naming the smallest non-faithful monomial of p."""
+def require_faithful(p: Polynomial) -> Polynomial:
+    """p, or InputError naming the smallest non-faithful monomial of p."""
     bad = [m for m in p.monomials if not m.is_faithful()]
     if bad:
-        raise NonFaithfulError(f"monomial {min(bad)} is not faithful")
+        raise InputError(f"monomial {min(bad)} is not faithful")
+    return p
 
 
 def check_membership(p: Polynomial) -> MembershipCertificate:
@@ -186,7 +187,7 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
     violation reported is the first one in that order, with the least
     witness in (len(s), s) order.
     """
-    by_rho: list[dict] = [{} for _ in range(1 << p.k)]
+    by_rho: defaultdict[int, dict] = defaultdict(dict)  # the rhos that occur
     for m in p.monomials:
         profile = _checked_profile(m)
         if profile is None:
@@ -198,8 +199,8 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
             else:
                 group[2].append(m)
                 group[3].symmetric_difference_update(codes)
-    decs = []
-    for rho in range(1, 1 << p.k):
+    decs = {}
+    for rho in sorted(by_rho):
         # Every class has rank k - 1, so its factors order it.
         groups = sorted(by_rho[rho].values(), key=lambda g: (g[0], g[1].factors))
         for mult, cls, _, odd in groups:
@@ -207,10 +208,10 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
                 witness = submultiset(min(odd), p.k)
                 return MembershipCertificate(
                     False, violation=Violation(rho, mult, cls, witness))
-        decs.append(RhoDecomposition(rho, tuple(
-            Group(mult, cls, frozenset(members)) for mult, cls, members, _ in groups
-        )))
-    return MembershipCertificate(True, decompositions=tuple(decs))
+        decs[rho] = tuple(
+            Group(mult, cls, frozenset(members)) for mult, cls, members, _ in groups)
+    return MembershipCertificate(True, decompositions=tuple(
+        RhoDecomposition(rho, decs.get(rho, ())) for rho in range(1, 1 << p.k)))
 
 
 _ENUM_BOUNDS = (8, 4)  # max degree, max rank

@@ -14,12 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from z2bord.gf2 import ResourceLimitError
+from z2bord.gf2 import InputError, ResourceLimitError
 from z2bord.repalg import Monomial, NonIsolatedError, Polynomial
-
-
-class InvalidFamilyError(ValueError):
-    """The subset family violates the distinct-nonempty precondition."""
 
 
 def rho_of_subset(s, r: int) -> int:
@@ -27,7 +23,7 @@ def rho_of_subset(s, r: int) -> int:
     v = 0
     for i in s:
         if not 1 <= i <= r:
-            raise ValueError(f"element {i} outside 1..{r}")
+            raise InputError(f"element {i} outside 1..{r}")
         v |= 1 << (r - i)
     return v
 
@@ -48,7 +44,7 @@ class SubsetFamily:
         for tok in text.split(";"):
             tok = tok.strip()
             if tok.strip("123456789"):
-                raise ValueError(f"bad subset token {tok!r}")
+                raise InputError(f"bad subset token {tok!r}")
             sets.append(frozenset(int(c) for c in tok))
         return cls.make(r, sets)
 
@@ -63,17 +59,17 @@ class SubsetFamily:
 
 def _check_sizes(m: int, n: int):
     if not 1 <= m <= n:
-        raise InvalidFamilyError(f"need 1 <= m <= n, got m={m}, n={n}")
+        raise InputError(f"need 1 <= m <= n, got m={m}, n={n}")
 
 
 def _validate(m: int, n: int, family: SubsetFamily):
     _check_sizes(m, n)
     if len(family.sets) != n:
-        raise InvalidFamilyError(f"need {n} subsets, got {len(family.sets)}")
+        raise InputError(f"need {n} subsets, got {len(family.sets)}")
     if any(not s for s in family.sets):
-        raise InvalidFamilyError("subsets must be nonempty")
+        raise InputError("subsets must be nonempty")
     if len(set(family.sets)) != n:
-        raise InvalidFamilyError("subsets must be distinct")
+        raise InputError("subsets must be distinct")
 
 
 def _polynomial(terms, n: int, r: int) -> Polynomial:
@@ -107,7 +103,7 @@ def six_term_expansion(family: SubsetFamily) -> Polynomial:
     """The explicit six-monomial form of the m=2, n=4 case, evaluated
     directly as printed; an independent cross-check of the general formula."""
     if len(family.sets) != 4:
-        raise InvalidFamilyError("six-term form requires exactly 4 subsets")
+        raise InputError("six-term form requires exactly 4 subsets")
     f = family
     terms = [
         (f.rho(1), f.rho(2), f.rho_sym(1, 3), f.rho_sym(2, 3), f.rho_sym(3, 4)),
@@ -142,7 +138,7 @@ def search_orbit_hits(m: int, n: int, r: int, targets) -> SearchReport:
     if r > 3 or n > 5:
         raise ResourceLimitError("search bounded by r <= 3, n <= 5")
     if r < 1 or n > (1 << r) - 1:
-        raise InvalidFamilyError(
+        raise InputError(
             f"no family of {n} distinct nonempty subsets of 1..{r}")
     _check_sizes(m, n)
     targets = list(targets)

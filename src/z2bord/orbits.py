@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from z2bord.gf2 import Mat, enumerate_gl, rank_of
+from z2bord.gf2 import InputError, Mat, enumerate_gl, rank_of
 from z2bord.membership import ConstraintSystem, check_membership
-from z2bord.repalg import Polynomial, ShapeError, apply_automorphism
+from z2bord.repalg import Polynomial, apply_automorphism
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def span_dimension(ps) -> int:
     ps = list(ps)
     shapes = {(p.n, p.k) for p in ps if not p.is_zero}
     if len(shapes) > 1:
-        raise ShapeError("polynomials of mixed degree or rank")
+        raise InputError("polynomials of mixed degree or rank")
     monomials = {m for p in ps for m in p.monomials}
     index = {m: j for j, m in enumerate(monomials)}
     return rank_of([sum(1 << index[m] for m in p.monomials) for p in ps])
@@ -58,7 +58,7 @@ def verify_generating_set(cs: ConstraintSystem, generators) -> bool:
     generators = list(generators)
     for p in generators:
         if not check_membership(p).accepted:
-            raise ValueError(f"generator rejected by the membership criterion:\n{p}")
+            raise InputError(f"generator rejected by the membership criterion:\n{p}")
         if not cs.accepts(p):
             raise ValueError("membership checker and constraint system disagree")
     return span_dimension(generators) == cs.nullspace_dimension()

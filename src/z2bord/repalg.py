@@ -13,19 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from z2bord.gf2 import Mat, Subspace, parse_vec, rank_of, vec_str
-
-
-class ShapeError(ValueError):
-    """Degree or ambient-rank mismatch between operands."""
-
-
-class InvalidAutomorphismError(ValueError):
-    """The supplied matrix is not an automorphism of (Z/2)^k."""
-
-
-class InvalidBasisError(ValueError):
-    """The supplied list is not an ordered basis of the subspace."""
+from z2bord.gf2 import InputError, Mat, parse_vec, rank_of, vec_str
 
 
 class NonIsolatedError(ValueError):
@@ -55,7 +43,7 @@ class Monomial:
         ordered basis, read from restriction_table; the basis is not
         validated."""
         basis = tuple(basis)
-        table = restriction_table(basis, self.k)
+        table = restriction_table(basis)
         return Monomial.make([table[f] for f in self.factors], len(basis))
 
     def is_faithful(self) -> bool:
@@ -72,20 +60,30 @@ class Monomial:
 _TABLE_CACHE = 1 << 15
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def restriction_table(basis: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Entry f is the functional f over rank k restricted to the ordered
-    basis: the vector (f(b_1), ..., f(b_r)), with f(b_1) the highest bit.
+class RestrictionTable(dict):
+    """Entry f is the functional f restricted to the ordered basis: the
+    vector (f(b_1), ..., f(b_r)), with f(b_1) the highest bit.
 
-    Restriction is linear in f, so the table is built from the images of
-    the k unit functionals by XOR, doubling once per unit.
+    An entry is computed on its first lookup, so the table holds only the
+    functionals read, however large the rank.
     """
-    r = len(basis)
-    table = [0]
-    for i in range(k):
-        image = sum(((b >> i) & 1) << (r - 1 - j) for j, b in enumerate(basis))
-        table += [t ^ image for t in table]
-    return tuple(table)
+
+    def __init__(self, basis: tuple[int, ...]):
+        super().__init__()
+        self.basis = basis
+
+    def __missing__(self, f: int) -> int:
+        image = 0
+        for b in self.basis:
+            image = image << 1 | (f & b).bit_count() & 1
+        self[f] = image
+        return image
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def restriction_table(basis: tuple[int, ...]) -> RestrictionTable:
+    """The one table per ordered basis, shared by every restriction to it."""
+    return RestrictionTable(basis)
 
 
 @dataclass(frozen=True)
@@ -107,11 +105,11 @@ class Polynomial:
         degrees = {m.degree for m in counts}
         ranks = {m.k for m in counts}
         if len(degrees) > 1 or len(ranks) > 1:
-            raise ShapeError("monomials of mixed degree or rank")
+            raise InputError("monomials of mixed degree or rank")
         if counts:
             n, k = degrees.pop(), ranks.pop()
         if n is None or k is None:
-            raise ShapeError("zero polynomial needs explicit degree and rank")
+            raise InputError("zero polynomial needs explicit degree and rank")
         return cls(frozenset(m for m, c in counts.items() if c & 1), n, k)
 
     @classmethod
@@ -127,7 +125,7 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not (self.is_zero or other.is_zero) and (self.n, self.k) != (other.n, other.k):
-            raise ShapeError(
+            raise InputError(
                 f"cannot add degree {self.n} rank {self.k} "
                 f"to degree {other.n} rank {other.k}"
             )
@@ -157,7 +155,7 @@ def automorphism_columns(a: Mat, k: int) -> tuple[int, ...]:
     once per matrix: f composed with g -> Ag is f restricted to this
     ordered basis."""
     if a.n_cols != k or not a.is_invertible():
-        raise InvalidAutomorphismError("matrix is singular or of the wrong size")
+        raise InputError("matrix is singular or of the wrong size")
     return a.transpose().rows
 
 
@@ -166,14 +164,6 @@ def apply_automorphism(p: Polynomial, a: Mat) -> Polynomial:
     columns = automorphism_columns(a, p.k)
     monos = {m.restrict(columns) for m in p.monomials}
     return Polynomial(frozenset(monos), p.n, p.k)
-
-
-def ordered_basis(h: Subspace, h_basis) -> tuple[int, ...]:
-    """h_basis as a tuple, after checking that it is an ordered basis of h."""
-    h_basis = tuple(h_basis)
-    if len(h_basis) != h.dim or Subspace.span(h_basis, h.k) != h:
-        raise InvalidBasisError("h_basis is not an ordered basis of h")
-    return h_basis
 
 
 def sub_multiset_multiplicity(t: Monomial, s) -> int:
@@ -216,16 +206,16 @@ def parse_polynomial(text: str) -> Polynomial:
             tok = tok.strip()
             try:
                 bits, w = parse_vec(tok)
-            except ValueError as e:
-                raise ValueError(f"line {lineno}: {e}") from None
+            except InputError as e:
+                raise InputError(f"line {lineno}: {e}") from None
             if width is not None and w != width:
-                raise ValueError(f"line {lineno}: inconsistent bit-string widths")
+                raise InputError(f"line {lineno}: inconsistent bit-string widths")
             width = w
             factors.append(bits)
         if k is not None and width != k:
-            raise ValueError(f"line {lineno}: rank {width} != earlier rank {k}")
+            raise InputError(f"line {lineno}: rank {width} != earlier rank {k}")
         if n is not None and len(factors) != n:
-            raise ValueError(f"line {lineno}: degree {len(factors)} != earlier degree {n}")
+            raise InputError(f"line {lineno}: degree {len(factors)} != earlier degree {n}")
         k, n = width, len(factors)
         monos.append(Monomial.make(factors, k))
     if k is None:

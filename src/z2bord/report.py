@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from z2bord import catalog
 from z2bord.catalog import (
     DELTA5,
     GEN_1,
@@ -129,8 +128,7 @@ def run_reproduction() -> ReproductionReport:
         rep.add(f"small_cover_{idx}_valid", True, cf.is_valid())
         rep.add(f"small_cover_{idx}_tangent_reps", True,
                 sorted(tangent_reps(cf).values()) == sorted(data["tangent_monomials"]))
-        h = catalog.construction_subgroup(data)
-        restricted = restricted_polynomial(cf, h, data["subgroup_basis"])
+        restricted = restricted_polynomial(cf, data["subgroup_basis"])
         rep.add(f"small_cover_{idx}_restriction_accepted", True,
                 check_membership(restricted).accepted)
         target = orbits[2] if idx == 1 else orbits[3]
@@ -142,7 +140,7 @@ def run_reproduction() -> ReproductionReport:
     admissible = admissible_subgroups(d5, 3)
     rep.add("simplex5_admissible_rank3_subgroups", 15, len(admissible))
     realized = sum(
-        not restricted_polynomial(d5, h, h.basis).is_zero for h in admissible
+        not restricted_polynomial(d5, h.basis).is_zero for h in admissible
     )
     rep.add("simplex5_isolated_nonzero_restrictions", 0, realized)
 

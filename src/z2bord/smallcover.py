@@ -17,23 +17,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from z2bord.gf2 import Mat, Subspace, enumerate_subspaces, vec_str
+from z2bord.gf2 import InputError, Mat, Subspace, enumerate_subspaces, rank_of, vec_str
 from z2bord.graphs import LabeledGraph
 from z2bord.repalg import (
     Monomial,
     NonIsolatedError,
     Polynomial,
     content_lines,
-    ordered_basis,
     restriction_table,
 )
 
 Facet = tuple[int, int]  # (factor index, facet index within the factor)
 Vertex = tuple[int, ...]
-
-
-class InvalidCharacteristicError(ValueError):
-    """Facet labels fail the basis condition at some vertex."""
 
 
 @dataclass(frozen=True)
@@ -46,9 +41,9 @@ class ProductOfSimplices:
         try:
             dims = tuple(int(t) for t in spec.lower().split("x"))
         except ValueError:
-            raise ValueError(f"bad polytope spec {spec!r}; expected e.g. '1x4'") from None
+            raise InputError(f"bad polytope spec {spec!r}; expected e.g. '1x4'") from None
         if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"factor dimensions must be positive: {dims}")
+            raise InputError(f"factor dimensions must be positive: {dims}")
         return cls(dims)
 
     @property
@@ -100,9 +95,10 @@ class CharacteristicFunction:
         """Rows of 0/1 entries; columns are facets in printed order."""
         p = ProductOfSimplices(tuple(factor_dims))
         m = Mat.from_entries(matrix_rows)
-        if m.n_rows != p.dim or m.n_cols != len(p.facets):
-            raise ValueError(
-                f"label matrix must be {p.dim} x {len(p.facets)}, got {m.n_rows} x {m.n_cols}"
+        n_facets = sum(d + 1 for d in p.factor_dims)
+        if m.n_rows != p.dim or m.n_cols != n_facets:
+            raise InputError(
+                f"label matrix must be {p.dim} x {n_facets}, got {m.n_rows} x {m.n_cols}"
             )
         return cls(p, m.transpose().rows)
 
@@ -118,7 +114,7 @@ class CharacteristicFunction:
             cols = [self.label(f) for f in self.polytope.vertex_facets(v)]
             try:
                 out[v] = Mat.from_columns(cols, self.polytope.dim).inverse().rows
-            except ValueError:
+            except InputError:
                 return v
         return MappingProxyType(out)
 
@@ -129,7 +125,7 @@ class CharacteristicFunction:
         """The dual basis of the labels at each vertex, in vertex_facets(v)
         order: row i is 1 on the i-th label and 0 on the others."""
         if not self.is_valid():
-            raise InvalidCharacteristicError(
+            raise InputError(
                 f"facet labels at vertex {self._inverses} are not a basis")
         return self._inverses
 
@@ -160,10 +156,10 @@ def skeleton_graph(cf: CharacteristicFunction) -> LabeledGraph:
     return LabeledGraph.make(p.dim, edges)
 
 
-def _trivial_factor(reps: dict[Vertex, Monomial], basis, k: int):
+def _trivial_factor(reps: dict[Vertex, Monomial], basis):
     """The first (vertex, factor), in reps order and sorted factor order,
     that restricts to the trivial representation on the ordered basis, or None."""
-    table = restriction_table(tuple(basis), k)
+    table = restriction_table(tuple(basis))
     trivial = ((v, f) for v, m in reps.items() for f in m.factors if not table[f])
     return next(trivial, None)
 
@@ -173,17 +169,20 @@ def admissible_subgroups(cf: CharacteristicFunction, r: int) -> list[Subspace]:
     representation, so the restricted action keeps the fixed points
     isolated.  The tangent factor along an edge vanishes exactly on the
     edge's facet-label span, so equivalently no such span contains h.
-    Raises InvalidCharacteristicError for an invalid cf, as tangent_reps does."""
-    reps, dim = tangent_reps(cf), cf.polytope.dim
-    return [h for h in enumerate_subspaces(dim, r)
-            if _trivial_factor(reps, h.basis, dim) is None]
+    Raises InputError for an invalid cf, as tangent_reps does."""
+    reps = tangent_reps(cf)
+    return [h for h in enumerate_subspaces(cf.polytope.dim, r)
+            if _trivial_factor(reps, h.basis) is None]
 
 
-def restricted_polynomial(cf: CharacteristicFunction, h: Subspace, h_basis) -> Polynomial:
-    """Restrict every vertex monomial to the subgroup h via h_basis and sum."""
-    basis = ordered_basis(h, h_basis)
+def restricted_polynomial(cf: CharacteristicFunction, basis) -> Polynomial:
+    """Restrict every vertex monomial to the subgroup spanned by the ordered
+    basis and sum; InputError when the basis is dependent."""
+    basis = tuple(basis)
+    if rank_of(basis) != len(basis):
+        raise InputError("basis rows are not independent")
     reps, dim = tangent_reps(cf), cf.polytope.dim
-    trivial = _trivial_factor(reps, basis, dim)
+    trivial = _trivial_factor(reps, basis)
     if trivial is not None:
         v, f = trivial
         raise NonIsolatedError(f"factor {vec_str(f, dim)} at vertex {v} restricts "
@@ -195,27 +194,30 @@ def parse_characteristic(text: str, factor_dims=None) -> CharacteristicFunction:
     """Matrix file: optional header 'n_1 ... n_l', then rows of 0/1."""
     rows = [ln.split() for _, ln in content_lines(text)]
     if not rows:
-        raise ValueError("empty characteristic matrix file")
+        raise InputError("empty characteristic matrix file")
     # A leading line with an entry other than 0/1, or with too few columns,
     # is the factor-dimension header.
     has_header = any(t not in ("0", "1") for t in rows[0]) or (
         len(rows) > 1 and len(rows[0]) < len(rows[1])
     )
     if has_header:
-        header = tuple(int(t) for t in rows[0])
+        try:
+            header = tuple(int(t) for t in rows[0])
+        except ValueError as e:
+            raise InputError(str(e)) from None
         rows = rows[1:]
         if factor_dims is not None and tuple(factor_dims) != header:
-            raise ValueError(
+            raise InputError(
                 f"header {header} disagrees with requested polytope {tuple(factor_dims)}"
             )
         factor_dims = header
     elif factor_dims is None:
-        raise ValueError("no factor-dimension header and no polytope given")
+        raise InputError("no factor-dimension header and no polytope given")
     if not rows:
-        raise ValueError("no matrix rows after the header")
+        raise InputError("no matrix rows after the header")
     entries = []
     for r in rows:
         if any(t not in ("0", "1") for t in r):
-            raise ValueError(f"bad matrix row {' '.join(r)!r}")
+            raise InputError(f"bad matrix row {' '.join(r)!r}")
         entries.append([int(t) for t in r])
     return CharacteristicFunction.from_matrix(factor_dims, entries)

@@ -1,11 +1,13 @@
 """Command-line interface: dispatch, output, and exit codes."""
 
 import argparse
+import re
 
 import pytest
 
 from z2bord.catalog import GEN_1, REJECTED_SINGLETON, SMALL_COVER_1
-from z2bord.cli import main
+from z2bord.cli import _parse_subgroup, main
+from z2bord.gf2 import InputError
 from z2bord.repalg import render_polynomial
 
 
@@ -332,3 +334,54 @@ def test_option_value_of_two_dashes(argv, kept_code, lam_file, tmp_path,
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert code == 0 and (tmp_path / "--" / "generator_1.poly").is_file()
+
+
+# argv, with FILE standing for a file holding the given text, and the one
+# stderr line after "error: " (PATH: the file's path) on exit 2.
+ERROR_LINES = {
+    "milnor_bad_token": (["milnor", "--m", "2", "--n", "4", "--r", "3", "--sets", "2;1a;23;123"],
+                         None, "bad subset token '1a'"),
+    "milnor_element_range": (["milnor", "--m", "2", "--n", "4", "--r", "3",
+                              "--sets", "2;12;24;123"], None, "element 4 outside 1..3"),
+    "milnor_duplicate_sets": (["milnor", "--m", "2", "--n", "4", "--r", "3",
+                               "--sets", "2;2;23;123"], None, "subsets must be distinct"),
+    "milnor_m_above_n": (["milnor", "--m", "5", "--n", "4", "--r", "3",
+                          "--sets", "2;12;23;123"], None, "need 1 <= m <= n, got m=5, n=4"),
+    "milnor_search_r_zero": (["milnor-search", "--m", "2", "--n", "4", "--r", "0"], None,
+                             "no family of 4 distinct nonempty subsets of 1..0"),
+    "polytope_zero": (["smallcover", "--polytope", "0", "--lambda", "FILE"], "1 1\n",
+                      "factor dimensions must be positive: (0,)"),
+    "lam_header_not_integer": (["smallcover", "--polytope", "1x4", "--lambda", "FILE"],
+                               "1 x\n1 0 1 0 0 1 1\n",
+                               "PATH: invalid literal for int() with base 10: 'x'"),
+    "check_non_faithful": (["check", "FILE"], "100,100,010\n",
+                           "PATH: monomial 010,100,100 is not faithful"),
+}
+
+
+@pytest.mark.parametrize("argv,text,line", ERROR_LINES.values(), ids=ERROR_LINES.keys())
+def test_error_line(argv, text, line, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {line.replace('PATH', str(path))}\n")
+
+
+def test_subgroup_of_wrong_width(lam_file, tmp_path, capsys):
+    sub = tmp_path / "h.sub"
+    sub.write_text("0111\n1101\n")
+    assert main(["smallcover", "--polytope", "1x4", "--lambda", lam_file,
+                 "--subgroup", str(sub)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {sub}: each row must be a bit-string of width 5\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("0111\n", "each row must be a bit-string of width 5"),
+    ("0111x\n", "malformed bit-string '0111x'"),
+    ("01111\n01111\n", "rows are not independent"),
+])
+def test_parse_subgroup_refusals(text, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        _parse_subgroup(text, 5)

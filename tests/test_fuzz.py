@@ -1,6 +1,6 @@
 """Fuzzing the file parsers and the CLI on generated file text.
 
-A parser may refuse its input only with ValueError; the CLI may end only
+A parser may refuse its input only with InputError; the CLI may end only
 in exit 0, 1 or 2, and exit 2 prints exactly one 'error:' line.  Labels
 are at most 3 bits wide, so every accepted input stays small (orbit
 enumerates at most GL(3,2)).  dim is left out because the enumeration
@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from z2bord.cli import main
+from z2bord.gf2 import InputError
 from z2bord.graphs import parse_graph
 from z2bord.repalg import parse_polynomial
 from z2bord.smallcover import parse_characteristic
@@ -74,19 +75,19 @@ class TestParsers:
     @FUZZ
     @given(FILE_TEXT | polynomial_text())
     def test_parse_polynomial(self, text):
-        with contextlib.suppress(ValueError):
+        with contextlib.suppress(InputError):
             parse_polynomial(text)
 
     @FUZZ
     @given(FILE_TEXT | graph_text())
     def test_parse_graph(self, text):
-        with contextlib.suppress(ValueError):
+        with contextlib.suppress(InputError):
             parse_graph(text)
 
     @FUZZ
     @given(FILE_TEXT, st.none() | st.sampled_from([(1,), (2,), (1, 1), (1, 2)]))
     def test_parse_characteristic(self, text, factor_dims):
-        with contextlib.suppress(ValueError):
+        with contextlib.suppress(InputError):
             parse_characteristic(text, factor_dims)
 
 

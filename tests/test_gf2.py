@@ -4,13 +4,15 @@ import functools
 import math
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2bord.catalog import SMALL_COVER_1, SMALL_COVER_2, construction_subgroup
+from z2bord.catalog import SMALL_COVER_1, SMALL_COVER_2
 from z2bord.gf2 import (
+    InputError,
     Mat,
     ResourceLimitError,
     Subspace,
@@ -79,7 +81,7 @@ class TestVectors:
 
     def test_parse_rejects_garbage(self):
         for s in ("", "102", "1 0", "ab"):
-            with pytest.raises(ValueError):
+            with pytest.raises(InputError, match=f"^{re.escape(f'malformed bit-string {s!r}')}$"):
                 parse_vec(s)
 
     def test_dot_is_parity_of_overlap(self):
@@ -146,11 +148,11 @@ class TestSubspace:
 
     def test_complement_of_construction_subgroup(self):
         # rank-3 subgroup of (Z/2)^5 used by the first small cover
-        h = construction_subgroup(SMALL_COVER_1)
+        h = Subspace.span(SMALL_COVER_1["subgroup_basis"], 5)
         assert set(h.complement().vectors()) == {0, *SMALL_COVER_1["complement"]}
 
     def test_complement_of_second_construction_subgroup(self):
-        h = construction_subgroup(SMALL_COVER_2)
+        h = Subspace.span(SMALL_COVER_2["subgroup_basis"], 5)
         assert set(h.complement().vectors()) == {0, *SMALL_COVER_2["complement"]}
 
     @settings(max_examples=50)
@@ -197,7 +199,7 @@ class TestMat:
     def test_singular_has_no_inverse(self):
         a = Mat.from_entries([[1, 1], [1, 1]])
         assert not a.is_invertible()
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^singular matrix$"):
             a.inverse()
 
     def test_transpose_reverses_products(self):
@@ -231,3 +233,17 @@ class TestEnumerateGL:
         for k in (5, 6):
             with pytest.raises(ResourceLimitError):
                 enumerate_gl(k)
+
+
+BAD_INPUT = {
+    "unit_range": (lambda: unit(4, 3), "coordinate 4 out of range 1..3"),
+    "ragged_rows": (lambda: Mat.from_entries([[1, 0], [1]]), "ragged rows"),
+    "product_shape": (lambda: Mat.identity(2) * Mat.identity(3), "shape mismatch"),
+    "inverse_not_square": (lambda: Mat.from_entries([[1, 0, 1]]).inverse(), "not square"),
+}
+
+
+@pytest.mark.parametrize("call,message", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_raises_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()

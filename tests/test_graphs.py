@@ -1,7 +1,10 @@
 """Labeled multigraph validation and labeling polynomials."""
 
+import re
+
 import pytest
 
+from z2bord.gf2 import InputError
 from z2bord.graphs import (
     LabeledGraph,
     labeling_polynomial,
@@ -55,7 +58,7 @@ class TestValidation:
         assert not validate_graph(g).ok
 
     def test_loop_rejected_at_construction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^loop at vertex a$"):
             LabeledGraph.make(2, [("a", "a", 0b10)])
 
     def test_congruence_violation_detected(self):
@@ -80,11 +83,33 @@ class TestSerialization:
             assert parse_graph(render_graph(g)) == g
 
     def test_parse_rejects_malformed(self):
-        for text in ("", "2\n", "2 2\na b 1x\n", "2 2\na 11\n"):
-            with pytest.raises(ValueError):
+        for text, message in (
+            ("", "empty graph file"),
+            ("2\n", "bad graph header '2'; expected 'k n'"),
+            ("2 2\na b 1x\n", "malformed bit-string '1x'"),
+            ("2 2\na 11\n", "bad edge line 'a 11'"),
+            ("2 2\na b 11\n", "declared valence 2 but graph has valences [1]"),
+        ):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
                 parse_graph(text)
 
     def test_comments_allowed(self):
         g = projective_space_graph(2)
         text = "# header comment\n" + render_graph(g)
         assert parse_graph(text) == g
+
+
+BAD_INPUT = {
+    "labeling_not_regular": (
+        lambda: labeling_polynomial(LabeledGraph.make(2, [("a", "b", 0b10), ("b", "c", 0b01)])),
+        "labeling polynomial requires a regular graph"),
+    "projective_n_below_one": (lambda: projective_space_graph(0), "n must be at least 1"),
+    "parse_label_width": (lambda: parse_graph("2 1\na b 101\n"),
+                          "edge label '101' has width 3, expected 2"),
+}
+
+
+@pytest.mark.parametrize("call,message", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_raises_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()

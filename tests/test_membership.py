@@ -3,6 +3,8 @@
 import gc
 import itertools
 import random
+import re
+import tracemalloc
 import weakref
 
 import pytest
@@ -10,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2bord.catalog import GEN_1, GENERATORS, REJECTED_SINGLETON, mono, poly
-from z2bord.gf2 import ResourceLimitError
+from z2bord.gf2 import InputError, ResourceLimitError, unit
 from z2bord.membership import (
     MembershipCertificate,
-    NonFaithfulError,
     Violation,
     build_constraint_system,
     check_membership,
@@ -86,14 +87,32 @@ class TestChecker:
         assert not cert.accepted
 
     def test_non_faithful_input_raises(self):
-        with pytest.raises(NonFaithfulError):
-            check_membership(poly("1 1 2 1 12", 3))  # factors span rank 2 only
+        # factors span rank 2 only
+        with pytest.raises(InputError, match="^monomial 010,100,100,100,110 is not faithful$"):
+            check_membership(poly("1 1 2 1 12", 3))
 
     def test_non_faithful_error_names_the_smallest(self):
         # 1,1,2 and 1,2,2 span rank 2 only; 1,2,2 is 010,010,100 and sorts first.
         p = poly("1 2 3\n1 1 2\n1 2 2", 3)
-        with pytest.raises(NonFaithfulError, match="monomial 010,010,100 is"):
+        with pytest.raises(InputError, match="^monomial 010,010,100 is not faithful$"):
             check_membership(p)
+
+    @pytest.mark.parametrize("factors", [
+        [unit(i, 16) for i in range(1, 17)],
+        [unit(1, 16)] + [unit(1, 16) ^ unit(i, 16) for i in range(2, 17)],
+    ], ids=["units", "first_unit_plus_units"])
+    def test_rank_16_monomial_rejected_in_small_memory(self, factors):
+        # Every factor has multiplicity 1, so the smallest fails with the
+        # empty witness; nothing of size 2^16 may be built on the way.
+        p = Polynomial.make([Monomial.make(factors, 16)])
+        tracemalloc.start()
+        try:
+            v = check_membership(p).violation
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (v.rho, v.multiplicity, v.witness) == (min(factors), 1, ())
+        assert peak < 1 << 20
 
 
 class TestFaithfulEnumeration:
@@ -238,7 +257,8 @@ class TestParityKernel:
         pool = data.draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=4))
         factors = data.draw(st.lists(st.sampled_from(pool), max_size=8))
         m = Monomial.make(factors, k)
-        subs = {s for size in range(m.degree + 1)
+        top = max(map(m.mult, m.factors), default=1)
+        subs = {s for size in range(top)
                 for s in itertools.combinations(m.factors, size)}
         odd = {s for s in subs if sub_multiset_multiplicity(m, s) & 1}
         codes = odd_submultisets(m)
@@ -249,9 +269,10 @@ class TestParityKernel:
 
     def test_codes(self):
         m = Monomial.make((0b001, 0b010, 0b010, 0b010), 3)
-        # C(3, j) is odd for j = 0..3, C(1, j) for j = 0, 1.
+        # C(3, j) is odd for j = 0..3, C(1, j) for j = 0, 1; only sizes
+        # below the largest multiplicity, 3, are listed.
         assert [submultiset(c, 3) for c in odd_submultisets(m)] == [
-            (), (1,), (2,), (1, 2), (2, 2), (1, 2, 2), (2, 2, 2), (1, 2, 2, 2),
+            (), (1,), (2,), (1, 2), (2, 2),
         ]
         assert submultiset(1, 3) == ()
         assert submultiset(0b1_001_010, 3) == (1, 2)
@@ -286,3 +307,14 @@ class TestAgainstReference:
                 cert = check_membership(p)
                 assert cert.accepted == accepted
                 assert cert == reference_check(p)
+
+
+BAD_INPUT = {
+    "decompose_rho_zero": (lambda: decompose_for_rho(GEN_1, 0), "rho must be nonzero"),
+}
+
+
+@pytest.mark.parametrize("call,message", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_raises_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()

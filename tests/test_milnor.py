@@ -3,14 +3,14 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
 from z2bord.catalog import GEN_1, GEN_2, GENERATORS, MILNOR_FAMILY_1, MILNOR_FAMILY_2
-from z2bord.gf2 import ResourceLimitError
+from z2bord.gf2 import InputError, ResourceLimitError
 from z2bord.membership import check_membership
 from z2bord.milnor import (
-    InvalidFamilyError,
     SubsetFamily,
     family_label,
     milnor_fixed_polynomial,
@@ -33,7 +33,7 @@ class TestSubsetFamily:
     def test_rho_of_subset(self):
         assert rho_of_subset({1}, 3) == 0b100
         assert rho_of_subset({2, 3}, 3) == 0b011
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=r"^element 4 outside 1\.\.3$"):
             rho_of_subset({4}, 3)
 
     def test_parse(self):
@@ -42,15 +42,15 @@ class TestSubsetFamily:
 
     def test_validation(self):
         good = SubsetFamily.make(3, MILNOR_FAMILY_1)
-        with pytest.raises(InvalidFamilyError):
-            milnor_fixed_polynomial(5, 4, good)  # m > n
-        with pytest.raises(InvalidFamilyError):
-            milnor_fixed_polynomial(2, 3, good)  # wrong family length
+        with pytest.raises(InputError, match="^need 1 <= m <= n, got m=5, n=4$"):
+            milnor_fixed_polynomial(5, 4, good)
+        with pytest.raises(InputError, match="^need 3 subsets, got 4$"):
+            milnor_fixed_polynomial(2, 3, good)
         dup = SubsetFamily.make(3, ({1}, {1}, {2}, {3}))
-        with pytest.raises(InvalidFamilyError):
+        with pytest.raises(InputError, match="^subsets must be distinct$"):
             milnor_fixed_polynomial(2, 4, dup)
         empty = SubsetFamily.make(3, ({1}, set(), {2}, {3}))
-        with pytest.raises(InvalidFamilyError):
+        with pytest.raises(InputError, match="^subsets must be nonempty$"):
             milnor_fixed_polynomial(2, 4, empty)
 
 
@@ -123,3 +123,18 @@ class TestSearch:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             search_orbit_hits(2, 4, 4, [])
+
+
+BAD_INPUT = {
+    "parse_bad_token": (lambda: SubsetFamily.parse(3, "2;1a"), "bad subset token '1a'"),
+    "six_term_length": (lambda: six_term_expansion(SubsetFamily.make(3, ({1}, {2}, {3}))),
+                        "six-term form requires exactly 4 subsets"),
+    "search_no_family": (lambda: search_orbit_hits(2, 4, 2, []),
+                         "no family of 4 distinct nonempty subsets of 1..2"),
+}
+
+
+@pytest.mark.parametrize("call,message", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_raises_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()

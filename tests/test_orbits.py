@@ -1,6 +1,7 @@
 """Automorphism orbits, stabilizers, spans, generating sets."""
 
 import random
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from z2bord.catalog import (
     STAB_SHAPES,
     poly,
 )
-from z2bord.gf2 import enumerate_gl
+from z2bord.gf2 import InputError, enumerate_gl
 from z2bord.membership import build_constraint_system
 from z2bord.orbits import (
     orbit,
@@ -111,5 +112,17 @@ class TestGeneratingSet:
         assert verify_generating_set(build_constraint_system(2, 2), [rp2])
 
     def test_rejected_generator_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^generator rejected by the membership criterion:\n01,10\n$"):
             verify_generating_set(build_constraint_system(2, 2), [poly("1 2", 2)])
+
+
+BAD_INPUT = {
+    "span_mixed_shapes": (lambda: span_dimension([GENERATORS[0], poly("1 2\n1 12\n2 12", 2)]),
+                          "polynomials of mixed degree or rank"),
+}
+
+
+@pytest.mark.parametrize("call,message", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_raises_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()

@@ -3,17 +3,18 @@
 import itertools
 import math
 import random
+import re
+import tracemalloc
 
 import pytest
 
-from z2bord.catalog import DELTA5, SMALL_COVER_1, SMALL_COVER_2, construction_subgroup
-from z2bord.gf2 import Mat, Subspace, enumerate_subspaces, nullspace, rank_of
+from z2bord.catalog import DELTA5, SMALL_COVER_1, SMALL_COVER_2
+from z2bord.gf2 import InputError, Mat, Subspace, enumerate_subspaces, nullspace, rank_of
 from z2bord.membership import check_membership
 from z2bord.orbits import orbit
 from z2bord.repalg import Polynomial
 from z2bord.smallcover import (
     CharacteristicFunction,
-    InvalidCharacteristicError,
     NonIsolatedError,
     ProductOfSimplices,
     admissible_subgroups,
@@ -75,7 +76,7 @@ class TestPolytope:
     def test_parse(self):
         assert ProductOfSimplices.parse("1x4").factor_dims == (1, 4)
         assert ProductOfSimplices.parse("5").factor_dims == (5,)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=r"^factor dimensions must be positive: \(0, 4\)$"):
             ProductOfSimplices.parse("0x4")
 
 
@@ -99,15 +100,14 @@ class TestCharacteristicFunction:
         tangent_reps,
         fixed_polynomial,
         lambda cf: admissible_subgroups(cf, 1),
-        lambda cf: restricted_polynomial(cf, Subspace.span([0b10, 0b01], 2), [0b10, 0b01]),
+        lambda cf: restricted_polynomial(cf, [0b10, 0b01]),
         skeleton_graph,
     ], ids=["tangent_reps", "fixed_polynomial", "admissible_subgroups",
             "restricted_polynomial", "skeleton_graph"])
     def test_constant_labeling_raises(self, compute):
         cf = CharacteristicFunction.from_matrix((2,), [[1, 1, 1], [1, 1, 1]])
-        with pytest.raises(InvalidCharacteristicError) as e:
+        with pytest.raises(InputError, match=r"^facet labels at vertex \(0,\) are not a basis$"):
             compute(cf)
-        assert str(e.value) == "facet labels at vertex (0,) are not a basis"
 
     def test_all_valid_labelings_accepted_tiny(self):
         for dims in ((2,), (1, 1)):
@@ -145,8 +145,7 @@ class TestConstructions:
         assert sorted(sorted(m.factors) for m in reps.values()) == sorted(
             sorted(m.factors) for m in data["tangent_monomials"]
         )
-        h = construction_subgroup(data)
-        restricted = restricted_polynomial(cf, h, data["subgroup_basis"])
+        restricted = restricted_polynomial(cf, data["subgroup_basis"])
         assert check_membership(restricted).accepted
         assert restricted in orbit(GENERATORS[orbit_seed_index])
 
@@ -158,9 +157,8 @@ class TestConstructions:
             cf = CharacteristicFunction.from_matrix(
                 data["factor_dims"], data["matrix"]
             )
-            h = construction_subgroup(data)
             basis = data["subgroup_basis"]
-            p = restricted_polynomial(cf, h, basis)
+            p = restricted_polynomial(cf, basis)
 
             def evaluate(rep):
                 return sum(
@@ -178,13 +176,21 @@ class TestConstructions:
     def test_different_basis_same_orbit(self):
         data = SMALL_COVER_1
         cf = CharacteristicFunction.from_matrix(data["factor_dims"], data["matrix"])
-        h = construction_subgroup(data)
         b = list(data["subgroup_basis"])
         alt = [b[1], b[0] ^ b[2], b[2]]
-        assert Subspace.span(alt, 5) == h
-        p1 = restricted_polynomial(cf, h, b)
-        p2 = restricted_polynomial(cf, h, alt)
+        assert Subspace.span(alt, 5) == Subspace.span(b, 5)
+        p1 = restricted_polynomial(cf, b)
+        p2 = restricted_polynomial(cf, alt)
         assert p2 in orbit(p1)
+
+    @pytest.mark.parametrize("basis", [
+        [0b01111, 0b01111, 0b11001], [0b01111, 0], [0b01111, 0b11010, 0b10101],
+    ], ids=["repeated", "zero", "sum"])
+    def test_rejects_dependent_basis(self, basis):
+        data = SMALL_COVER_1
+        cf = CharacteristicFunction.from_matrix(data["factor_dims"], data["matrix"])
+        with pytest.raises(InputError, match="^basis rows are not independent$"):
+            restricted_polynomial(cf, basis)
 
     def test_admissible_full_rank_is_whole_group(self):
         cf = CharacteristicFunction.from_matrix((2,), [[1, 0, 1], [0, 1, 1]])
@@ -228,10 +234,10 @@ class TestAdmissibility:
             admissible = set(admissible_subgroups(cf, r))
             for h in enumerate_subspaces(dim, r):
                 if h in admissible:
-                    restricted_polynomial(cf, h, h.basis)
+                    restricted_polynomial(cf, h.basis)
                 else:
                     with pytest.raises(NonIsolatedError):
-                        restricted_polynomial(cf, h, h.basis)
+                        restricted_polynomial(cf, h.basis)
 
 
 def skeleton_by_definition(cf):
@@ -268,7 +274,7 @@ class TestSimplexFiveObstruction:
         subs = admissible_subgroups(cf, 3)
         assert len(subs) == 15
         for h in subs:
-            assert restricted_polynomial(cf, h, h.basis).is_zero
+            assert restricted_polynomial(cf, h.basis).is_zero
 
 
 class TestParsing:
@@ -282,17 +288,37 @@ class TestParsing:
         assert cf.is_valid()
 
     def test_explicit_dims_must_agree(self):
-        with pytest.raises(ValueError):
+        message = "header (1, 4) disagrees with requested polytope (2, 3)"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             parse_characteristic(self.HEADERED, (2, 3))
 
     def test_headerless_needs_dims(self):
         body = self.HEADERED.split("\n", 1)[1]
         assert parse_characteristic(body, (1, 4)).is_valid()
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^no factor-dimension header and no polytope given$"):
             parse_characteristic(body)
 
     def test_malformed(self):
-        with pytest.raises(ValueError):
-            parse_characteristic("")
-        with pytest.raises(ValueError):
-            parse_characteristic("2\n1 0 2\n1 1 0\n")
+        for text, message in (
+            ("", "empty characteristic matrix file"),
+            ("2\n1 0 2\n1 1 0\n", "bad matrix row '1 0 2'"),
+            ("1 x\n1 0 1\n", "invalid literal for int() with base 10: 'x'"),
+            ("1 4\n", "no matrix rows after the header"),
+        ):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                parse_characteristic(text)
+
+    def test_empty_matrix_is_a_shape_error(self):
+        with pytest.raises(InputError, match="^label matrix must be 1 x 2, got 0 x 0$"):
+            CharacteristicFunction.from_matrix((1,), [])
+
+    def test_shape_error_does_not_list_the_facets(self):
+        tracemalloc.start()
+        try:
+            message = "label matrix must be 1000000 x 1000001, got 2 x 2"
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                CharacteristicFunction.from_matrix((10**6,), [[1, 0], [0, 1]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
