@@ -14,10 +14,10 @@ parity_profile, which rests on three facts:
 - Lucas's theorem: C(c, j) is odd iff j & ~c == 0.  So the s with an
   odd sub_multiset_multiplicity(m, s) are listed directly, by taking a
   submask of m's count of each distinct factor.
-- The quotient key: f -> f restricted to ker rho is linear with kernel
-  {0, rho}, so m's restriction class is fixed by its factors with f and
-  f ^ rho identified, min(f, f ^ rho) sorted; the key's zeros are the
-  rho-multiplicity.  Equal keys are exactly equal (multiplicity, class).
+- The group key is the restriction class: f -> f restricted to ker rho
+  is linear with kernel {0, rho}, so a factor restricts to 0 exactly
+  when it is rho, and the class's zeros count the rho-multiplicity.  So
+  the class alone fixes the group's (multiplicity, class).
 - The code of s = (s_1 <= ... <= s_L) over rank k is a leading 1 followed
   by s_1, ..., s_L, k bits each.  Codes of longer s are larger, so
   numeric order on codes is (len(s), s) order.
@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 
 from z2bord import gf2
 from z2bord.gf2 import InputError, ResourceLimitError, nullspace, rank_of, set_bits
-from z2bord.repalg import Monomial, Polynomial
+from z2bord.repalg import Monomial, Polynomial, restriction_table
 
 
 @lru_cache(maxsize=None)
@@ -132,17 +132,19 @@ def submultiset(code: int, k: int) -> tuple[int, ...]:
 def parity_profile(m: Monomial) -> tuple:
     """(rho, key, codes) for each distinct factor rho of m.
 
-    key is the group key of m for rho and codes are the odd sub-multisets
-    of m of size below m.mult(rho): m adds 1 to the parity sum of exactly
-    these witnesses in its group.
+    key is the group key of m for rho, restriction_class(m, rho).factors,
+    and codes are the odd sub-multisets of m of size below m.mult(rho): m
+    adds 1 to the parity sum of exactly these witnesses in its group.  At
+    multiplicity 1 that is the empty multiset alone, code 1.
     """
     k, factors = m.k, m.factors
-    odd = odd_submultisets(m)
+    distinct = dict.fromkeys(factors)
+    odd = odd_submultisets(m) if len(distinct) < len(factors) else None
     return tuple(
         (rho,
-         tuple(sorted(min(f, f ^ rho) for f in factors)),
-         odd[:bisect_left(odd, 1 << k * factors.count(rho))])
-        for rho in dict.fromkeys(factors)
+         tuple(sorted(map(restriction_table(kernel_basis(rho, k)).__getitem__, factors))),
+         (1,) if (c := factors.count(rho)) == 1 else odd[:bisect_left(odd, 1 << k * c)])
+        for rho in distinct
     )
 
 
@@ -152,8 +154,8 @@ _PROFILE_CACHE = 1 << 16
 
 
 @lru_cache(maxsize=_PROFILE_CACHE)
-def _shared(t: tuple) -> tuple:
-    """The first cached tuple equal to t, so that equal keys and code
+def _shared(t):
+    """The first cached value equal to t, so that equal classes and code
     tuples of cached profiles are one object."""
     return t
 
@@ -161,13 +163,12 @@ def _shared(t: tuple) -> tuple:
 @lru_cache(maxsize=_PROFILE_CACHE)
 def _checked_profile(m: Monomial):
     """(rho, key, codes, class) for each entry of parity_profile(m), or
-    None when m is not faithful.  The class is the group's restriction
-    class, read through the key as a canonical member: the factors f and
-    f ^ rho restrict alike to ker rho."""
+    None when m is not faithful.  The class is the key as a monomial
+    over rank k - 1."""
     if not m.is_faithful():
         return None
     return tuple(
-        (rho, _shared(key), _shared(codes), restriction_class(Monomial(key, m.k), rho))
+        (rho, (cls := _shared(Monomial(key, m.k - 1))).factors, _shared(codes), cls)
         for rho, key, codes in parity_profile(m)
     )
 
@@ -266,7 +267,8 @@ class ConstraintSystem:
         return self.in_nullspace(self.indicator(p))
 
     def nullspace_dimension(self) -> int:
-        return len(self.monomials) - rank_of(self.rows)
+        # Sparse rows first: they fill the pivot table with fewer bits.
+        return len(self.monomials) - rank_of(sorted(self.rows, key=int.bit_count))
 
     def nullspace_basis(self) -> list[Polynomial]:
         """Polynomials whose indicators form a basis of the nullspace."""

@@ -23,6 +23,7 @@ from z2bord.membership import (
     image_dimension,
     kernel_basis,
     odd_submultisets,
+    parity_profile,
     restriction_class,
     submultiset,
 )
@@ -120,6 +121,11 @@ class TestFaithfulEnumeration:
         assert len(enumerate_faithful_monomials(1, 2)) == 0
         assert len(enumerate_faithful_monomials(2, 2)) == 3
         assert len(enumerate_faithful_monomials(5, 3)) == 329
+        # The dim-ladder rungs beyond the paper.
+        assert len(enumerate_faithful_monomials(6, 3)) == 742
+        assert len(enumerate_faithful_monomials(7, 3)) == 1478
+        assert len(enumerate_faithful_monomials(8, 3)) == 2702
+        assert len(enumerate_faithful_monomials(5, 4)) == 6048
 
     def test_all_enumerated_are_faithful(self):
         for m in enumerate_faithful_monomials(3, 2):
@@ -142,6 +148,11 @@ class TestConstraintSystem:
         assert image_dimension(3, 3) == 13
         assert image_dimension(1, 3) == 0
         assert image_dimension(2, 3) == 0
+        # The dim-ladder rungs beyond the paper.
+        assert image_dimension(6, 3) == 162
+        assert image_dimension(7, 3) == 307
+        assert image_dimension(8, 3) == 557
+        assert image_dimension(5, 4) == 3177
 
     def test_dropped_system_is_freed(self):
         cs = build_constraint_system(2, 2)
@@ -277,12 +288,25 @@ class TestParityKernel:
         assert submultiset(1, 3) == ()
         assert submultiset(0b1_001_010, 3) == (1, 2)
 
+    @pytest.mark.parametrize("n,k", [(5, 3), (4, 4)])
+    def test_profile_keys_are_restriction_classes(self, n, k):
+        for m in enumerate_faithful_monomials(n, k):
+            profile = parity_profile(m)
+            assert [rho for rho, _, _ in profile] == list(dict.fromkeys(m.factors))
+            for rho, key, codes in profile:
+                assert key == restriction_class(m, rho).factors
+                assert key.count(0) == m.mult(rho)
+                if m.mult(rho) == 1:
+                    assert codes == (1,)
+
 
 class TestAgainstReference:
     """check_membership and build_constraint_system share the parity
     kernel; these tests compare both with the criterion by definition."""
 
-    @pytest.mark.parametrize("n,k", [(2, 2), (3, 3), (5, 3), (6, 3), (4, 4)])
+    @pytest.mark.parametrize("n,k", [
+        (2, 2), (3, 3), (5, 3), (6, 3), (7, 3), (8, 3), (4, 4), (5, 4),
+    ])
     def test_rows(self, n, k):
         assert build_constraint_system(n, k).rows == reference_rows(n, k)
 
