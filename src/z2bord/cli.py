@@ -56,9 +56,10 @@ def cmd_check(args) -> int:
     cert = check_membership(p)
     if cert.accepted:
         print("accepted")
-        for dec in cert.decompositions:
-            print(f"rho {vec_str(dec.rho, p.k)}:")
-            for g in dec.groups:
+        groups = {dec.rho: dec.groups for dec in cert.decompositions}
+        for rho in range(1, 1 << p.k):
+            print(f"rho {vec_str(rho, p.k)}:")
+            for g in groups.get(rho, ()):
                 members = " / ".join(str(m) for m in g.members)
                 print(f"  multiplicity {g.multiplicity}"
                       f"  size {len(g.members)}  members {members}")
@@ -73,8 +74,6 @@ def cmd_check(args) -> int:
 
 def cmd_dim(args) -> int:
     n, k = args.n, args.k
-    if n < 0 or k < 1:
-        raise InputError("need n >= 0 and k >= 1")
     cs = build_constraint_system(n, k)
     d = cs.nullspace_dimension()
     print(f"n={n} k={k} faithful={len(cs.monomials)}"
@@ -122,12 +121,12 @@ def cmd_span(args) -> int:
 def cmd_graph_validate(args) -> int:
     from z2bord.graphs import parse_graph, validate_graph
 
-    report = validate_graph(_read(args.graph, parse_graph))
-    if report.ok:
+    violations = validate_graph(_read(args.graph, parse_graph))
+    if not violations:
         print("valid")
         return 0
     print("invalid")
-    for v in report.violations:
+    for v in violations:
         print(v)
     return 1
 

@@ -201,6 +201,9 @@ class Mat:
         for r in entries:
             if len(r) != n_cols:
                 raise InputError("ragged rows")
+            bad = [x for x in r if x not in (0, 1)]
+            if bad:
+                raise InputError(f"matrix entry {bad[0]!r} is not 0 or 1")
             rows.append(int("".join(str(int(x)) for x in r), 2))
         return cls(tuple(rows), n_cols)
 

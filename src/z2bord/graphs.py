@@ -1,9 +1,18 @@
-"""(Z/2)^k-labeled multigraphs of actions and their labeling polynomials."""
+"""(Z/2)^k-labeled multigraphs of actions and their labeling polynomials.
+
+The fixed points of a (Z/2)^k-action form a regular multigraph whose edges
+carry the nonzero functionals of the tangent representations; Z. Lü,
+"Graphs of 2-torus actions" (Contemp. Math. 460, 2008), gives the
+conditions validate_graph checks.  Each graph computes one incidence map,
+each vertex's sorted incident labels, and every reader uses it, so
+validation makes linear passes over the edges and that map.
+"""
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 from z2bord.gf2 import InputError, parse_vec, rank_of, unit, vec_str
 from z2bord.repalg import Monomial, Polynomial, content_lines
@@ -11,129 +20,116 @@ from z2bord.repalg import Monomial, Polynomial, content_lines
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """An undirected multigraph without loops, edges labeled by nonzero functionals."""
+    """An undirected multigraph without loops, edges labeled by functionals
+    in (Z/2)^k; a zero label is allowed here and reported by validate_graph."""
 
     k: int
-    edges: tuple[tuple[str, str, int], ...]  # (u, v, label bits), u != v
+    edges: tuple[tuple[str, str, int], ...]  # (u, v, label bits), u < v
 
     @classmethod
     def make(cls, k: int, edges) -> "LabeledGraph":
+        if k < 0:
+            raise InputError(f"rank {k} is negative")
         canon = []
         for u, v, label in edges:
             u, v = str(u), str(v)
             if u == v:
                 raise InputError(f"loop at vertex {u}")
+            if not 0 <= label < 1 << k:
+                raise InputError(f"edge {u}-{v} label {label} is outside (Z/2)^{k}")
             canon.append((min(u, v), max(u, v), label))
         return cls(k, tuple(sorted(canon)))
 
+    @cached_property
+    def incidence(self) -> MappingProxyType[str, tuple[int, ...]]:
+        """Each vertex's sorted incident labels, the vertices in sorted order."""
+        labels: dict[str, list[int]] = {}
+        for u, v, l in self.edges:
+            labels.setdefault(u, []).append(l)
+            labels.setdefault(v, []).append(l)
+        return MappingProxyType({x: tuple(sorted(labels[x])) for x in sorted(labels)})
+
     @property
     def vertices(self) -> list[str]:
-        return sorted({x for u, v, _ in self.edges for x in (u, v)})
-
-    def incident_labels(self, x: str) -> list[int]:
-        return sorted(l for u, v, l in self.edges if x in (u, v))
-
-
-@dataclass
-class GraphReport:
-    violations: list[str] = field(default_factory=list)
+        return list(self.incidence)
 
     @property
-    def ok(self) -> bool:
-        return not self.violations
+    def valences(self) -> list[int]:
+        """The distinct vertex valences, in increasing order."""
+        return sorted({len(labels) for labels in self.incidence.values()})
 
 
-def _mod_rho(labels, rho: int) -> Counter:
-    """Multiset of label cosets mod rho; coset rep is min(l, l ^ rho)."""
-    return Counter(min(l, l ^ rho) for l in labels)
+def _mod_rho(labels, rho: int) -> tuple[int, ...]:
+    """Sorted multiset of label cosets mod rho; coset rep is min(l, l ^ rho)."""
+    return tuple(sorted(min(l, l ^ rho) for l in labels))
 
 
-def validate_graph(g: LabeledGraph) -> GraphReport:
-    """Structural validation: regularity, nonzero spanning labels at each
-    vertex, the mod-rho congruence along every edge, and distinctness of
-    same-valence monochromatic components."""
-    report = GraphReport()
-    for u, v, l in g.edges:
-        if l == 0:
-            report.violations.append(f"edge {u}-{v} carries the trivial label")
-    valences = {x: len(g.incident_labels(x)) for x in g.vertices}
-    if len(set(valences.values())) > 1:
-        report.violations.append(f"graph is not regular: valences {sorted(set(valences.values()))}")
-    for x in g.vertices:
-        labels = g.incident_labels(x)
-        if rank_of(labels) != g.k:
-            report.violations.append(
-                f"labels at vertex {x} do not span the rank-{g.k} dual space"
-            )
-    # Congruence along each edge, with the edge itself removed from both sides.
-    for i, (u, v, rho) in enumerate(g.edges):
-        if rho == 0:
-            continue
-        left = Counter(g.incident_labels(u))
-        right = Counter(g.incident_labels(v))
-        left[rho] -= 1
-        right[rho] -= 1
-        if _mod_rho(left.elements(), rho) != _mod_rho(right.elements(), rho):
-            report.violations.append(
-                f"edge {u}-{v} (label {vec_str(rho, g.k)}): endpoint label "
-                "multisets disagree mod the edge label"
-            )
-    _check_components(g, report)
-    return report
+def validate_graph(g: LabeledGraph) -> list[str]:
+    """The violations of g, in order: zero labels, irregularity, labels not
+    spanning the dual space at a vertex, the mod-rho congruence along every
+    edge, and same-valence monochromatic components sharing a restriction
+    class.  An empty list means g is valid."""
+    inc = g.incidence
+    violations = [f"edge {u}-{v} carries the trivial label" for u, v, l in g.edges if l == 0]
+    if len(g.valences) > 1:
+        violations.append(f"graph is not regular: valences {g.valences}")
+    violations += [f"labels at vertex {x} do not span the rank-{g.k} dual space"
+                   for x, labels in inc.items() if rank_of(labels) != g.k]
+    # Both endpoints carry the edge's own label, which is 0 mod rho, so
+    # comparing the full label multisets mod rho gives the same verdict as
+    # comparing them with the edge removed.
+    violations += [
+        f"edge {u}-{v} (label {vec_str(rho, g.k)}): endpoint label "
+        "multisets disagree mod the edge label"
+        for u, v, rho in g.edges
+        if rho and _mod_rho(inc[u], rho) != _mod_rho(inc[v], rho)
+    ]
+    return violations + _component_violations(g)
 
 
-def _check_components(g: LabeledGraph, report: GraphReport):
+def _component_violations(g: LabeledGraph) -> list[str]:
     """Same-label components of valence > 1 must have distinct restriction
     classes; valence-one components are exempt."""
-    for rho in sorted({l for _, _, l in g.edges if l}):
-        adj: dict[str, set[str]] = {}
-        for u, v, l in g.edges:
-            if l == rho:
-                adj.setdefault(u, set()).add(v)
-                adj.setdefault(v, set()).add(u)
-        seen: set[str] = set()
-        classes: dict[tuple, int] = {}
-        for start in sorted(adj):
+    adj: dict[int, dict[str, list[str]]] = {}  # label -> vertex -> one neighbour per edge
+    for u, v, l in g.edges:
+        if l:
+            nbrs = adj.setdefault(l, {})
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
+    violations = []
+    for rho in sorted(adj):
+        nbrs, seen, classes = adj[rho], set(), set()
+        for start in sorted(nbrs):  # so start is the least vertex of its component
             if start in seen:
                 continue
-            comp = {start}
-            stack = [start]
+            comp, stack = {start}, [start]
             while stack:
-                x = stack.pop()
-                for y in adj[x] - comp:
-                    comp.add(y)
-                    stack.append(y)
+                for y in nbrs[stack.pop()]:
+                    if y not in comp:
+                        comp.add(y)
+                        stack.append(y)
             seen |= comp
-            mults = {sum(1 for l in g.incident_labels(x) if l == rho) for x in comp}
-            if len(mults) > 1:
-                report.violations.append(
-                    f"label {vec_str(rho, g.k)}: component {sorted(comp)} has "
-                    "nonconstant label multiplicity"
-                )
-                continue
-            m = mults.pop()
-            if m <= 1:
-                continue
-            x = min(comp)
-            key = (m, tuple(sorted(_mod_rho(g.incident_labels(x), rho).items())))
-            if key in classes:
-                report.violations.append(
-                    f"label {vec_str(rho, g.k)}: two valence-{m} components "
-                    "share a restriction class"
-                )
-            classes[key] = 1
+            m = len(nbrs[start])
+            if any(len(nbrs[x]) != m for x in comp):
+                violations.append(f"label {vec_str(rho, g.k)}: component {sorted(comp)} "
+                                  "has nonconstant label multiplicity")
+            elif m > 1:
+                key = (m, _mod_rho(g.incidence[start], rho))
+                if key in classes:
+                    violations.append(f"label {vec_str(rho, g.k)}: two valence-{m} "
+                                      "components share a restriction class")
+                classes.add(key)
+    return violations
 
 
 def labeling_polynomial(g: LabeledGraph) -> Polynomial:
     """Mod-2 sum over vertices of the product of incident labels."""
-    verts = g.vertices
-    if not verts:
+    if not g.edges:
         return Polynomial.zero(0, g.k)
-    valences = {len(g.incident_labels(x)) for x in verts}
-    if len(valences) > 1:
+    if len(g.valences) > 1:
         raise InputError("labeling polynomial requires a regular graph")
-    monos = [Monomial.make(g.incident_labels(x), g.k) for x in verts]
-    return Polynomial.make(monos, valences.pop(), g.k)
+    monos = [Monomial.make(labels, g.k) for labels in g.incidence.values()]
+    return Polynomial.make(monos, g.valences[0], g.k)
 
 
 def projective_space_graph(n: int) -> LabeledGraph:
@@ -141,12 +137,9 @@ def projective_space_graph(n: int) -> LabeledGraph:
     with rho_0 = 0 (the fixed points of the standard action on RP^n)."""
     if n < 1:
         raise InputError("n must be at least 1")
-
-    def r(i):
-        return 0 if i == 0 else unit(i, n)
-
+    r = [0] + [unit(i, n) for i in range(1, n + 1)]  # rho_0, ..., rho_n
     edges = [
-        (f"x{i}", f"x{j}", r(i) ^ r(j))
+        (f"x{i}", f"x{j}", r[i] ^ r[j])
         for i in range(n + 1)
         for j in range(i + 1, n + 1)
     ]
@@ -172,14 +165,13 @@ def parse_graph(text: str) -> LabeledGraph:
             raise InputError(f"edge label {parts[2]!r} has width {width}, expected {k}")
         edges.append((parts[0], parts[1], bits))
     g = LabeledGraph.make(k, edges)
-    valences = {len(g.incident_labels(x)) for x in g.vertices}
-    if valences and valences != {n}:
-        raise InputError(f"declared valence {n} but graph has valences {sorted(valences)}")
+    if g.edges and g.valences != [n]:
+        raise InputError(f"declared valence {n} but graph has valences {g.valences}")
     return g
 
 
 def render_graph(g: LabeledGraph) -> str:
-    valence = len(g.incident_labels(g.vertices[0])) if g.vertices else 0
+    valence = len(next(iter(g.incidence.values()), ()))  # the first vertex's
     lines = [f"{g.k} {valence}"]
     lines += [f"{u} {v} {vec_str(l, g.k)}" for u, v, l in g.edges]
     return "\n".join(lines) + "\n"

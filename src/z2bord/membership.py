@@ -184,6 +184,8 @@ def require_faithful(p: Polynomial) -> Polynomial:
 def check_membership(p: Polynomial) -> MembershipCertificate:
     """Certificate-producing test for realizability of p.
 
+    An accepted certificate has one decomposition per rho that divides
+    some monomial, in increasing rho order; any other rho has no groups.
     The groups of each rho come in (multiplicity, class) order, and the
     violation reported is the first one in that order, with the least
     witness in (len(s), s) order.
@@ -200,7 +202,7 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
             else:
                 group[2].append(m)
                 group[3].symmetric_difference_update(codes)
-    decs = {}
+    decs = []
     for rho in sorted(by_rho):
         # Every class has rank k - 1, so its factors order it.
         groups = sorted(by_rho[rho].values(), key=lambda g: (g[0], g[1].factors))
@@ -209,10 +211,9 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
                 witness = submultiset(min(odd), p.k)
                 return MembershipCertificate(
                     False, violation=Violation(rho, mult, cls, witness))
-        decs[rho] = tuple(
-            Group(mult, cls, frozenset(members)) for mult, cls, members, _ in groups)
-    return MembershipCertificate(True, decompositions=tuple(
-        RhoDecomposition(rho, decs.get(rho, ())) for rho in range(1, 1 << p.k)))
+        decs.append(RhoDecomposition(rho, tuple(
+            Group(mult, cls, frozenset(members)) for mult, cls, members, _ in groups)))
+    return MembershipCertificate(True, decompositions=tuple(decs))
 
 
 _ENUM_BOUNDS = (8, 4)  # max degree, max rank
@@ -221,6 +222,8 @@ _ENUM_BOUNDS = (8, 4)  # max degree, max rank
 def enumerate_faithful_monomials(n: int, k: int) -> list[Monomial]:
     """All degree-n faithful monomials over rank k, lexicographic order;
     none when 0 < n < k, as n factors span rank at most n."""
+    if n < 0 or k < 1:
+        raise InputError("need n >= 0 and k >= 1")
     if 0 < n < k:
         return []
     if n > _ENUM_BOUNDS[0] or k > _ENUM_BOUNDS[1]:

@@ -177,11 +177,14 @@ def admissible_subgroups(cf: CharacteristicFunction, r: int) -> list[Subspace]:
 
 def restricted_polynomial(cf: CharacteristicFunction, basis) -> Polynomial:
     """Restrict every vertex monomial to the subgroup spanned by the ordered
-    basis and sum; InputError when the basis is dependent."""
-    basis = tuple(basis)
+    basis and sum; InputError when the basis is dependent or leaves (Z/2)^dim."""
+    basis, dim = tuple(basis), cf.polytope.dim
+    wide = [b for b in basis if not 0 <= b < 1 << dim]
+    if wide:
+        raise InputError(f"basis vector {wide[0]} is outside (Z/2)^{dim}")
     if rank_of(basis) != len(basis):
         raise InputError("basis rows are not independent")
-    reps, dim = tangent_reps(cf), cf.polytope.dim
+    reps = tangent_reps(cf)
     trivial = _trivial_factor(reps, basis)
     if trivial is not None:
         v, f = trivial

@@ -238,6 +238,8 @@ class TestEnumerateGL:
 BAD_INPUT = {
     "unit_range": (lambda: unit(4, 3), "coordinate 4 out of range 1..3"),
     "ragged_rows": (lambda: Mat.from_entries([[1, 0], [1]]), "ragged rows"),
+    "entry_negative": (lambda: Mat.from_entries([[-1]]), "matrix entry -1 is not 0 or 1"),
+    "entry_two": (lambda: Mat.from_entries([[2, 0]]), "matrix entry 2 is not 0 or 1"),
     "product_shape": (lambda: Mat.identity(2) * Mat.identity(3), "shape mismatch"),
     "inverse_not_square": (lambda: Mat.from_entries([[1, 0, 1]]).inverse(), "not square"),
 }

@@ -73,6 +73,23 @@ class TestChecker:
     def test_accepts_zero(self):
         assert check_membership(Polynomial.zero(5, 3)).accepted
 
+    def test_zero_certificate_of_high_rank_is_empty(self):
+        # An accepted certificate lists only the rhos that divide some
+        # monomial, not all 2^20 - 1 nonzero functionals.
+        tracemalloc.start()
+        try:
+            cert = check_membership(Polynomial.zero(5, 20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert == MembershipCertificate(True, decompositions=())
+        assert peak < 1 << 20
+
+    def test_certificate_lists_the_rhos_that_occur(self):
+        rhos = [dec.rho for dec in check_membership(GEN_1).decompositions]
+        assert len(rhos) == 7 and rhos == sorted(rhos)
+        assert {f for m in GEN_1.monomials for f in m.factors} == set(rhos)
+
     def test_accepts_projective_plane(self):
         assert check_membership(RP2).accepted
 
@@ -236,7 +253,8 @@ def reference_check(p):
                 if sum(sub_multiset_multiplicity(m, s) for m in group.members) & 1:
                     return MembershipCertificate(False, violation=Violation(
                         rho, group.multiplicity, group.restriction, s))
-        decs.append(dec)
+        if dec.groups:
+            decs.append(dec)
     return MembershipCertificate(True, decompositions=tuple(decs))
 
 
@@ -335,6 +353,9 @@ class TestAgainstReference:
 
 BAD_INPUT = {
     "decompose_rho_zero": (lambda: decompose_for_rho(GEN_1, 0), "rho must be nonzero"),
+    "dimension_negative_degree": (lambda: image_dimension(-1, 3), "need n >= 0 and k >= 1"),
+    "dimension_negative_rank": (lambda: image_dimension(3, -1), "need n >= 0 and k >= 1"),
+    "dimension_rank_zero": (lambda: image_dimension(3, 0), "need n >= 0 and k >= 1"),
 }
 
 

@@ -130,7 +130,7 @@ class TestCharacteristicFunction:
             cf = CharacteristicFunction.from_matrix(
                 data["factor_dims"], data["matrix"]
             )
-            assert validate_graph(skeleton_graph(cf)).ok
+            assert validate_graph(skeleton_graph(cf)) == []
 
 
 class TestConstructions:
@@ -190,6 +190,16 @@ class TestConstructions:
         data = SMALL_COVER_1
         cf = CharacteristicFunction.from_matrix(data["factor_dims"], data["matrix"])
         with pytest.raises(InputError, match="^basis rows are not independent$"):
+            restricted_polynomial(cf, basis)
+
+    @pytest.mark.parametrize("basis,message", [
+        ([0b100000, 0b01111], "basis vector 32 is outside (Z/2)^5"),
+        ([0b01111, -1], "basis vector -1 is outside (Z/2)^5"),
+    ], ids=["wide", "negative"])
+    def test_rejects_basis_outside_the_group(self, basis, message):
+        data = SMALL_COVER_1
+        cf = CharacteristicFunction.from_matrix(data["factor_dims"], data["matrix"])
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             restricted_polynomial(cf, basis)
 
     def test_admissible_full_rank_is_whole_group(self):
