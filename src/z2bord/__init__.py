@@ -8,7 +8,7 @@ orbit machinery, labeled graphs, small covers over products of
 simplices, and Milnor hypersurface fixed-point polynomials.
 """
 
-from z2bord.gf2 import Mat, Subspace
+from z2bord.gf2 import Mat
 from z2bord.repalg import Monomial, Polynomial
 
-__all__ = ["Mat", "Subspace", "Monomial", "Polynomial"]
+__all__ = ["Mat", "Monomial", "Polynomial"]

@@ -2,10 +2,12 @@
 
 A length-k vector is an int whose bit (k - i) holds coordinate i, so the
 bit-string "110" is the vector (1, 1, 0) and numeric order on ints equals
-lexicographic order on bit-strings.  All operations are pure; matrices
-and subspaces are immutable and hashable.  Every elimination goes through
-one step, reduce_into, on a pivot table: a dict from a pivot bit to the
-one row whose highest set bit it is.
+lexicographic order on bit-strings.  All operations are pure.  A subspace
+is the tuple of its canonical RREF basis rows, highest first; only matrices
+are objects, immutable and hashable, and a matrix acts on a vector through
+repalg.restriction_table of its rows.  Every elimination goes through one
+step, reduce_into, on a pivot table: a dict from a pivot bit to the one row
+whose highest set bit it is.
 """
 
 from __future__ import annotations
@@ -113,39 +115,6 @@ def rank_of(rows) -> int:
     return len(pivot_table(rows))
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of (Z/2)^k in canonical reduced-row-echelon form."""
-
-    basis: tuple[int, ...]
-    k: int
-
-    @classmethod
-    def span(cls, vectors, k: int) -> "Subspace":
-        return cls(tuple(row_reduce(vectors)), k)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, v: int) -> bool:
-        return not reduce_into({b.bit_length() - 1: b for b in self.basis}, v)
-
-    def vectors(self) -> list[int]:
-        """All 2^dim elements, in increasing numeric order."""
-        out = [0]
-        for b in self.basis:
-            out += [v ^ b for v in out]
-        return sorted(out)
-
-    def complement(self) -> "Subspace":
-        """Orthogonal complement under the standard bilinear pairing."""
-        return nullspace(self.basis, self.k)
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(vec_str(b, self.k) for b in self.basis) + "}"
-
-
 _REVERSED_BYTE = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
 
 
@@ -156,8 +125,8 @@ def reverse_bits(v: int, k: int) -> int:
     return int.from_bytes(flipped, "big") >> (8 * n - k)
 
 
-def nullspace(rows, k: int) -> Subspace:
-    """Canonical right-nullspace of the matrix with the given rows.
+def nullspace(rows, k: int) -> tuple[int, ...]:
+    """Canonical basis tuple of the right-nullspace of the rows' matrix.
 
     The rows are reduced with their bit order reversed (see row_reduce: a
     pivot table keyed by each row's highest set bit, then back-substitution),
@@ -174,7 +143,7 @@ def nullspace(rows, k: int) -> Subspace:
         del vectors[q]
         for j in bits[1:]:
             vectors[k - 1 - j] |= 1 << q
-    return Subspace(tuple(vectors[g] for g in sorted(vectors, reverse=True)), k)
+    return tuple(vectors[g] for g in sorted(vectors, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -187,10 +156,6 @@ class Mat:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def identity(cls, k: int) -> "Mat":
-        return cls(tuple(1 << (k - 1 - i) for i in range(k)), k)
 
     @classmethod
     def from_entries(cls, entries) -> "Mat":
@@ -216,9 +181,6 @@ class Mat:
         """Entry in row i, column j (both 1-based)."""
         return (self.rows[i - 1] >> (self.n_cols - j)) & 1
 
-    def column(self, j: int) -> int:
-        return self.transpose().rows[j - 1]
-
     def transpose(self) -> "Mat":
         cols = []
         for shift in range(self.n_cols - 1, -1, -1):
@@ -227,20 +189,6 @@ class Mat:
                 c = (c << 1) | ((r >> shift) & 1)
             cols.append(c)
         return Mat(tuple(cols), self.n_rows)
-
-    def apply(self, v: int) -> int:
-        """Matrix-vector product over GF(2)."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= dot(r, v) << (self.n_rows - 1 - i)
-        return out
-
-    def __mul__(self, other: "Mat") -> "Mat":
-        if self.n_cols != other.n_rows:
-            raise InputError("shape mismatch")
-        return Mat.from_columns(
-            [self.apply(c) for c in other.transpose().rows], self.n_rows
-        )
 
     def rank(self) -> int:
         return rank_of(self.rows)
@@ -260,9 +208,6 @@ class Mat:
         mask = (1 << k) - 1
         red.sort(key=lambda r: -(r >> k))
         return Mat(tuple(r & mask for r in red), k)
-
-    def __str__(self) -> str:
-        return "\n".join(vec_str(r, self.n_cols) for r in self.rows)
 
 
 def enumerate_gl(k: int) -> list[Mat]:
@@ -285,8 +230,9 @@ def enumerate_gl(k: int) -> list[Mat]:
     return out
 
 
-def enumerate_subspaces(k: int, r: int) -> list[Subspace]:
-    """All rank-r subspaces of (Z/2)^k, canonical form, deterministic order."""
+def enumerate_subspaces(k: int, r: int) -> list[tuple[int, ...]]:
+    """Canonical basis tuples of all rank-r subspaces of (Z/2)^k, in a
+    deterministic order."""
     if k > 6:
         raise ResourceLimitError(f"subspace enumeration needs ambient rank <= 6, got {k}")
     if not 0 <= r <= k:
@@ -309,5 +255,5 @@ def enumerate_subspaces(k: int, r: int) -> list[Subspace]:
                         row |= unit(c, k)
                     pos += 1
                 rows.append(row)
-            out.append(Subspace(tuple(sorted(rows, reverse=True)), k))
+            out.append(tuple(sorted(rows, reverse=True)))
     return out

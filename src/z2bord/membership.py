@@ -39,7 +39,7 @@ from z2bord.repalg import Monomial, Polynomial, restriction_table
 @lru_cache(maxsize=None)
 def kernel_basis(rho: int, k: int) -> tuple[int, ...]:
     """Canonical ordered basis of ker rho (the RREF basis rows)."""
-    return nullspace([rho], k).basis
+    return nullspace([rho], k)
 
 
 @lru_cache(maxsize=None)
@@ -278,7 +278,7 @@ class ConstraintSystem:
         monomials = self.monomials
         return [
             Polynomial.make([monomials[j] for j in set_bits(b)], self.n, self.k)
-            for b in nullspace(self.rows, len(monomials)).basis
+            for b in nullspace(self.rows, len(monomials))
         ]
 
 

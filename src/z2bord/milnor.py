@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from z2bord.gf2 import InputError, ResourceLimitError
-from z2bord.repalg import Monomial, NonIsolatedError, Polynomial
+from z2bord.repalg import Monomial, Polynomial
 
 
 def rho_of_subset(s, r: int) -> int:
@@ -52,10 +52,6 @@ class SubsetFamily:
         """Functional of S_i (1-based)."""
         return rho_of_subset(self.sets[i - 1], self.r)
 
-    def rho_sym(self, i: int, j: int) -> int:
-        """Functional of the symmetric difference of S_i and S_j."""
-        return self.rho(i) ^ self.rho(j)
-
 
 def _check_sizes(m: int, n: int):
     if not 1 <= m <= n:
@@ -70,13 +66,6 @@ def _validate(m: int, n: int, family: SubsetFamily):
         raise InputError("subsets must be nonempty")
     if len(set(family.sets)) != n:
         raise InputError("subsets must be distinct")
-
-
-def _polynomial(terms, n: int, r: int) -> Polynomial:
-    """Mod-2 sum of the factor lists in terms, each a degree-n monomial."""
-    if any(0 in factors for factors in terms):
-        raise NonIsolatedError("a factor is the trivial representation")
-    return Polynomial.make((Monomial.make(factors, r) for factors in terms), n, r)
 
 
 def milnor_fixed_polynomial(m: int, n: int, family: SubsetFamily) -> Polynomial:
@@ -97,23 +86,6 @@ def milnor_fixed_polynomial(m: int, n: int, family: SubsetFamily) -> Polynomial:
                 fiber = [rho[j] ^ rho[l] for l in range(n + 1) if l not in (i, j)]
                 terms.append(Monomial.make(base + fiber, family.r))
     return Polynomial.make(terms, m + n - 1, family.r)
-
-
-def six_term_expansion(family: SubsetFamily) -> Polynomial:
-    """The explicit six-monomial form of the m=2, n=4 case, evaluated
-    directly as printed; an independent cross-check of the general formula."""
-    if len(family.sets) != 4:
-        raise InputError("six-term form requires exactly 4 subsets")
-    f = family
-    terms = [
-        (f.rho(1), f.rho(2), f.rho_sym(1, 3), f.rho_sym(2, 3), f.rho_sym(3, 4)),
-        (f.rho(1), f.rho(2), f.rho_sym(1, 4), f.rho_sym(2, 4), f.rho_sym(3, 4)),
-        (f.rho(1), f.rho(3), f.rho_sym(1, 2), f.rho_sym(2, 3), f.rho_sym(3, 4)),
-        (f.rho(1), f.rho(4), f.rho_sym(1, 2), f.rho_sym(2, 4), f.rho_sym(3, 4)),
-        (f.rho(2), f.rho(3), f.rho_sym(1, 2), f.rho_sym(1, 3), f.rho_sym(3, 4)),
-        (f.rho(2), f.rho(4), f.rho_sym(1, 2), f.rho_sym(1, 4), f.rho_sym(3, 4)),
-    ]
-    return _polynomial(terms, 5, family.r)
 
 
 @dataclass

@@ -140,7 +140,7 @@ def run_reproduction() -> ReproductionReport:
     admissible = admissible_subgroups(d5, 3)
     rep.add("simplex5_admissible_rank3_subgroups", 15, len(admissible))
     realized = sum(
-        not restricted_polynomial(d5, h.basis).is_zero for h in admissible
+        not restricted_polynomial(d5, h).is_zero for h in admissible
     )
     rep.add("simplex5_isolated_nonzero_restrictions", 0, realized)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from z2bord.gf2 import InputError, Mat, Subspace, enumerate_subspaces, rank_of, vec_str
+from z2bord.gf2 import InputError, Mat, enumerate_subspaces, rank_of, vec_str
 from z2bord.graphs import LabeledGraph
 from z2bord.repalg import (
     Monomial,
@@ -79,10 +79,6 @@ class ProductOfSimplices:
                 for w in range(v[j] + 1, d + 1):
                     out.append((v, tuple(w if i == j else c for i, c in enumerate(v))))
         return tuple(sorted(out))
-
-    def edge_facets(self, v: Vertex, w: Vertex) -> tuple[Facet, ...]:
-        """The dim-1 facets containing the edge {v, w}."""
-        return tuple(f for f in self.vertex_facets(v) if f in set(self.vertex_facets(w)))
 
 
 @dataclass(frozen=True)
@@ -164,15 +160,15 @@ def _trivial_factor(reps: dict[Vertex, Monomial], basis):
     return next(trivial, None)
 
 
-def admissible_subgroups(cf: CharacteristicFunction, r: int) -> list[Subspace]:
-    """Rank-r subgroups on which no tangent factor restricts to the trivial
-    representation, so the restricted action keeps the fixed points
-    isolated.  The tangent factor along an edge vanishes exactly on the
-    edge's facet-label span, so equivalently no such span contains h.
+def admissible_subgroups(cf: CharacteristicFunction, r: int) -> list[tuple[int, ...]]:
+    """Canonical basis tuples of the rank-r subgroups on which no tangent
+    factor restricts to the trivial representation, so the restricted action
+    keeps the fixed points isolated: the factor along an edge vanishes
+    exactly on the edge's facet-label span, so no such span contains h.
     Raises InputError for an invalid cf, as tangent_reps does."""
     reps = tangent_reps(cf)
     return [h for h in enumerate_subspaces(cf.polytope.dim, r)
-            if _trivial_factor(reps, h.basis) is None]
+            if _trivial_factor(reps, h) is None]
 
 
 def restricted_polynomial(cf: CharacteristicFunction, basis) -> Polynomial:

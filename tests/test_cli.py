@@ -158,6 +158,17 @@ class TestGraphValidate:
         assert main(["graph-validate", str(path)]) == 1
         assert capsys.readouterr().out.startswith("invalid")
 
+    def test_irregular_graph_is_reported(self, tmp_path, capsys):
+        from z2bord.graphs import LabeledGraph, render_graph, validate_graph
+
+        g = LabeledGraph.make(2, [("a", "b", 0b10), ("b", "c", 0b01), ("b", "c", 0b11)])
+        path = tmp_path / "irregular.graph"
+        path.write_text(render_graph(g))
+        assert main(["graph-validate", str(path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["invalid", *validate_graph(g)]
+        assert "graph is not regular: valences [1, 2, 3]" in out
+
     def test_malformed(self, tmp_path):
         path = tmp_path / "junk.graph"
         path.write_text("not a graph\n")

@@ -15,7 +15,6 @@ from z2bord.gf2 import (
     InputError,
     Mat,
     ResourceLimitError,
-    Subspace,
     dot,
     enumerate_gl,
     enumerate_subspaces,
@@ -26,6 +25,7 @@ from z2bord.gf2 import (
     unit,
     vec_str,
 )
+from z2bord.repalg import restriction_table
 
 
 def gl_order(k):
@@ -50,6 +50,26 @@ def reference_rref(rows):
             basis.append(row)
             basis.sort(reverse=True)
     return basis
+
+
+def span_vectors(rows):
+    """Every XOR of a subset of the rows, as a set."""
+    out = {0}
+    for row in rows:
+        out |= {v ^ row for v in out}
+    return out
+
+
+def matmul(a, b):
+    """Entry-by-entry matrix product over GF(2)."""
+    return Mat.from_entries(
+        [[sum(a.entry(i, j) & b.entry(j, l) for j in range(1, a.n_cols + 1)) & 1
+          for l in range(1, b.n_cols + 1)]
+         for i in range(1, a.n_rows + 1)]
+    )
+
+
+IDENTITY_3 = Mat.from_entries([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 @st.composite
@@ -109,7 +129,7 @@ class TestRowReduce:
     @given(st.lists(st.integers(0, 2**6 - 1), max_size=8))
     def test_rank_matches_span_size(self, rows):
         r = rank_of(rows)
-        assert len(Subspace.span(rows, 6).vectors()) == 2**r
+        assert len(span_vectors(rows)) == 2**r
 
     @settings(max_examples=300, deadline=None)
     @given(bit_matrices())
@@ -124,49 +144,51 @@ class TestRowReduce:
     def test_nullspace_dimension_and_orthogonality(self, matrix):
         rows, width = matrix
         ns = nullspace(rows, width)
-        assert ns.dim == width - rank_of(rows)
-        assert all(dot(r, v) == 0 for r in rows for v in ns.basis)
-        assert all(0 < v < 2**width for v in ns.basis)
-        assert list(ns.basis) == reference_rref(ns.basis)
+        assert type(ns) is tuple
+        assert len(ns) == width - rank_of(rows)
+        assert all(dot(r, v) == 0 for r in rows for v in ns)
+        assert all(0 < v < 2**width for v in ns)
+        assert list(ns) == reference_rref(ns)
 
 
 class TestSubspace:
-    def test_contains(self):
-        h = Subspace.span([0b110, 0b011], 3)
-        assert h.dim == 2
-        assert h.contains(0b101)
-        assert not h.contains(0b100)
-
     def test_rank_nullity(self):
         rows = [0b11010, 0b01100, 0b10110]
-        assert rank_of(rows) + nullspace(rows, 5).dim == 5
+        assert rank_of(rows) + len(nullspace(rows, 5)) == 5
 
     def test_nullspace_orthogonal(self):
         rows = [0b1101, 0b0111]
         ns = nullspace(rows, 4)
-        assert all(dot(r, v) == 0 for r in rows for v in ns.vectors())
+        assert all(dot(r, v) == 0 for r in rows for v in span_vectors(ns))
 
     def test_complement_of_construction_subgroup(self):
         # rank-3 subgroup of (Z/2)^5 used by the first small cover
-        h = Subspace.span(SMALL_COVER_1["subgroup_basis"], 5)
-        assert set(h.complement().vectors()) == {0, *SMALL_COVER_1["complement"]}
+        ns = nullspace(SMALL_COVER_1["subgroup_basis"], 5)
+        assert span_vectors(ns) == {0, *SMALL_COVER_1["complement"]}
 
     def test_complement_of_second_construction_subgroup(self):
-        h = Subspace.span(SMALL_COVER_2["subgroup_basis"], 5)
-        assert set(h.complement().vectors()) == {0, *SMALL_COVER_2["complement"]}
+        ns = nullspace(SMALL_COVER_2["subgroup_basis"], 5)
+        assert span_vectors(ns) == {0, *SMALL_COVER_2["complement"]}
 
     @settings(max_examples=50)
     @given(st.lists(st.integers(0, 2**5 - 1), max_size=5))
     def test_complement_involution_and_dimension(self, rows):
-        h = Subspace.span(rows, 5)
-        hp = h.complement()
-        assert hp.dim == 5 - h.dim
-        assert hp.complement() == h
+        h = tuple(row_reduce(rows))
+        hp = nullspace(h, 5)
+        assert len(hp) == 5 - len(h)
+        assert nullspace(hp, 5) == h
 
     def test_enumeration_counts(self):
-        for k in range(1, 5):
-            for r in range(0, k + 1):
-                assert len(enumerate_subspaces(k, r)) == gaussian_binomial(k, r)
+        # distinct canonical basis tuples, as many as the Gaussian binomial
+        for k in range(6):
+            for r in range(k + 1):
+                subspaces = enumerate_subspaces(k, r)
+                assert len(subspaces) == gaussian_binomial(k, r)
+                assert len(set(subspaces)) == len(subspaces)
+                for h in subspaces:
+                    assert type(h) is tuple and len(h) == r
+                    assert all(0 < v < 2**k for v in h)
+                    assert list(h) == reference_rref(h)
         assert len(enumerate_subspaces(5, 3)) == 155
 
     def test_enumeration_guard(self):
@@ -182,19 +204,27 @@ class TestMat:
 
     def test_columns_round_trip(self):
         a = Mat.from_entries([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-        assert Mat.from_columns([a.column(j) for j in (1, 2, 3)], 3) == a
+        columns = a.transpose().rows
+        assert [[(c >> (3 - i)) & 1 for i in (1, 2, 3)] for c in columns] == [
+            [a.entry(i, j) for i in (1, 2, 3)] for j in (1, 2, 3)
+        ]
+        assert Mat.from_columns(columns, 3) == a
 
-    def test_apply_matches_entry_arithmetic(self):
-        a = Mat.from_entries([[1, 1], [0, 1]])
-        assert a.apply(0b01) == 0b11
-        assert a.apply(0b10) == 0b10
+    def test_restriction_table_matches_entry_arithmetic(self):
+        # bit i of the image is row i . v, row 1 the highest bit
+        for a in enumerate_gl(3):
+            table = restriction_table(a.rows)
+            for v in range(8):
+                product = [sum(a.entry(i, j) & (v >> (3 - j)) & 1 for j in (1, 2, 3)) & 1
+                           for i in (1, 2, 3)]
+                assert vec_str(table[v], 3) == "".join(map(str, product))
 
     def test_inverse(self):
         rng = random.Random(7)
         gl = enumerate_gl(3)
         for a in rng.sample(gl, 20):
-            assert a * a.inverse() == Mat.identity(3)
-            assert a.inverse() * a == Mat.identity(3)
+            assert matmul(a, a.inverse()) == IDENTITY_3
+            assert matmul(a.inverse(), a) == IDENTITY_3
 
     def test_singular_has_no_inverse(self):
         a = Mat.from_entries([[1, 1], [1, 1]])
@@ -207,7 +237,7 @@ class TestMat:
         gl = enumerate_gl(3)
         for _ in range(20):
             a, b = rng.choice(gl), rng.choice(gl)
-            assert (a * b).transpose() == b.transpose() * a.transpose()
+            assert matmul(a, b).transpose() == matmul(b.transpose(), a.transpose())
 
 
 class TestEnumerateGL:
@@ -240,7 +270,6 @@ BAD_INPUT = {
     "ragged_rows": (lambda: Mat.from_entries([[1, 0], [1]]), "ragged rows"),
     "entry_negative": (lambda: Mat.from_entries([[-1]]), "matrix entry -1 is not 0 or 1"),
     "entry_two": (lambda: Mat.from_entries([[2, 0]]), "matrix entry 2 is not 0 or 1"),
-    "product_shape": (lambda: Mat.identity(2) * Mat.identity(3), "shape mismatch"),
     "inverse_not_square": (lambda: Mat.from_entries([[1, 0, 1]]).inverse(), "not square"),
 }
 

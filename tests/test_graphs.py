@@ -246,6 +246,14 @@ class TestSerialization:
             g = projective_space_graph(n)
             assert parse_graph(render_graph(g)) == g
 
+    def test_irregular_graph_round_trips(self):
+        # the header's valence is checked only for a regular graph, so an
+        # irregular one parses whatever it declares
+        g = LabeledGraph.make(2, [("a", "b", 0b10), ("b", "c", 0b01), ("b", "c", 0b11)])
+        text = render_graph(g)
+        assert parse_graph(text) == g
+        assert parse_graph("2 7" + text[text.index("\n"):]) == g
+
     def test_parse_rejects_malformed(self):
         for text, message in (
             ("", "empty graph file"),
