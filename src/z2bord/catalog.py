@@ -9,7 +9,7 @@ are published expected values that computed output is checked against.
 
 from __future__ import annotations
 
-from z2bord.gf2 import Mat, unit
+from z2bord.gf2 import unit
 from z2bord.repalg import Monomial, Polynomial
 
 
@@ -272,40 +272,34 @@ ORBIT2_SQUARES = (
 REJECTED_SINGLETON = poly("1 1 1 2 3", 3)
 
 
-# Stabilizer shape predicates for the four generators.
-def stab_shape_1(a: Mat) -> bool:
+# Stabilizer shape predicates for the four generators, on the row tuples
+# of enumerate_gl(3).
+def stab_shape_1(a: tuple[int, ...]) -> bool:
     """First row (1, 0, 0); the rest free."""
-    return a.rows[0] == 0b100
+    return a[0] == 0b100
 
 
-def stab_shape_2(a: Mat) -> bool:
+def stab_shape_2(a: tuple[int, ...]) -> bool:
     """Block-diagonal: invertible 2x2 block on coordinates 1,2 and a 1."""
-    return (
-        a.entry(1, 3) == 0
-        and a.entry(2, 3) == 0
-        and a.rows[2] == 0b001
-    )
+    return (a[0] | a[1]) & 0b001 == 0 and a[2] == 0b001
 
 
-def stab_shape_3(a: Mat) -> bool:
+def stab_shape_3(a: tuple[int, ...]) -> bool:
     """Lower-unitriangular with only the bottom-left entries free."""
-    return a.rows[0] == 0b100 and a.rows[1] == 0b010 and a.entry(3, 3) == 1
+    return a[0] == 0b100 and a[1] == 0b010 and a[2] & 0b001 == 0b001
 
 
-STAB_MATRICES_4 = tuple(
-    Mat.from_entries(e)
-    for e in (
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
-        [[1, 0, 0], [1, 1, 0], [1, 0, 1]],
-        [[1, 1, 0], [1, 0, 0], [1, 0, 1]],
-        [[0, 1, 0], [1, 1, 0], [0, 1, 1]],
-        [[1, 1, 0], [0, 1, 0], [0, 1, 1]],
-    )
+STAB_MATRICES_4 = (
+    (0b100, 0b010, 0b001),
+    (0b010, 0b100, 0b001),
+    (0b100, 0b110, 0b101),
+    (0b110, 0b100, 0b101),
+    (0b010, 0b110, 0b011),
+    (0b110, 0b010, 0b011),
 )
 
 
-def stab_shape_4(a: Mat) -> bool:
+def stab_shape_4(a: tuple[int, ...]) -> bool:
     return a in STAB_MATRICES_4
 
 

@@ -3,8 +3,8 @@
 A length-k vector is an int whose bit (k - i) holds coordinate i, so the
 bit-string "110" is the vector (1, 1, 0) and numeric order on ints equals
 lexicographic order on bit-strings.  All operations are pure.  A subspace
-is the tuple of its canonical RREF basis rows, highest first; only matrices
-are objects, immutable and hashable, and a matrix acts on a vector through
+is the tuple of its canonical RREF basis rows, highest first, and a matrix
+is the tuple of its bit-packed rows; a matrix acts on a vector through
 repalg.restriction_table of its rows.  Every elimination goes through one
 step, reduce_into, on a pivot table: a dict from a pivot bit to the one row
 whose highest set bit it is.
@@ -13,7 +13,6 @@ whose highest set bit it is.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 
 class InputError(ValueError):
@@ -146,79 +145,44 @@ def nullspace(rows, k: int) -> tuple[int, ...]:
     return tuple(vectors[g] for g in sorted(vectors, reverse=True))
 
 
-@dataclass(frozen=True)
-class Mat:
-    """A dense GF(2) matrix; each row is a bit-packed int of width n_cols."""
-
-    rows: tuple[int, ...]
-    n_cols: int
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def from_entries(cls, entries) -> "Mat":
-        """Build from an iterable of 0/1 rows, e.g. [[1,0],[1,1]]."""
-        entries = [list(r) for r in entries]
-        n_cols = len(entries[0]) if entries else 0
-        rows = []
-        for r in entries:
-            if len(r) != n_cols:
-                raise InputError("ragged rows")
-            bad = [x for x in r if x not in (0, 1)]
-            if bad:
-                raise InputError(f"matrix entry {bad[0]!r} is not 0 or 1")
-            rows.append(int("".join(str(int(x)) for x in r), 2))
-        return cls(tuple(rows), n_cols)
-
-    @classmethod
-    def from_columns(cls, cols, k: int) -> "Mat":
-        """Build a k x len(cols) matrix from bit-packed column vectors."""
-        return cls(tuple(cols), k).transpose()
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry in row i, column j (both 1-based)."""
-        return (self.rows[i - 1] >> (self.n_cols - j)) & 1
-
-    def transpose(self) -> "Mat":
-        cols = []
-        for shift in range(self.n_cols - 1, -1, -1):
-            c = 0
-            for r in self.rows:
-                c = (c << 1) | ((r >> shift) & 1)
-            cols.append(c)
-        return Mat(tuple(cols), self.n_rows)
-
-    def rank(self) -> int:
-        return rank_of(self.rows)
-
-    def is_invertible(self) -> bool:
-        return self.n_rows == self.n_cols and self.rank() == self.n_rows
-
-    def inverse(self) -> "Mat":
-        if self.n_rows != self.n_cols:
-            raise InputError("not square")
-        k = self.n_rows
-        # Augment [A | I] and reduce A to the identity.
-        aug = [(self.rows[i] << k) | (1 << (k - 1 - i)) for i in range(k)]
-        red = row_reduce(aug)
-        if len(red) != k or any((r >> k).bit_count() != 1 for r in red):
-            raise InputError("singular matrix")
-        mask = (1 << k) - 1
-        red.sort(key=lambda r: -(r >> k))
-        return Mat(tuple(r & mask for r in red), k)
+def transpose(rows, n_cols: int) -> tuple[int, ...]:
+    """The columns of the matrix whose rows have width n_cols, each as a
+    bit-packed int of width len(rows), column 1 first."""
+    cols = []
+    for shift in range(n_cols - 1, -1, -1):
+        c = 0
+        for r in rows:
+            c = (c << 1) | ((r >> shift) & 1)
+        cols.append(c)
+    return tuple(cols)
 
 
-def enumerate_gl(k: int) -> list[Mat]:
-    """All invertible k x k matrices, lexicographic in their row tuples."""
+def inverse(rows) -> tuple[int, ...]:
+    """Rows of the inverse of the square matrix whose rows these are.
+
+    [A | I] is reduced to [I | A^-1]; row_reduce returns the rows pivot-high
+    first, so the rows of A^-1 come out in order.
+    """
+    k = len(rows)
+    if any(r >> k for r in rows):
+        raise InputError("not square")
+    aug = [(r << k) | (1 << (k - 1 - i)) for i, r in enumerate(rows)]
+    red = row_reduce(aug)
+    if len(red) != k or any((r >> k).bit_count() != 1 for r in red):
+        raise InputError("singular matrix")
+    mask = (1 << k) - 1
+    return tuple(r & mask for r in red)
+
+
+def enumerate_gl(k: int) -> list[tuple[int, ...]]:
+    """Row tuples of all invertible k x k matrices, in lexicographic order."""
     if k > 4:
         raise ResourceLimitError(f"GL({k},2) enumeration not supported (k <= 4)")
-    out: list[Mat] = []
+    out: list[tuple[int, ...]] = []
 
     def extend(rows: list[int], table: dict[int, int]):
         if len(rows) == k:
-            out.append(Mat(tuple(rows), k))
+            out.append(tuple(rows))
             return
         for v in range(1, 1 << k):
             new = reduce_into(table, v)

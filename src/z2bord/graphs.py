@@ -155,6 +155,8 @@ def parse_graph(text: str) -> LabeledGraph:
         raise InputError("empty graph file")
     try:
         k, n = map(int, lines[0].split())
+        if n < 0:
+            raise ValueError
     except ValueError:
         raise InputError(f"bad graph header {lines[0]!r}; expected 'k n'") from None
     edges = []

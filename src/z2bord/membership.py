@@ -260,7 +260,11 @@ class ConstraintSystem:
         idx = self._index
         bits = 0
         for m in p.monomials:
-            bits |= 1 << idx[m]
+            j = idx.get(m)
+            if j is None:
+                raise InputError(f"monomial {m} is not a faithful monomial of "
+                                 f"degree {self.n} rank {self.k}")
+            bits |= 1 << j
         return bits
 
     def in_nullspace(self, bits: int) -> bool:

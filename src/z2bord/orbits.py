@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from z2bord.gf2 import InputError, Mat, enumerate_gl, rank_of
+from z2bord.gf2 import InputError, enumerate_gl, rank_of
 from z2bord.membership import ConstraintSystem, check_membership
 from z2bord.repalg import Polynomial, apply_automorphism
 
@@ -16,7 +16,7 @@ from z2bord.repalg import Polynomial, apply_automorphism
 class PolynomialOrbit:
     seed: Polynomial
     elements: frozenset[Polynomial]
-    stabilizer: tuple[Mat, ...]
+    stabilizer: tuple[tuple[int, ...], ...]  # row tuples, as from enumerate_gl
 
     def __contains__(self, p: Polynomial) -> bool:
         return p in self.elements

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from z2bord.gf2 import InputError, Mat, parse_vec, rank_of, vec_str
+from z2bord.gf2 import InputError, parse_vec, rank_of, transpose, vec_str
 
 
 class NonIsolatedError(ValueError):
@@ -99,7 +99,8 @@ class Polynomial:
         """Mod-2 sum of the monomials: a monomial that repeats cancels in pairs.
 
         The shape is read before cancelling, so make([m, m]) is the zero
-        polynomial of m's degree and rank; an empty input needs n and k.
+        polynomial of m's degree and rank; an empty input needs n and k, and
+        an n or k given with monomials must be theirs.
         """
         counts = Counter(monomials)
         degrees = {m.degree for m in counts}
@@ -107,7 +108,12 @@ class Polynomial:
         if len(degrees) > 1 or len(ranks) > 1:
             raise InputError("monomials of mixed degree or rank")
         if counts:
-            n, k = degrees.pop(), ranks.pop()
+            shape = degrees.pop(), ranks.pop()
+            given = (shape[0] if n is None else n, shape[1] if k is None else k)
+            if given != shape:
+                raise InputError(f"degree {given[0]} rank {given[1]} given for "
+                                 f"monomials of degree {shape[0]} rank {shape[1]}")
+            n, k = shape
         if n is None or k is None:
             raise InputError("zero polynomial needs explicit degree and rank")
         return cls(frozenset(m for m, c in counts.items() if c & 1), n, k)
@@ -150,16 +156,16 @@ class Polynomial:
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
-def automorphism_columns(a: Mat, k: int) -> tuple[int, ...]:
-    """The columns A e_1, ..., A e_k of an automorphism of (Z/2)^k, checked
-    once per matrix: f composed with g -> Ag is f restricted to this
-    ordered basis."""
-    if a.n_cols != k or not a.is_invertible():
+def automorphism_columns(a: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The columns A e_1, ..., A e_k of an automorphism of (Z/2)^k given by
+    its rows, checked once per matrix: f composed with g -> Ag is f
+    restricted to this ordered basis."""
+    if len(a) != k or any(r >> k for r in a) or rank_of(a) != k:
         raise InputError("matrix is singular or of the wrong size")
-    return a.transpose().rows
+    return transpose(a, k)
 
 
-def apply_automorphism(p: Polynomial, a: Mat) -> Polynomial:
+def apply_automorphism(p: Polynomial, a: tuple[int, ...]) -> Polynomial:
     """Precompose every factor functional with the automorphism g -> Ag."""
     columns = automorphism_columns(a, p.k)
     monos = {m.restrict(columns) for m in p.monomials}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from z2bord.gf2 import InputError, Mat, enumerate_subspaces, rank_of, vec_str
+from z2bord.gf2 import InputError, enumerate_subspaces, inverse, rank_of, transpose, vec_str
 from z2bord.graphs import LabeledGraph
 from z2bord.repalg import (
     Monomial,
@@ -90,13 +90,22 @@ class CharacteristicFunction:
     def from_matrix(cls, factor_dims, matrix_rows) -> "CharacteristicFunction":
         """Rows of 0/1 entries; columns are facets in printed order."""
         p = ProductOfSimplices(tuple(factor_dims))
-        m = Mat.from_entries(matrix_rows)
+        entries = [list(r) for r in matrix_rows]
+        n_cols = len(entries[0]) if entries else 0
+        rows = []
+        for r in entries:
+            if len(r) != n_cols:
+                raise InputError("ragged rows")
+            bad = [x for x in r if x not in (0, 1)]
+            if bad:
+                raise InputError(f"matrix entry {bad[0]!r} is not 0 or 1")
+            rows.append(int("".join(str(int(x)) for x in r), 2))
         n_facets = sum(d + 1 for d in p.factor_dims)
-        if m.n_rows != p.dim or m.n_cols != n_facets:
+        if len(rows) != p.dim or n_cols != n_facets:
             raise InputError(
-                f"label matrix must be {p.dim} x {n_facets}, got {m.n_rows} x {m.n_cols}"
+                f"label matrix must be {p.dim} x {n_facets}, got {len(rows)} x {n_cols}"
             )
-        return cls(p, m.transpose().rows)
+        return cls(p, transpose(rows, n_cols))
 
     def label(self, f: Facet) -> int:
         return self.labels[self.polytope.facets.index(f)]
@@ -109,7 +118,7 @@ class CharacteristicFunction:
         for v in self.polytope.vertices:
             cols = [self.label(f) for f in self.polytope.vertex_facets(v)]
             try:
-                out[v] = Mat.from_columns(cols, self.polytope.dim).inverse().rows
+                out[v] = inverse(transpose(cols, self.polytope.dim))
             except InputError:
                 return v
         return MappingProxyType(out)

@@ -276,6 +276,8 @@ BAD_INPUT = {
         lambda: labeling_polynomial(LabeledGraph.make(2, [("a", "b", 0b10), ("b", "c", 0b01)])),
         "labeling polynomial requires a regular graph"),
     "projective_n_below_one": (lambda: projective_space_graph(0), "n must be at least 1"),
+    "parse_negative_valence": (lambda: parse_graph("2 -1\n"),
+                               "bad graph header '2 -1'; expected 'k n'"),
     "parse_label_width": (lambda: parse_graph("2 1\na b 101\n"),
                           "edge label '101' has width 3, expected 2"),
     "label_too_wide": (lambda: LabeledGraph.make(2, [("a", "b", 5), ("a", "b", 1)]),

@@ -185,6 +185,17 @@ class TestConstraintSystem:
         assert bits.bit_count() == 4
         assert cs.in_nullspace(bits)
 
+    @pytest.mark.parametrize("text,message", [
+        ("1 2 3 123", "monomial 001,010,100,111 is not a faithful monomial of degree 5 rank 3"),
+        ("1 1 2 2 12", "monomial 010,010,100,100,110 is not a faithful monomial of degree 5 rank 3"),
+    ])
+    def test_indicator_refuses_monomials_outside_the_basis(self, text, message):
+        cs = build_constraint_system(5, 3)
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            cs.indicator(poly(text, 3))
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            cs.accepts(poly(text, 3))
+
     def _oracle_agreement(self, n, k, subsets):
         cs = build_constraint_system(n, k)
         for monos in subsets:

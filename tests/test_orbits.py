@@ -14,7 +14,7 @@ from z2bord.catalog import (
     poly,
 )
 from z2bord.gf2 import InputError, enumerate_gl
-from z2bord.membership import build_constraint_system
+from z2bord.membership import build_constraint_system, check_membership
 from z2bord.orbits import (
     orbit,
     span_dimension,
@@ -110,6 +110,13 @@ class TestGeneratingSet:
     def test_projective_plane_generates_degree_two(self):
         rp2 = poly("1 2\n1 12\n2 12", 2)
         assert verify_generating_set(build_constraint_system(2, 2), [rp2])
+
+    def test_generator_of_another_degree_raises(self):
+        # accepted by the membership criterion at degree 4, outside the degree-5 basis
+        p = min(build_constraint_system(4, 3).nullspace_basis(), key=len)
+        assert check_membership(p).accepted
+        with pytest.raises(InputError, match="^monomial .* is not a faithful monomial of degree 5 rank 3$"):
+            verify_generating_set(build_constraint_system(5, 3), [p])
 
     def test_rejected_generator_raises(self):
         with pytest.raises(InputError, match="^generator rejected by the membership criterion:\n01,10\n$"):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2bord.catalog import GEN_1, GEN_2, GEN_3, GENERATORS, mono, poly
-from z2bord.gf2 import InputError, Mat, dot, enumerate_gl, reduce_into
+from z2bord.gf2 import InputError, dot, enumerate_gl, reduce_into
 from z2bord.repalg import (
     Monomial,
     Polynomial,
@@ -59,6 +59,7 @@ class TestPolynomial:
         m = mono("1 2 3", 3)
         pair = Polynomial.make([m, m])
         assert pair.is_zero and (pair.n, pair.k) == (3, 3)
+        assert Polynomial.make([m, m], 3, 3) == pair
         assert Polynomial.make([m, m, m]) == Polynomial.make([m])
 
     def test_generator_sizes(self):
@@ -71,7 +72,16 @@ class TestAutomorphismAction:
             assert apply_automorphism(g, IDENTITY_3) == g
 
     def test_rejects_singular(self):
-        a = Mat.from_entries([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        a = (0b110, 0b110, 0b001)
+        with pytest.raises(InputError, match="^matrix is singular or of the wrong size$"):
+            apply_automorphism(GEN_1, a)
+
+    @pytest.mark.parametrize("a", [
+        (0b1000, 0b010, 0b001),  # rank 3, but a row wider than 3
+        (0b100, 0b010),  # too few rows
+        (0b1000, 0b0100, 0b0010, 0b0001),  # GL(4,2) on a rank-3 polynomial
+    ])
+    def test_rejects_the_wrong_size(self, a):
         with pytest.raises(InputError, match="^matrix is singular or of the wrong size$"):
             apply_automorphism(GEN_1, a)
 
@@ -91,7 +101,7 @@ class TestAutomorphismAction:
 
     def test_known_stabilizer_element(self):
         # fixing the first coordinate functional stabilizes the first generator
-        a = Mat.from_entries([[1, 0, 0], [0, 1, 1], [0, 1, 0]])
+        a = (0b100, 0b011, 0b010)
         assert apply_automorphism(GEN_1, a) == GEN_1
 
 
@@ -203,6 +213,12 @@ BAD_INPUT = {
                           "monomials of mixed degree or rank"),
     "make_empty_without_shape": (lambda: Polynomial.make([]),
                                  "zero polynomial needs explicit degree and rank"),
+    "make_shape_mismatch": (lambda: Polynomial.make([Monomial.make([1, 2, 4], 3)], n=4, k=5),
+                            "degree 4 rank 5 given for monomials of degree 3 rank 3"),
+    "make_degree_mismatch": (lambda: Polynomial.make([mono("1 2 3", 3)], n=4),
+                             "degree 4 rank 3 given for monomials of degree 3 rank 3"),
+    "make_rank_mismatch": (lambda: Polynomial.make([mono("1 2 3", 3)], k=4),
+                           "degree 3 rank 4 given for monomials of degree 3 rank 3"),
     "parse_degree_mismatch": (lambda: parse_polynomial("100,010,001\n100,010\n"),
                               "line 2: degree 2 != earlier degree 3"),
     "parse_rank_mismatch": (lambda: parse_polynomial("100,010,001\n10,01,11\n"),

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from z2bord.catalog import DELTA5, SMALL_COVER_1, SMALL_COVER_2
-from z2bord.gf2 import InputError, Mat, enumerate_subspaces, nullspace, rank_of, row_reduce
+from z2bord.gf2 import InputError, enumerate_subspaces, nullspace, rank_of, row_reduce
 from z2bord.membership import check_membership
 from z2bord.orbits import orbit
 from z2bord.repalg import Polynomial, restriction_table
@@ -29,9 +29,9 @@ from z2bord.graphs import LabeledGraph, validate_graph
 
 def random_invertible(k, rng):
     while True:
-        rows = [rng.randrange(1, 2**k) for _ in range(k)]
+        rows = tuple(rng.randrange(1, 2**k) for _ in range(k))
         if rank_of(rows) == k:
-            return Mat(tuple(rows), k)
+            return rows
 
 
 def edge_facets(p, v, w):
@@ -53,7 +53,7 @@ def randomized_valid_cf(data, rng):
     by relabeling with a random change of basis."""
     a = random_invertible(len(data["matrix"]), rng)
     cf = CharacteristicFunction.from_matrix(data["factor_dims"], data["matrix"])
-    table = restriction_table(a.rows)
+    table = restriction_table(a)
     return CharacteristicFunction(cf.polytope, tuple(table[l] for l in cf.labels))
 
 
@@ -337,3 +337,19 @@ class TestParsing:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+BAD_INPUT = {
+    "ragged_rows": (lambda: CharacteristicFunction.from_matrix((1,), [[1, 0], [1]]),
+                    "ragged rows"),
+    "entry_negative": (lambda: CharacteristicFunction.from_matrix((1,), [[-1]]),
+                       "matrix entry -1 is not 0 or 1"),
+    "entry_two": (lambda: CharacteristicFunction.from_matrix((1,), [[2, 0]]),
+                  "matrix entry 2 is not 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("call,message", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_raises_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
