@@ -21,6 +21,14 @@ parity_profile, which rests on three facts:
 - The code of s = (s_1 <= ... <= s_L) over rank k is a leading 1 followed
   by s_1, ..., s_L, k bits each.  Codes of longer s are larger, so
   numeric order on codes is (len(s), s) order.
+
+check_membership packs each (group, odd witness) pair of a monomial into
+one int: rho, the multiplicity, the class and the code, from high bits
+to low, in fields sized from the degree and rank, so numeric order is
+the certificate's order.  A polynomial is accepted iff the XOR of its
+monomials' sets of packed ints is empty, and otherwise the least int
+left decodes to the reported violation.  An accepted certificate builds
+its decompositions when they are first read.
 """
 
 from __future__ import annotations
@@ -28,8 +36,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, reduce
+from operator import and_
 
 from z2bord import gf2
 from z2bord.gf2 import InputError, ResourceLimitError, nullspace, rank_of, set_bits
@@ -73,9 +82,31 @@ class Violation:
 
 @dataclass(frozen=True)
 class MembershipCertificate:
+    """The verdict on polynomial: its violation when rejected, and when
+    accepted its decompositions, built from polynomial when first read."""
+
     accepted: bool
-    decompositions: tuple[RhoDecomposition, ...] = ()
     violation: Violation | None = None
+    polynomial: Polynomial | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def decompositions(self) -> tuple[RhoDecomposition, ...]:
+        """One decomposition per rho that divides some monomial, in
+        increasing rho order, its groups in (multiplicity, class) order;
+        () when rejected."""
+        p = self.polynomial
+        if p is None:  # rejected
+            return ()
+        code_bits = _field_bits(p.n, p.k)[2]
+        members: defaultdict[int, list[Monomial]] = defaultdict(list)
+        for m in p.monomials:
+            for group in {x >> code_bits << code_bits for x in _checked_profile(m)}:
+                members[group].append(m)
+        by_rho: defaultdict[int, list[Group]] = defaultdict(list)
+        for group in sorted(members):
+            rho, mult, cls, _ = _unpack(group, p.n, p.k)
+            by_rho[rho].append(Group(mult, cls, frozenset(members[group])))
+        return tuple(RhoDecomposition(rho, tuple(gs)) for rho, gs in by_rho.items())
 
 
 def decompose_for_rho(p: Polynomial, rho: int) -> RhoDecomposition:
@@ -148,29 +179,40 @@ def parity_profile(m: Monomial) -> tuple:
     )
 
 
-# Bound on the per-monomial caches below: the 26,740 faithful monomials
-# of (6,4) fit.
-_PROFILE_CACHE = 1 << 16
+def _field_bits(n: int, k: int) -> tuple[int, int, int]:
+    """Bits of the multiplicity, class and witness-code fields of a packed
+    (group, witness) int at degree n, rank k: a multiplicity is at most n,
+    a class has n factors of k - 1 bits, and the code of fewer than n
+    factors is below 1 << k * n."""
+    return n.bit_length(), n * (k - 1), n * k
 
 
-@lru_cache(maxsize=_PROFILE_CACHE)
-def _shared(t):
-    """The first cached value equal to t, so that equal classes and code
-    tuples of cached profiles are one object."""
-    return t
+def _unpack(x: int, n: int, k: int) -> tuple[int, int, Monomial, int]:
+    """(rho, multiplicity, class, code) packed in x by _checked_profile."""
+    mult_bits, class_bits, code_bits = _field_bits(n, k)
+    code, x = x & ((1 << code_bits) - 1), x >> code_bits
+    cls, x = x & ((1 << class_bits) - 1), x >> class_bits
+    mask = (1 << k - 1) - 1
+    factors = tuple(cls >> (k - 1) * i & mask for i in reversed(range(n)))
+    return x >> mult_bits, x & ((1 << mult_bits) - 1), Monomial(factors, k - 1), code
 
 
-@lru_cache(maxsize=_PROFILE_CACHE)
-def _checked_profile(m: Monomial):
-    """(rho, key, codes, class) for each entry of parity_profile(m), or
-    None when m is not faithful.  The class is the key as a monomial
-    over rank k - 1."""
+@lru_cache(maxsize=1 << 16)  # the 26,740 faithful monomials of (6,4) fit
+def _checked_profile(m: Monomial) -> frozenset[int] | None:
+    """One packed int per (group, odd witness) pair of parity_profile(m)
+    (see the module docstring), or None when m is not faithful."""
     if not m.is_faithful():
         return None
-    return tuple(
-        (rho, (cls := _shared(Monomial(key, m.k - 1))).factors, _shared(codes), cls)
-        for rho, key, codes in parity_profile(m)
-    )
+    k = m.k
+    mult_bits, class_bits, code_bits = _field_bits(m.degree, k)
+    out = []
+    for rho, key, codes in parity_profile(m):
+        cls = 0
+        for f in key:
+            cls = cls << k - 1 | f
+        group = ((rho << mult_bits | key.count(0)) << class_bits | cls) << code_bits
+        out += [group | code for code in codes]
+    return frozenset(out)
 
 
 def require_faithful(p: Polynomial) -> Polynomial:
@@ -184,36 +226,22 @@ def require_faithful(p: Polynomial) -> Polynomial:
 def check_membership(p: Polynomial) -> MembershipCertificate:
     """Certificate-producing test for realizability of p.
 
-    An accepted certificate has one decomposition per rho that divides
-    some monomial, in increasing rho order; any other rho has no groups.
-    The groups of each rho come in (multiplicity, class) order, and the
-    violation reported is the first one in that order, with the least
-    witness in (len(s), s) order.
+    p is accepted iff every (group, witness) pair has an even parity sum,
+    that is iff the mod-2 sum of the monomials' packed profiles is empty.
+    Otherwise the violation reported is the least odd pair in (rho,
+    multiplicity, class, (len(s), s)) order.
     """
-    by_rho: defaultdict[int, dict] = defaultdict(dict)  # the rhos that occur
+    odd: set[int] = set()
     for m in p.monomials:
         profile = _checked_profile(m)
         if profile is None:
             require_faithful(p)
-        for rho, key, codes, cls in profile:
-            group = by_rho[rho].get(key)
-            if group is None:
-                by_rho[rho][key] = (key.count(0), cls, [m], set(codes))
-            else:
-                group[2].append(m)
-                group[3].symmetric_difference_update(codes)
-    decs = []
-    for rho in sorted(by_rho):
-        # Every class has rank k - 1, so its factors order it.
-        groups = sorted(by_rho[rho].values(), key=lambda g: (g[0], g[1].factors))
-        for mult, cls, _, odd in groups:
-            if odd:
-                witness = submultiset(min(odd), p.k)
-                return MembershipCertificate(
-                    False, violation=Violation(rho, mult, cls, witness))
-        decs.append(RhoDecomposition(rho, tuple(
-            Group(mult, cls, frozenset(members)) for mult, cls, members, _ in groups)))
-    return MembershipCertificate(True, decompositions=tuple(decs))
+        odd ^= profile
+    if not odd:
+        return MembershipCertificate(True, polynomial=p)
+    rho, mult, cls, code = _unpack(min(odd), p.n, p.k)
+    return MembershipCertificate(
+        False, violation=Violation(rho, mult, cls, submultiset(code, p.k)))
 
 
 _ENUM_BOUNDS = (8, 4)  # max degree, max rank
@@ -231,11 +259,15 @@ def enumerate_faithful_monomials(n: int, k: int) -> list[Monomial]:
             f"faithful-monomial enumeration bounded by degree {_ENUM_BOUNDS[0]}, "
             f"rank {_ENUM_BOUNDS[1]}; got ({n}, {k})"
         )
-    out = []
-    for factors in itertools.combinations_with_replacement(range(1, 1 << k), n):
-        if rank_of(factors) == k:
-            out.append(Monomial(factors, k))
-    return out
+    # The factors span rank k iff no nonzero rho vanishes on all of them,
+    # i.e. iff the AND of their masks is 0; bit rho of mask[f] is set when
+    # rho(f) = 0.
+    nonzero = range(1, 1 << k)
+    mask = [sum(1 << rho for rho in nonzero if not gf2.dot(rho, f)) for f in range(1 << k)]
+    every_rho = mask[0]
+    return [Monomial(factors, k)
+            for factors in itertools.combinations_with_replacement(nonzero, n)
+            if not reduce(and_, map(mask.__getitem__, factors), every_rho)]
 
 
 @dataclass(frozen=True)
@@ -268,7 +300,7 @@ class ConstraintSystem:
         return bits
 
     def in_nullspace(self, bits: int) -> bool:
-        return all(gf2.dot(row, bits) == 0 for row in self.rows)
+        return not any((row & bits).bit_count() & 1 for row in self.rows)
 
     def accepts(self, p: Polynomial) -> bool:
         return self.in_nullspace(self.indicator(p))

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from z2bord.catalog import GEN_1, REJECTED_SINGLETON, SMALL_COVER_1
+from z2bord.catalog import GEN_1, GEN_4, REJECTED_SINGLETON, SMALL_COVER_1
 from z2bord.cli import _parse_subgroup, main
 from z2bord.gf2 import InputError
 from z2bord.repalg import render_polynomial
@@ -30,6 +30,13 @@ def gen1_file(tmp_path):
 
 
 @pytest.fixture
+def gen4_file(tmp_path):
+    path = tmp_path / "gen4.poly"
+    path.write_text(render_polynomial(GEN_4))
+    return str(path)
+
+
+@pytest.fixture
 def lam_file(tmp_path):
     path = tmp_path / "sc1.lam"
     rows = "\n".join(" ".join(map(str, r)) for r in SMALL_COVER_1["matrix"])
@@ -44,16 +51,60 @@ def rejected_file(tmp_path):
     return str(path)
 
 
+# The full `check` output on GEN_4, whose groups have 2 and 4 members,
+# and on the rejected candidate: every group, member and witness, in the
+# order they are printed.
+GEN_4_CHECK = (
+    'accepted\n'
+    'rho 001:\n'
+    '  multiplicity 1  size 2  members 001,010,011,100,101 / 001,010,010,100,100\n'
+    '  multiplicity 1  size 2  members 001,010,011,101,110 / 001,010,010,100,110\n'
+    '  multiplicity 1  size 2  members 001,010,100,100,110 / 001,011,100,101,110\n'
+    'rho 010:\n'
+    '  multiplicity 1  size 2  members 001,010,011,101,110 / 001,010,011,100,101\n'
+    '  multiplicity 1  size 2  members 010,011,100,110,110 / 001,010,100,100,110\n'
+    '  multiplicity 1  size 2  members 010,100,101,110,110 / 010,100,100,101,110\n'
+    '  multiplicity 2  size 4  members 010,010,011,100,110 / 010,010,011,110,110 / 001,010,010,100,100 / 001,010,010,100,110\n'
+    'rho 011:\n'
+    '  multiplicity 1  size 2  members 010,010,011,100,110 / 001,010,011,100,101\n'
+    '  multiplicity 1  size 2  members 001,010,011,101,110 / 010,010,011,110,110\n'
+    '  multiplicity 1  size 2  members 010,011,100,110,110 / 001,011,100,101,110\n'
+    'rho 100:\n'
+    '  multiplicity 1  size 2  members 001,010,011,100,101 / 001,011,100,101,110\n'
+    '  multiplicity 1  size 2  members 010,100,101,110,110 / 001,010,010,100,110\n'
+    '  multiplicity 1  size 2  members 010,010,011,100,110 / 010,011,100,110,110\n'
+    '  multiplicity 2  size 4  members 001,010,100,100,110 / 001,010,010,100,100 / 010,100,100,101,110 / 100,100,101,110,110\n'
+    'rho 101:\n'
+    '  multiplicity 1  size 2  members 001,010,011,100,101 / 010,100,100,101,110\n'
+    '  multiplicity 1  size 2  members 010,100,101,110,110 / 001,010,011,101,110\n'
+    '  multiplicity 1  size 2  members 100,100,101,110,110 / 001,011,100,101,110\n'
+    'rho 110:\n'
+    '  multiplicity 1  size 2  members 001,010,100,100,110 / 001,010,010,100,110\n'
+    '  multiplicity 1  size 2  members 001,010,011,101,110 / 001,011,100,101,110\n'
+    '  multiplicity 1  size 2  members 010,010,011,100,110 / 010,100,100,101,110\n'
+    '  multiplicity 2  size 4  members 010,100,101,110,110 / 010,010,011,110,110 / 100,100,101,110,110 / 010,011,100,110,110\n'
+    'rho 111:\n'
+)
+REJECTED_CHECK = (
+    'rejected\n'
+    'rho 001\n'
+    'multiplicity 1\n'
+    'witness (empty)\n'
+)
+
+
 class TestCheck:
     def test_accepted(self, gen1_file, capsys):
         assert main(["check", gen1_file]) == 0
         assert capsys.readouterr().out.startswith("accepted")
 
+    def test_accepted_output(self, gen4_file, capsys):
+        assert main(["check", gen4_file]) == 0
+        assert capsys.readouterr() == (GEN_4_CHECK, "")
+
     def test_rejected(self, rejected_file, capsys):
         assert main(["check", rejected_file]) == 1
-        out = capsys.readouterr().out
-        assert out.startswith("rejected")
-        assert "rho" in out
+        assert capsys.readouterr() == (REJECTED_CHECK, "")
 
     def test_missing_file(self, capsys):
         assert main(["check", "/no/such/file.poly"]) == 2

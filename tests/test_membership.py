@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2bord.catalog import GEN_1, GENERATORS, REJECTED_SINGLETON, mono, poly
-from z2bord.gf2 import InputError, ResourceLimitError, unit
+from z2bord.gf2 import InputError, ResourceLimitError, rank_of, unit
 from z2bord.membership import (
-    MembershipCertificate,
     Violation,
     build_constraint_system,
     check_membership,
@@ -82,8 +81,14 @@ class TestChecker:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cert == MembershipCertificate(True, decompositions=())
+        assert certificate(cert) == (True, None, ())
         assert peak < 1 << 20
+
+    def test_decompositions_are_built_when_read(self):
+        cert = check_membership(GEN_1)
+        assert "decompositions" not in vars(cert)
+        assert cert.decompositions is cert.decompositions
+        assert len(cert.decompositions) == 7
 
     def test_certificate_lists_the_rhos_that_occur(self):
         rhos = [dec.rho for dec in check_membership(GEN_1).decompositions]
@@ -147,6 +152,15 @@ class TestFaithfulEnumeration:
     def test_all_enumerated_are_faithful(self):
         for m in enumerate_faithful_monomials(3, 2):
             assert m.is_faithful()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equals_the_rank_definition(self, k):
+        for n in range(6):
+            assert enumerate_faithful_monomials(n, k) == [
+                Monomial(factors, k)
+                for factors in itertools.combinations_with_replacement(range(1, 1 << k), n)
+                if rank_of(factors) == k
+            ]
 
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -252,21 +266,30 @@ def reference_candidates(group):
     return sorted(cands, key=lambda s: (len(s), s))
 
 
-def reference_check(p):
-    """The criterion by definition: decompose_for_rho, then the parity of
-    sub_multiset_multiplicity summed over each group, per candidate.
-    p must be faithful."""
-    decs = []
+def certificate(cert):
+    """The certificate's (accepted, violation, decompositions)."""
+    return cert.accepted, cert.violation, cert.decompositions
+
+
+def reference_violations(p):
+    """Every violation of the criterion by definition: decompose_for_rho,
+    then the parity of sub_multiset_multiplicity summed over each group,
+    per candidate; in rho, (multiplicity, class), (len(S), S) order."""
     for rho in range(1, 1 << p.k):
-        dec = decompose_for_rho(p, rho)
-        for group in dec.groups:
+        for group in decompose_for_rho(p, rho).groups:
             for s in reference_candidates(group):
                 if sum(sub_multiset_multiplicity(m, s) for m in group.members) & 1:
-                    return MembershipCertificate(False, violation=Violation(
-                        rho, group.multiplicity, group.restriction, s))
-        if dec.groups:
-            decs.append(dec)
-    return MembershipCertificate(True, decompositions=tuple(decs))
+                    yield Violation(rho, group.multiplicity, group.restriction, s)
+
+
+def reference_check(p):
+    """(accepted, violation, decompositions) by definition: the first
+    violation, or every nonempty decomposition.  p must be faithful."""
+    violation = next(reference_violations(p), None)
+    if violation is not None:
+        return False, violation, ()
+    decs = (decompose_for_rho(p, rho) for rho in range(1, 1 << p.k))
+    return True, None, tuple(dec for dec in decs if dec.groups)
 
 
 def reference_rows(n, k):
@@ -341,10 +364,10 @@ class TestAgainstReference:
 
     def test_catalog_certificates(self):
         for p in (*GENERATORS, REJECTED_SINGLETON, RP2):
-            assert check_membership(p) == reference_check(p)
+            assert certificate(check_membership(p)) == reference_check(p)
         assert not check_membership(REJECTED_SINGLETON).accepted
 
-    @pytest.mark.parametrize("n,k", [(5, 3), (4, 4)])
+    @pytest.mark.parametrize("n,k", [(5, 3), (6, 3), (4, 4)])
     def test_seeded_certificates(self, n, k):
         rng = random.Random(f"reference/{n},{k}")
         cs = build_constraint_system(n, k)
@@ -359,7 +382,34 @@ class TestAgainstReference:
                 p = Polynomial(support, n, k)
                 cert = check_membership(p)
                 assert cert.accepted == accepted
-                assert cert == reference_check(p)
+                assert certificate(cert) == reference_check(p)
+
+    def test_least_violation_is_reported(self):
+        # Three groups of rho = 001 are odd, of multiplicities 2, 2 and 3,
+        # and so are groups of other rhos; the least group has a
+        # multiplicity of 2 and an odd witness of one factor.
+        p = Polynomial.make([Monomial.make(f, 3) for f in (
+            (1, 1, 1, 2, 4), (1, 1, 2, 2, 4), (1, 1, 3, 3, 5), (1, 1, 3, 5, 7))])
+        violations = list(reference_violations(p))
+        assert len({v.rho for v in violations}) > 1
+        assert len({(v.multiplicity, v.restriction) for v in violations if v.rho == 1}) == 3
+        least = min(violations, key=lambda v: (
+            v.rho, v.multiplicity, v.restriction.factors, len(v.witness), v.witness))
+        assert least == Violation(1, 2, Monomial((0, 0, 1, 1, 2), 2), (4,))
+        assert certificate(check_membership(p)) == (False, least, ())
+
+    def test_multiplicity_above_255(self):
+        # 1^256 2^256 + 1^256 3^256 + 2^256 3^256 is the 256th power of RP2's
+        # class; each rho has one group of multiplicity 256 and two members.
+        ms = [Monomial.make((a,) * 256 + (b,) * 256, 2) for a, b in ((1, 2), (1, 3), (2, 3))]
+        p = Polynomial.make(ms)
+        cert = check_membership(p)
+        assert cert.accepted and cert.violation is None
+        assert cert.decompositions == tuple(decompose_for_rho(p, rho) for rho in (1, 2, 3))
+        assert [len(g.members) for dec in cert.decompositions for g in dec.groups] == [2, 2, 2]
+        # Without 2^256 3^256, rho = 10 and rho = 11 each have a lone member.
+        v = check_membership(Polynomial.make(ms[:2])).violation
+        assert v == Violation(2, 256, restriction_class(ms[0], 2), ())
 
 
 BAD_INPUT = {
