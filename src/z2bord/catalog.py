@@ -10,7 +10,7 @@ are published expected values that computed output is checked against.
 from __future__ import annotations
 
 from z2bord.gf2 import unit
-from z2bord.repalg import Monomial, Polynomial
+from z2bord.repalg import Polynomial
 
 
 def rho(token: str, k: int) -> int:
@@ -21,13 +21,15 @@ def rho(token: str, k: int) -> int:
     return v
 
 
-def mono(tokens: str, k: int) -> Monomial:
-    return Monomial.make([rho(t, k) for t in tokens.split()], k)
+def mono(tokens: str, k: int) -> tuple[int, ...]:
+    """The monomial of space-separated subscript tokens, its sorted factors."""
+    return tuple(sorted(rho(t, k) for t in tokens.split()))
 
 
 def poly(text: str, k: int) -> Polynomial:
+    """One monomial per line; the degree is that of the first line."""
     monos = [mono(line, k) for line in text.strip().splitlines()]
-    return Polynomial.make(monos)
+    return Polynomial.make(monos, len(monos[0]), k)
 
 
 # The four degree-5 rank-3 generator polynomials.  Together with their

@@ -13,7 +13,7 @@ import sys
 
 from z2bord.gf2 import InputError, ResourceLimitError, parse_vec, rank_of, vec_str
 from z2bord.membership import build_constraint_system, check_membership, require_faithful
-from z2bord.repalg import content_lines, parse_polynomial, render_polynomial
+from z2bord.repalg import content_lines, parse_polynomial, render_monomial, render_polynomial
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +60,7 @@ def cmd_check(args) -> int:
         for rho in range(1, 1 << p.k):
             print(f"rho {vec_str(rho, p.k)}:")
             for g in groups.get(rho, ()):
-                members = " / ".join(str(m) for m in g.members)
+                members = " / ".join(render_monomial(m, p.k) for m in sorted(g.members))
                 print(f"  multiplicity {g.multiplicity}"
                       f"  size {len(g.members)}  members {members}")
         return 0
@@ -99,12 +99,11 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_span(args) -> int:
-    from z2bord.orbits import span_dimension
+    from z2bord.orbits import require_common_shape, span_dimension
 
     ps = [_read_faithful(path) for path in args.polynomials]
     ps = [p for p in ps if not p.is_zero]
-    if len({(p.n, p.k) for p in ps}) > 1:
-        raise InputError("polynomials of different degree or rank")
+    require_common_shape(ps)  # before any orbit is expanded
     if not ps:
         print("span_dimension=0")
         return 0

@@ -15,7 +15,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from z2bord.gf2 import InputError, parse_vec, rank_of, unit, vec_str
-from z2bord.repalg import Monomial, Polynomial, content_lines
+from z2bord.repalg import Polynomial, content_lines
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,7 @@ def labeling_polynomial(g: LabeledGraph) -> Polynomial:
         return Polynomial.zero(0, g.k)
     if len(g.valences) > 1:
         raise InputError("labeling polynomial requires a regular graph")
-    monos = [Monomial.make(labels, g.k) for labels in g.incidence.values()]
-    return Polynomial.make(monos, g.valences[0], g.k)
+    return Polynomial.make(g.incidence.values(), g.valences[0], g.k)
 
 
 def projective_space_graph(n: int) -> LabeledGraph:

@@ -1,6 +1,7 @@
 """Deciding which polynomials are realizable as fixed-point data.
 
-A degree-n polynomial of faithful monomials is realizable iff for every
+A monomial is the sorted tuple of its factors (see repalg).  A degree-n
+polynomial of faithful monomials is realizable iff for every
 nonzero functional rho, the monomials divisible by rho split into groups
 of constant rho-multiplicity and constant restriction class to ker rho,
 and in every group of multiplicity c, for every multiset s of fewer than
@@ -42,7 +43,7 @@ from operator import and_
 
 from z2bord import gf2
 from z2bord.gf2 import InputError, ResourceLimitError, nullspace, rank_of, set_bits
-from z2bord.repalg import Monomial, Polynomial, restriction_table
+from z2bord.repalg import Polynomial, is_faithful, render_monomial, restrict
 
 
 @lru_cache(maxsize=None)
@@ -52,9 +53,9 @@ def kernel_basis(rho: int, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def restriction_class(m: Monomial, rho: int) -> Monomial:
-    """Restriction of every factor of m to ker rho, over rank k-1."""
-    return m.restrict(kernel_basis(rho, m.k))
+def restriction_class(m: tuple[int, ...], rho: int, k: int) -> tuple[int, ...]:
+    """Restriction of the rank-k monomial m to ker rho, over rank k-1."""
+    return restrict(m, kernel_basis(rho, k))
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ class Group:
     """Monomials sharing a rho-multiplicity and a ker-rho restriction class."""
 
     multiplicity: int
-    restriction: Monomial
-    members: frozenset[Monomial]
+    restriction: tuple[int, ...]  # over rank k-1
+    members: frozenset[tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class RhoDecomposition:
 class Violation:
     rho: int
     multiplicity: int
-    restriction: Monomial
+    restriction: tuple[int, ...]  # over rank k-1
     witness: tuple[int, ...]  # the multiset S with odd parity sum
 
 
@@ -98,9 +99,9 @@ class MembershipCertificate:
         if p is None:  # rejected
             return ()
         code_bits = _field_bits(p.n, p.k)[2]
-        members: defaultdict[int, list[Monomial]] = defaultdict(list)
+        members: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
         for m in p.monomials:
-            for group in {x >> code_bits << code_bits for x in _checked_profile(m)}:
+            for group in {x >> code_bits << code_bits for x in _checked_profile(m, p.k)}:
                 members[group].append(m)
         by_rho: defaultdict[int, list[Group]] = defaultdict(list)
         for group in sorted(members):
@@ -113,11 +114,11 @@ def decompose_for_rho(p: Polynomial, rho: int) -> RhoDecomposition:
     """Finest grouping of the rho-divisible support by (multiplicity, class)."""
     if rho == 0:
         raise InputError("rho must be nonzero")
-    buckets: dict[tuple[int, Monomial], set[Monomial]] = {}
+    buckets: dict[tuple[int, tuple[int, ...]], set[tuple[int, ...]]] = {}
     for m in p.monomials:
-        mult = m.mult(rho)
+        mult = m.count(rho)
         if mult:
-            buckets.setdefault((mult, restriction_class(m, rho)), set()).add(m)
+            buckets.setdefault((mult, restriction_class(m, rho, p.k)), set()).add(m)
     groups = tuple(
         Group(mult, cls, frozenset(members))
         for (mult, cls), members in sorted(buckets.items())
@@ -125,8 +126,8 @@ def decompose_for_rho(p: Polynomial, rho: int) -> RhoDecomposition:
     return RhoDecomposition(rho, groups)
 
 
-def odd_submultisets(m: Monomial) -> tuple[int, ...]:
-    """Codes of every sub-multiset s of m's factors, smaller than m's
+def odd_submultisets(m: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Codes over rank k of every sub-multiset s of m, smaller than m's
     largest factor multiplicity, whose sub_multiset_multiplicity(m, s) is
     odd, in increasing order.  parity_profile reads no larger s.
 
@@ -134,8 +135,7 @@ def odd_submultisets(m: Monomial) -> tuple[int, ...]:
     submask of m's count (see the module docstring), so the codes are
     listed directly, one submask per distinct factor.
     """
-    k, factors = m.k, m.factors
-    counts = {f: factors.count(f) for f in dict.fromkeys(factors)}
+    counts = {f: m.count(f) for f in dict.fromkeys(m)}
     below = 1 << k * max(counts.values(), default=1)  # the codes of smaller s
     codes = [1]
     for f, c in counts.items():
@@ -160,21 +160,20 @@ def submultiset(code: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(s))
 
 
-def parity_profile(m: Monomial) -> tuple:
-    """(rho, key, codes) for each distinct factor rho of m.
+def parity_profile(m: tuple[int, ...], k: int) -> tuple:
+    """(rho, key, codes) for each distinct factor rho of the rank-k monomial m.
 
-    key is the group key of m for rho, restriction_class(m, rho).factors,
-    and codes are the odd sub-multisets of m of size below m.mult(rho): m
+    key is the group key of m for rho, its restriction class to ker rho,
+    and codes are the odd sub-multisets of m of size below m.count(rho): m
     adds 1 to the parity sum of exactly these witnesses in its group.  At
     multiplicity 1 that is the empty multiset alone, code 1.
     """
-    k, factors = m.k, m.factors
-    distinct = dict.fromkeys(factors)
-    odd = odd_submultisets(m) if len(distinct) < len(factors) else None
+    distinct = dict.fromkeys(m)
+    odd = odd_submultisets(m, k) if len(distinct) < len(m) else None
     return tuple(
         (rho,
-         tuple(sorted(map(restriction_table(kernel_basis(rho, k)).__getitem__, factors))),
-         (1,) if (c := factors.count(rho)) == 1 else odd[:bisect_left(odd, 1 << k * c)])
+         restrict(m, kernel_basis(rho, k)),
+         (1,) if (c := m.count(rho)) == 1 else odd[:bisect_left(odd, 1 << k * c)])
         for rho in distinct
     )
 
@@ -187,26 +186,25 @@ def _field_bits(n: int, k: int) -> tuple[int, int, int]:
     return n.bit_length(), n * (k - 1), n * k
 
 
-def _unpack(x: int, n: int, k: int) -> tuple[int, int, Monomial, int]:
+def _unpack(x: int, n: int, k: int) -> tuple[int, int, tuple[int, ...], int]:
     """(rho, multiplicity, class, code) packed in x by _checked_profile."""
     mult_bits, class_bits, code_bits = _field_bits(n, k)
     code, x = x & ((1 << code_bits) - 1), x >> code_bits
     cls, x = x & ((1 << class_bits) - 1), x >> class_bits
     mask = (1 << k - 1) - 1
     factors = tuple(cls >> (k - 1) * i & mask for i in reversed(range(n)))
-    return x >> mult_bits, x & ((1 << mult_bits) - 1), Monomial(factors, k - 1), code
+    return x >> mult_bits, x & ((1 << mult_bits) - 1), factors, code
 
 
 @lru_cache(maxsize=1 << 16)  # the 26,740 faithful monomials of (6,4) fit
-def _checked_profile(m: Monomial) -> frozenset[int] | None:
-    """One packed int per (group, odd witness) pair of parity_profile(m)
+def _checked_profile(m: tuple[int, ...], k: int) -> frozenset[int] | None:
+    """One packed int per (group, odd witness) pair of parity_profile(m, k)
     (see the module docstring), or None when m is not faithful."""
-    if not m.is_faithful():
+    if not is_faithful(m, k):
         return None
-    k = m.k
-    mult_bits, class_bits, code_bits = _field_bits(m.degree, k)
+    mult_bits, class_bits, code_bits = _field_bits(len(m), k)
     out = []
-    for rho, key, codes in parity_profile(m):
+    for rho, key, codes in parity_profile(m, k):
         cls = 0
         for f in key:
             cls = cls << k - 1 | f
@@ -217,9 +215,9 @@ def _checked_profile(m: Monomial) -> frozenset[int] | None:
 
 def require_faithful(p: Polynomial) -> Polynomial:
     """p, or InputError naming the smallest non-faithful monomial of p."""
-    bad = [m for m in p.monomials if not m.is_faithful()]
+    bad = [m for m in p.monomials if not is_faithful(m, p.k)]
     if bad:
-        raise InputError(f"monomial {min(bad)} is not faithful")
+        raise InputError(f"monomial {render_monomial(min(bad), p.k)} is not faithful")
     return p
 
 
@@ -233,7 +231,7 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
     """
     odd: set[int] = set()
     for m in p.monomials:
-        profile = _checked_profile(m)
+        profile = _checked_profile(m, p.k)
         if profile is None:
             require_faithful(p)
         odd ^= profile
@@ -247,7 +245,7 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
 _ENUM_BOUNDS = (8, 4)  # max degree, max rank
 
 
-def enumerate_faithful_monomials(n: int, k: int) -> list[Monomial]:
+def enumerate_faithful_monomials(n: int, k: int) -> list[tuple[int, ...]]:
     """All degree-n faithful monomials over rank k, lexicographic order;
     none when 0 < n < k, as n factors span rank at most n."""
     if n < 0 or k < 1:
@@ -265,8 +263,7 @@ def enumerate_faithful_monomials(n: int, k: int) -> list[Monomial]:
     nonzero = range(1, 1 << k)
     mask = [sum(1 << rho for rho in nonzero if not gf2.dot(rho, f)) for f in range(1 << k)]
     every_rho = mask[0]
-    return [Monomial(factors, k)
-            for factors in itertools.combinations_with_replacement(nonzero, n)
+    return [factors for factors in itertools.combinations_with_replacement(nonzero, n)
             if not reduce(and_, map(mask.__getitem__, factors), every_rho)]
 
 
@@ -281,11 +278,11 @@ class ConstraintSystem:
 
     n: int
     k: int
-    monomials: tuple[Monomial, ...]
+    monomials: tuple[tuple[int, ...], ...]
     rows: tuple[int, ...]
 
     @cached_property
-    def _index(self) -> dict[Monomial, int]:
+    def _index(self) -> dict[tuple[int, ...], int]:
         return {m: j for j, m in enumerate(self.monomials)}
 
     def indicator(self, p: Polynomial) -> int:
@@ -294,8 +291,8 @@ class ConstraintSystem:
         for m in p.monomials:
             j = idx.get(m)
             if j is None:
-                raise InputError(f"monomial {m} is not a faithful monomial of "
-                                 f"degree {self.n} rank {self.k}")
+                raise InputError(f"monomial {render_monomial(m, p.k)} is not a faithful "
+                                 f"monomial of degree {self.n} rank {self.k}")
             bits |= 1 << j
         return bits
 
@@ -326,7 +323,7 @@ def build_constraint_system(n: int, k: int) -> ConstraintSystem:
     groups: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
     for j, m in enumerate(monomials):
         bit = 1 << j
-        for rho, key, codes in parity_profile(m):
+        for rho, key, codes in parity_profile(m, k):
             by_code = groups.setdefault((rho, key), {})
             for code in codes:
                 by_code[code] = by_code.get(code, 0) | bit

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from z2bord.gf2 import InputError, ResourceLimitError
-from z2bord.repalg import Monomial, Polynomial
+from z2bord.repalg import Polynomial
 
 
 def rho_of_subset(s, r: int) -> int:
@@ -84,7 +84,7 @@ def milnor_fixed_polynomial(m: int, n: int, family: SubsetFamily) -> Polynomial:
         for j in range(n + 1):
             if j != i:
                 fiber = [rho[j] ^ rho[l] for l in range(n + 1) if l not in (i, j)]
-                terms.append(Monomial.make(base + fiber, family.r))
+                terms.append(tuple(sorted(base + fiber)))
     return Polynomial.make(terms, m + n - 1, family.r)
 
 

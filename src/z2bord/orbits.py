@@ -42,12 +42,16 @@ def stabilizer_matches(o: PolynomialOrbit, predicted) -> bool:
     return set(o.stabilizer) == {a for a in enumerate_gl(o.seed.k) if predicted(a)}
 
 
+def require_common_shape(ps) -> None:
+    """InputError unless the nonzero polynomials share one degree and rank."""
+    if len({(p.n, p.k) for p in ps if not p.is_zero}) > 1:
+        raise InputError("polynomials of mixed degree or rank")
+
+
 def span_dimension(ps) -> int:
     """GF(2) rank of the collection over its supporting monomials."""
     ps = list(ps)
-    shapes = {(p.n, p.k) for p in ps if not p.is_zero}
-    if len(shapes) > 1:
-        raise InputError("polynomials of mixed degree or rank")
+    require_common_shape(ps)
     monomials = {m for p in ps for m in p.monomials}
     index = {m: j for j, m in enumerate(monomials)}
     return rank_of([sum(1 << index[m] for m in p.monomials) for p in ps])

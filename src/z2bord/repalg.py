@@ -2,8 +2,10 @@
 
 An irreducible representation is a functional on (Z/2)^k, stored as a
 bit-packed vector (the zero vector is the trivial representation).  A
-monomial is a multiset of such functionals; a polynomial is a GF(2)
-set of monomials of a common degree.
+monomial is a multiset of such functionals, stored as the sorted tuple of
+its factors, so its degree is len(m) and the multiplicity of rho is
+m.count(rho).  A polynomial is a GF(2) set of monomials of a common
+degree n over a common rank k, and it carries n and k once.
 """
 
 from __future__ import annotations
@@ -20,40 +22,21 @@ class NonIsolatedError(ValueError):
     """A factor is the trivial representation, so fixed points are not isolated."""
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """A multiset of functionals, stored as a sorted tuple of bit-packed ints."""
+def is_faithful(m: tuple[int, ...], k: int) -> bool:
+    """No trivial factor, and the factors span the rank-k dual space."""
+    return 0 not in m and rank_of(m) == k
 
-    factors: tuple[int, ...]
-    k: int
 
-    @classmethod
-    def make(cls, factors, k: int) -> "Monomial":
-        return cls(tuple(sorted(factors)), k)
+def restrict(m: tuple[int, ...], basis) -> tuple[int, ...]:
+    """The monomial m restricted to the subgroup with the ordered basis:
+    factor f becomes the vector (f(b_1), ..., f(b_r)), read from
+    restriction_table.  The basis is not validated."""
+    return tuple(sorted(map(restriction_table(tuple(basis)).__getitem__, m)))
 
-    @property
-    def degree(self) -> int:
-        return len(self.factors)
 
-    def mult(self, gamma: int) -> int:
-        return self.factors.count(gamma)
-
-    def restrict(self, basis) -> "Monomial":
-        """Factor rho becomes the vector (rho(b_1), ..., rho(b_r)) over the
-        ordered basis, read from restriction_table; the basis is not
-        validated."""
-        basis = tuple(basis)
-        table = restriction_table(basis)
-        return Monomial.make([table[f] for f in self.factors], len(basis))
-
-    def is_faithful(self) -> bool:
-        """No trivial factor, and the factors span the full dual space."""
-        if 0 in self.factors:
-            return False
-        return rank_of(self.factors) == self.k
-
-    def __str__(self) -> str:
-        return ",".join(vec_str(f, self.k) for f in self.factors)
+def render_monomial(m: tuple[int, ...], k: int) -> str:
+    """The factors as comma-separated width-k bit-strings."""
+    return ",".join(vec_str(f, k) for f in m)
 
 
 # Bound on the table caches below: all of GL(4,2) (20,160 matrices) fits.
@@ -90,32 +73,22 @@ def restriction_table(basis: tuple[int, ...]) -> RestrictionTable:
 class Polynomial:
     """A GF(2) sum of monomials of common degree n over rank k."""
 
-    monomials: frozenset[Monomial]
+    monomials: frozenset[tuple[int, ...]]
     n: int
     k: int
 
     @classmethod
-    def make(cls, monomials, n: int | None = None, k: int | None = None) -> "Polynomial":
-        """Mod-2 sum of the monomials: a monomial that repeats cancels in pairs.
-
-        The shape is read before cancelling, so make([m, m]) is the zero
-        polynomial of m's degree and rank; an empty input needs n and k, and
-        an n or k given with monomials must be theirs.
-        """
+    def make(cls, monomials, n: int, k: int) -> "Polynomial":
+        """Mod-2 sum of the monomials, each a sorted tuple of n factors below
+        1 << k: a monomial that repeats cancels in pairs."""
         counts = Counter(monomials)
-        degrees = {m.degree for m in counts}
-        ranks = {m.k for m in counts}
-        if len(degrees) > 1 or len(ranks) > 1:
-            raise InputError("monomials of mixed degree or rank")
-        if counts:
-            shape = degrees.pop(), ranks.pop()
-            given = (shape[0] if n is None else n, shape[1] if k is None else k)
-            if given != shape:
-                raise InputError(f"degree {given[0]} rank {given[1]} given for "
-                                 f"monomials of degree {shape[0]} rank {shape[1]}")
-            n, k = shape
-        if n is None or k is None:
-            raise InputError("zero polynomial needs explicit degree and rank")
+        for m in counts:
+            if len(m) != n:
+                raise InputError(f"monomial {render_monomial(m, k)} has degree "
+                                 f"{len(m)}, not {n}")
+            if m and not 0 <= m[0] <= m[-1] < 1 << k:
+                raise InputError(f"monomial {render_monomial(m, k)} has a factor "
+                                 f"outside rank {k}")
         return cls(frozenset(m for m, c in counts.items() if c & 1), n, k)
 
     @classmethod
@@ -126,7 +99,7 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.monomials
 
-    def support(self) -> list[Monomial]:
+    def support(self) -> list[tuple[int, ...]]:
         return sorted(self.monomials)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -168,11 +141,11 @@ def automorphism_columns(a: tuple[int, ...], k: int) -> tuple[int, ...]:
 def apply_automorphism(p: Polynomial, a: tuple[int, ...]) -> Polynomial:
     """Precompose every factor functional with the automorphism g -> Ag."""
     columns = automorphism_columns(a, p.k)
-    monos = {m.restrict(columns) for m in p.monomials}
+    monos = {restrict(m, columns) for m in p.monomials}
     return Polynomial(frozenset(monos), p.n, p.k)
 
 
-def sub_multiset_multiplicity(t: Monomial, s) -> int:
+def sub_multiset_multiplicity(t: tuple[int, ...], s) -> int:
     """Number of ways the multiset s sits inside the factors of t.
 
     s is an iterable of bit-packed functionals; the count is a product of
@@ -182,7 +155,7 @@ def sub_multiset_multiplicity(t: Monomial, s) -> int:
     s = tuple(s)
     out = 1
     for gamma in set(s):
-        out *= comb(t.factors.count(gamma), s.count(gamma))
+        out *= comb(t.count(gamma), s.count(gamma))
     return out
 
 
@@ -223,12 +196,13 @@ def parse_polynomial(text: str) -> Polynomial:
         if n is not None and len(factors) != n:
             raise InputError(f"line {lineno}: degree {len(factors)} != earlier degree {n}")
         k, n = width, len(factors)
-        monos.append(Monomial.make(factors, k))
+        monos.append(tuple(sorted(factors)))
     if k is None:
         return Polynomial.zero(0, 0)
-    return Polynomial.make(monos)
+    return Polynomial.make(monos, n, k)
 
 
 def render_polynomial(p: Polynomial) -> str:
     """Canonical text form: sorted factors within sorted monomials."""
-    return "\n".join(str(m) for m in p.support()) + ("\n" if p.monomials else "")
+    lines = (render_monomial(m, p.k) + "\n" for m in p.support())
+    return "".join(lines)

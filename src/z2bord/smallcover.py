@@ -19,13 +19,7 @@ from types import MappingProxyType
 
 from z2bord.gf2 import InputError, enumerate_subspaces, inverse, rank_of, transpose, vec_str
 from z2bord.graphs import LabeledGraph
-from z2bord.repalg import (
-    Monomial,
-    NonIsolatedError,
-    Polynomial,
-    content_lines,
-    restriction_table,
-)
+from z2bord.repalg import NonIsolatedError, Polynomial, content_lines, restrict, restriction_table
 
 Facet = tuple[int, int]  # (factor index, facet index within the factor)
 Vertex = tuple[int, ...]
@@ -135,10 +129,9 @@ class CharacteristicFunction:
         return self._inverses
 
 
-def tangent_reps(cf: CharacteristicFunction) -> dict[Vertex, Monomial]:
+def tangent_reps(cf: CharacteristicFunction) -> dict[Vertex, tuple[int, ...]]:
     """Tangent monomial at each vertex: the dual basis of its facet labels."""
-    n = cf.polytope.dim
-    return {v: Monomial.make(rows, n) for v, rows in cf.dual_bases().items()}
+    return {v: tuple(sorted(rows)) for v, rows in cf.dual_bases().items()}
 
 
 def fixed_polynomial(cf: CharacteristicFunction) -> Polynomial:
@@ -161,11 +154,11 @@ def skeleton_graph(cf: CharacteristicFunction) -> LabeledGraph:
     return LabeledGraph.make(p.dim, edges)
 
 
-def _trivial_factor(reps: dict[Vertex, Monomial], basis):
+def _trivial_factor(reps: dict[Vertex, tuple[int, ...]], basis):
     """The first (vertex, factor), in reps order and sorted factor order,
     that restricts to the trivial representation on the ordered basis, or None."""
     table = restriction_table(tuple(basis))
-    trivial = ((v, f) for v, m in reps.items() for f in m.factors if not table[f])
+    trivial = ((v, f) for v, m in reps.items() for f in m if not table[f])
     return next(trivial, None)
 
 
@@ -195,7 +188,7 @@ def restricted_polynomial(cf: CharacteristicFunction, basis) -> Polynomial:
         v, f = trivial
         raise NonIsolatedError(f"factor {vec_str(f, dim)} at vertex {v} restricts "
                                "to the trivial representation")
-    return Polynomial.make((m.restrict(basis) for m in reps.values()), dim, len(basis))
+    return Polynomial.make((restrict(m, basis) for m in reps.values()), dim, len(basis))
 
 
 def parse_characteristic(text: str, factor_dims=None) -> CharacteristicFunction:

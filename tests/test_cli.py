@@ -53,36 +53,36 @@ def rejected_file(tmp_path):
 
 # The full `check` output on GEN_4, whose groups have 2 and 4 members,
 # and on the rejected candidate: every group, member and witness, in the
-# order they are printed.
+# order they are printed; each group's members in sorted order.
 GEN_4_CHECK = (
     'accepted\n'
     'rho 001:\n'
-    '  multiplicity 1  size 2  members 001,010,011,100,101 / 001,010,010,100,100\n'
-    '  multiplicity 1  size 2  members 001,010,011,101,110 / 001,010,010,100,110\n'
+    '  multiplicity 1  size 2  members 001,010,010,100,100 / 001,010,011,100,101\n'
+    '  multiplicity 1  size 2  members 001,010,010,100,110 / 001,010,011,101,110\n'
     '  multiplicity 1  size 2  members 001,010,100,100,110 / 001,011,100,101,110\n'
     'rho 010:\n'
-    '  multiplicity 1  size 2  members 001,010,011,101,110 / 001,010,011,100,101\n'
-    '  multiplicity 1  size 2  members 010,011,100,110,110 / 001,010,100,100,110\n'
-    '  multiplicity 1  size 2  members 010,100,101,110,110 / 010,100,100,101,110\n'
-    '  multiplicity 2  size 4  members 010,010,011,100,110 / 010,010,011,110,110 / 001,010,010,100,100 / 001,010,010,100,110\n'
+    '  multiplicity 1  size 2  members 001,010,011,100,101 / 001,010,011,101,110\n'
+    '  multiplicity 1  size 2  members 001,010,100,100,110 / 010,011,100,110,110\n'
+    '  multiplicity 1  size 2  members 010,100,100,101,110 / 010,100,101,110,110\n'
+    '  multiplicity 2  size 4  members 001,010,010,100,100 / 001,010,010,100,110 / 010,010,011,100,110 / 010,010,011,110,110\n'
     'rho 011:\n'
-    '  multiplicity 1  size 2  members 010,010,011,100,110 / 001,010,011,100,101\n'
+    '  multiplicity 1  size 2  members 001,010,011,100,101 / 010,010,011,100,110\n'
     '  multiplicity 1  size 2  members 001,010,011,101,110 / 010,010,011,110,110\n'
-    '  multiplicity 1  size 2  members 010,011,100,110,110 / 001,011,100,101,110\n'
+    '  multiplicity 1  size 2  members 001,011,100,101,110 / 010,011,100,110,110\n'
     'rho 100:\n'
     '  multiplicity 1  size 2  members 001,010,011,100,101 / 001,011,100,101,110\n'
-    '  multiplicity 1  size 2  members 010,100,101,110,110 / 001,010,010,100,110\n'
+    '  multiplicity 1  size 2  members 001,010,010,100,110 / 010,100,101,110,110\n'
     '  multiplicity 1  size 2  members 010,010,011,100,110 / 010,011,100,110,110\n'
-    '  multiplicity 2  size 4  members 001,010,100,100,110 / 001,010,010,100,100 / 010,100,100,101,110 / 100,100,101,110,110\n'
+    '  multiplicity 2  size 4  members 001,010,010,100,100 / 001,010,100,100,110 / 010,100,100,101,110 / 100,100,101,110,110\n'
     'rho 101:\n'
     '  multiplicity 1  size 2  members 001,010,011,100,101 / 010,100,100,101,110\n'
-    '  multiplicity 1  size 2  members 010,100,101,110,110 / 001,010,011,101,110\n'
-    '  multiplicity 1  size 2  members 100,100,101,110,110 / 001,011,100,101,110\n'
+    '  multiplicity 1  size 2  members 001,010,011,101,110 / 010,100,101,110,110\n'
+    '  multiplicity 1  size 2  members 001,011,100,101,110 / 100,100,101,110,110\n'
     'rho 110:\n'
-    '  multiplicity 1  size 2  members 001,010,100,100,110 / 001,010,010,100,110\n'
+    '  multiplicity 1  size 2  members 001,010,010,100,110 / 001,010,100,100,110\n'
     '  multiplicity 1  size 2  members 001,010,011,101,110 / 001,011,100,101,110\n'
     '  multiplicity 1  size 2  members 010,010,011,100,110 / 010,100,100,101,110\n'
-    '  multiplicity 2  size 4  members 010,100,101,110,110 / 010,010,011,110,110 / 100,100,101,110,110 / 010,011,100,110,110\n'
+    '  multiplicity 2  size 4  members 010,010,011,110,110 / 010,011,100,110,110 / 010,100,101,110,110 / 100,100,101,110,110\n'
     'rho 111:\n'
 )
 REJECTED_CHECK = (
@@ -192,6 +192,21 @@ class TestOrbitAndSpan:
         assert main(["span", gen1_file, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("expand", [[], ["--expand-orbits"]])
+    def test_span_of_different_degrees(self, expand, gen1_file, tmp_path, capsys):
+        path = tmp_path / "degree3.poly"
+        path.write_text("001,010,100\n")
+        assert main(["span", *expand, gen1_file, str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: polynomials of mixed degree or rank\n")
+
+    def test_span_refuses_mixed_shapes_before_expanding_orbits(self, gen1_file, tmp_path,
+                                                               capsys):
+        # Expanding the rank-5 orbit would fail with its own error first.
+        path = tmp_path / "rank5.poly"
+        path.write_text("10000,01000,00100,00010,00001\n")
+        assert main(["span", "--expand-orbits", gen1_file, str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: polynomials of mixed degree or rank\n")
 
 
 class TestGraphValidate:

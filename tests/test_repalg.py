@@ -13,33 +13,47 @@ from hypothesis import strategies as st
 from z2bord.catalog import GEN_1, GEN_2, GEN_3, GENERATORS, mono, poly
 from z2bord.gf2 import InputError, dot, enumerate_gl, reduce_into
 from z2bord.repalg import (
-    Monomial,
     Polynomial,
     apply_automorphism,
+    is_faithful,
     parse_polynomial,
+    render_monomial,
     render_polynomial,
+    restrict,
     sub_multiset_multiplicity,
 )
 from test_gf2 import IDENTITY_3, matmul
 
 
 class TestMonomial:
+    """A monomial is the sorted tuple of its factors."""
+
     def test_factors_sorted(self):
-        m = Monomial.make((0b001, 0b100, 0b010), 3)
-        assert m.factors == (0b001, 0b010, 0b100)
+        assert mono("3 1 2", 3) == (0b001, 0b010, 0b100)
 
     def test_multiplicity(self):
-        m = Monomial.make((0b100, 0b100, 0b010), 3)
-        assert m.mult(0b100) == 2
-        assert m.mult(0b001) == 0
+        m = mono("1 1 2", 3)
+        assert m.count(0b100) == 2
+        assert m.count(0b001) == 0
 
     def test_faithful(self):
-        assert mono("1 2 3", 3).is_faithful()
-        assert not mono("1 2 12", 3).is_faithful()  # rank 2 only
-        assert not Monomial.make((0, 0b100, 0b010), 3).is_faithful()
+        assert is_faithful(mono("1 2 3", 3), 3)
+        assert not is_faithful(mono("1 2 12", 3), 3)  # rank 2 only
+        assert not is_faithful((0, 0b010, 0b100), 3)
+        assert not is_faithful(mono("1 2 3", 3), 4)  # rank 3 inside rank 4
+
+    def test_restrict_to_the_identity_basis(self):
+        m = mono("1 1 2 3 23", 3)
+        assert restrict(m, (0b100, 0b010, 0b001)) == m
+
+    def test_restrict_sorts_the_images(self):
+        # Over the reversed basis f becomes f with its bits reversed.
+        assert restrict((0b001, 0b110), [0b001, 0b010, 0b100]) == (0b011, 0b100)
 
     def test_str(self):
-        assert str(mono("1 2 123", 3)) == "010,100,111"
+        assert render_monomial(mono("1 2 123", 3), 3) == "010,100,111"
+        assert render_monomial((1, 2), 4) == "0001,0010"
+        assert render_monomial((), 3) == ""
 
 
 class TestPolynomial:
@@ -57,10 +71,17 @@ class TestPolynomial:
 
     def test_make_cancels_repeats_mod_2(self):
         m = mono("1 2 3", 3)
-        pair = Polynomial.make([m, m])
+        pair = Polynomial.make([m, m], 3, 3)
         assert pair.is_zero and (pair.n, pair.k) == (3, 3)
-        assert Polynomial.make([m, m], 3, 3) == pair
-        assert Polynomial.make([m, m, m]) == Polynomial.make([m])
+        assert Polynomial.make([m, m, m], 3, 3) == Polynomial.make([m], 3, 3)
+
+    def test_make_keeps_the_shape_of_the_zero_polynomial(self):
+        for n, k in ((0, 0), (5, 3), (5, 20)):
+            p = Polynomial.make([], n, k)
+            assert p.is_zero and (p.n, p.k) == (n, k)
+
+    def test_make_accepts_the_empty_monomial_of_degree_zero(self):
+        assert Polynomial.make([()], 0, 3).monomials == {()}
 
     def test_generator_sizes(self):
         assert [len(g) for g in GENERATORS] == [4, 6, 10, 12]
@@ -97,7 +118,7 @@ class TestAutomorphismAction:
         rng = random.Random(5)
         for a in rng.sample(enumerate_gl(3), 30):
             q = apply_automorphism(GEN_3, a)
-            assert all(m.degree == 5 and m.is_faithful() for m in q.support())
+            assert all(len(m) == 5 and is_faithful(m, 3) for m in q.support())
 
     def test_known_stabilizer_element(self):
         # fixing the first coordinate functional stabilizes the first generator
@@ -107,15 +128,13 @@ class TestAutomorphismAction:
 
 class TestRestriction:
     def test_factors_are_evaluation_vectors(self):
-        basis = [0b01111, 0b11010, 0b11001]
-        m = Monomial.make((0b01000, 0b01100, 0b01010), 5)
-        r = m.restrict(basis)
+        basis = (0b01111, 0b11010, 0b11001)
+        m = (0b01000, 0b01010, 0b01100)
         expect = sorted(
             sum(dot(f, b) << (len(basis) - 1 - i) for i, b in enumerate(basis))
-            for f in m.factors
+            for f in m
         )
-        assert list(r.factors) == expect
-        assert r.k == 3
+        assert list(restrict(m, basis)) == expect
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -126,20 +145,20 @@ class TestRestriction:
         for v in data.draw(st.lists(vec, min_size=1, max_size=k), label="vectors"):
             if reduce_into(table, v):  # v is outside the span of basis
                 basis.append(v)
-        m = Monomial.make(data.draw(st.lists(vec, min_size=1, max_size=8)), k)
+        m = tuple(sorted(data.draw(st.lists(vec, min_size=1, max_size=8))))
         r = len(basis)
         expect = sorted(
             sum(dot(f, b) << (r - 1 - j) for j, b in enumerate(basis))
-            for f in m.factors
+            for f in m
         )
-        restricted = m.restrict(basis)
-        assert list(restricted.factors) == expect
-        assert restricted.k == r
+        restricted = restrict(m, tuple(basis))
+        assert list(restricted) == expect
+        assert all(f < 1 << r for f in restricted)
 
 
 class TestMultisetMultiplicity:
     def test_binomial_products(self):
-        t = Monomial.make((0b100, 0b100, 0b100, 0b010), 3)
+        t = (0b010, 0b100, 0b100, 0b100)
         assert sub_multiset_multiplicity(t, (0b100,)) == 3
         assert sub_multiset_multiplicity(t, (0b100, 0b100)) == 3
         assert sub_multiset_multiplicity(t, (0b100, 0b010)) == 3
@@ -150,23 +169,23 @@ class TestMultisetMultiplicity:
     @given(st.data())
     def test_matches_counter_definition(self, data):
         factors = data.draw(st.lists(st.integers(1, 15), min_size=1, max_size=8))
-        t = Monomial.make(factors, 4)
-        inside = st.sets(st.integers(0, t.degree - 1)).map(
-            lambda picks: tuple(t.factors[i] for i in sorted(picks))
+        t = tuple(sorted(factors))
+        inside = st.sets(st.integers(0, len(t) - 1)).map(
+            lambda picks: tuple(t[i] for i in sorted(picks))
         )
         anything = st.lists(st.integers(1, 15), max_size=5).map(tuple)
         s = data.draw(st.one_of(inside, anything))
-        tc, sc = Counter(t.factors), Counter(s)
+        tc, sc = Counter(t), Counter(s)
         expect = math.prod(math.comb(tc[g], c) for g, c in sc.items())
         assert sub_multiset_multiplicity(t, s) == expect
 
     def test_vandermonde_total(self):
         # summing over all distinct size-j sub-multisets counts C(degree, j)
         t = mono("1 1 2 3 23", 3)
-        for j in range(t.degree + 1):
-            subs = {tuple(sorted(s)) for s in combinations(t.factors, j)}
+        for j in range(len(t) + 1):
+            subs = {tuple(sorted(s)) for s in combinations(t, j)}
             total = sum(sub_multiset_multiplicity(t, s) for s in subs)
-            assert total == math.comb(t.degree, j)
+            assert total == math.comb(len(t), j)
 
 
 class TestParsing:
@@ -203,22 +222,25 @@ class TestParsing:
     @given(st.sets(st.tuples(st.integers(1, 7), st.integers(1, 7),
                              st.integers(1, 7)), min_size=1, max_size=8))
     def test_round_trip_random(self, tuples):
-        monos = frozenset(Monomial.make(t, 3) for t in tuples)
+        monos = frozenset(tuple(sorted(t)) for t in tuples)
         p = Polynomial(monos, 3, 3)
         assert parse_polynomial(render_polynomial(p)) == p
 
 
 BAD_INPUT = {
-    "make_mixed_shapes": (lambda: Polynomial.make([mono("1 2 3", 3), mono("1 2", 3)]),
-                          "monomials of mixed degree or rank"),
-    "make_empty_without_shape": (lambda: Polynomial.make([]),
-                                 "zero polynomial needs explicit degree and rank"),
-    "make_shape_mismatch": (lambda: Polynomial.make([Monomial.make([1, 2, 4], 3)], n=4, k=5),
-                            "degree 4 rank 5 given for monomials of degree 3 rank 3"),
-    "make_degree_mismatch": (lambda: Polynomial.make([mono("1 2 3", 3)], n=4),
-                             "degree 4 rank 3 given for monomials of degree 3 rank 3"),
-    "make_rank_mismatch": (lambda: Polynomial.make([mono("1 2 3", 3)], k=4),
-                           "degree 3 rank 4 given for monomials of degree 3 rank 3"),
+    "make_mixed_shapes": (lambda: Polynomial.make([mono("1 2 3", 3), mono("1 2", 3)], 3, 3),
+                          "monomial 010,100 has degree 2, not 3"),
+    "make_shape_mismatch": (lambda: Polynomial.make([(1, 2, 4)], 4, 5),
+                            "monomial 00001,00010,00100 has degree 3, not 4"),
+    "make_degree_mismatch": (lambda: Polynomial.make([mono("1 2 3", 3)], 4, 3),
+                             "monomial 001,010,100 has degree 3, not 4"),
+    "make_degree_mismatch_of_a_cancelled_pair": (
+        lambda: Polynomial.make([mono("1 2", 3), mono("1 2", 3)], 3, 3),
+        "monomial 010,100 has degree 2, not 3"),
+    "make_rank_mismatch": (lambda: Polynomial.make([mono("1 2 3", 3)], 3, 2),
+                           "monomial 01,10,100 has a factor outside rank 2"),
+    "make_negative_factor": (lambda: Polynomial.make([(-1, 1, 2)], 3, 3),
+                             "monomial -01,001,010 has a factor outside rank 3"),
     "parse_degree_mismatch": (lambda: parse_polynomial("100,010,001\n100,010\n"),
                               "line 2: degree 2 != earlier degree 3"),
     "parse_rank_mismatch": (lambda: parse_polynomial("100,010,001\n10,01,11\n"),

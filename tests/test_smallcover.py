@@ -147,16 +147,13 @@ class TestConstructions:
         cf = CharacteristicFunction.from_matrix(data["factor_dims"], data["matrix"])
         assert cf.is_valid()
         reps = tangent_reps(cf)
-        assert sorted(sorted(m.factors) for m in reps.values()) == sorted(
-            sorted(m.factors) for m in data["tangent_monomials"]
-        )
+        assert sorted(reps.values()) == sorted(data["tangent_monomials"])
         restricted = restricted_polynomial(cf, data["subgroup_basis"])
         assert check_membership(restricted).accepted
         assert restricted in orbit(GENERATORS[orbit_seed_index])
 
     def test_restricted_factors_match_published_cosets(self):
         from z2bord.gf2 import dot
-        from z2bord.repalg import Monomial
 
         for data in (SMALL_COVER_1, SMALL_COVER_2):
             cf = CharacteristicFunction.from_matrix(
@@ -173,7 +170,7 @@ class TestConstructions:
 
             # the published coset representatives restrict to the same classes
             expect = frozenset(
-                Monomial.make([evaluate(r) for r in reps], len(basis))
+                tuple(sorted(evaluate(r) for r in reps))
                 for reps in data["restricted_cosets"]
             )
             assert p == Polynomial(expect, 5, len(basis))
