@@ -342,7 +342,8 @@ SMALL_COVER_1 = {
         )
     ],
     # Restriction classes written with rank-5 coset representatives,
-    # aligned factor-by-factor with tangent_monomials.
+    # aligned monomial by monomial with tangent_monomials: equal as
+    # multisets after restriction to subgroup_basis.
     "restricted_cosets": [
         _vecs(t, 5)
         for t in (

@@ -10,26 +10,27 @@ is even.  The same constraints, linearized over all faithful monomials,
 give the realizable space as a GF(2) nullspace.
 
 check_membership and build_constraint_system share one parity kernel,
-parity_profile, which rests on three facts:
+parity_profile, which gives each monomial's groups as (rho,
+multiplicity, class) tuples and rests on three facts:
 
 - Lucas's theorem: C(c, j) is odd iff j & ~c == 0.  So the s with an
   odd sub_multiset_multiplicity(m, s) are listed directly, by taking a
   submask of m's count of each distinct factor.
-- The group key is the restriction class: f -> f restricted to ker rho
+- The class is the restriction to ker rho: f -> f restricted to ker rho
   is linear with kernel {0, rho}, so a factor restricts to 0 exactly
-  when it is rho, and the class's zeros count the rho-multiplicity.  So
-  the class alone fixes the group's (multiplicity, class).
+  when it is rho, and the class's zeros count the rho-multiplicity.
 - The code of s = (s_1 <= ... <= s_L) over rank k is a leading 1 followed
   by s_1, ..., s_L, k bits each.  Codes of longer s are larger, so
   numeric order on codes is (len(s), s) order.
 
-check_membership packs each (group, odd witness) pair of a monomial into
-one int: rho, the multiplicity, the class and the code, from high bits
-to low, in fields sized from the degree and rank, so numeric order is
-the certificate's order.  A polynomial is accepted iff the XOR of its
-monomials' sets of packed ints is empty, and otherwise the least int
-left decodes to the reported violation.  An accepted certificate builds
-its decompositions when they are first read.
+check_membership reads each monomial's (group, odd witness) pairs as
+one cached set of (rho, multiplicity, class, code) tuples.  Tuples
+compare field by field and every class of a polynomial has its degree
+as length, so tuple order is the certificate's (rho, multiplicity,
+class, (len(s), s)) order.  A polynomial is accepted iff the XOR of its
+monomials' sets is empty, and otherwise the least tuple left is the
+reported violation.  An accepted certificate builds its decompositions
+when they are first read.
 """
 
 from __future__ import annotations
@@ -98,15 +99,13 @@ class MembershipCertificate:
         p = self.polynomial
         if p is None:  # rejected
             return ()
-        code_bits = _field_bits(p.n, p.k)[2]
-        members: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
+        members: defaultdict[tuple, list[tuple[int, ...]]] = defaultdict(list)
         for m in p.monomials:
-            for group in {x >> code_bits << code_bits for x in _checked_profile(m, p.k)}:
+            for group in {x[:3] for x in _checked_profile(m, p.k)}:
                 members[group].append(m)
         by_rho: defaultdict[int, list[Group]] = defaultdict(list)
-        for group in sorted(members):
-            rho, mult, cls, _ = _unpack(group, p.n, p.k)
-            by_rho[rho].append(Group(mult, cls, frozenset(members[group])))
+        for (rho, mult, cls), ms in sorted(members.items()):
+            by_rho[rho].append(Group(mult, cls, frozenset(ms)))
         return tuple(RhoDecomposition(rho, tuple(gs)) for rho, gs in by_rho.items())
 
 
@@ -161,56 +160,32 @@ def submultiset(code: int, k: int) -> tuple[int, ...]:
 
 
 def parity_profile(m: tuple[int, ...], k: int) -> tuple:
-    """(rho, key, codes) for each distinct factor rho of the rank-k monomial m.
+    """((rho, multiplicity, class), codes) for each distinct factor rho of
+    the rank-k monomial m.
 
-    key is the group key of m for rho, its restriction class to ker rho,
-    and codes are the odd sub-multisets of m of size below m.count(rho): m
-    adds 1 to the parity sum of exactly these witnesses in its group.  At
-    multiplicity 1 that is the empty multiset alone, code 1.
+    The group is m's for rho: the multiplicity is m.count(rho) and the
+    class is m's restriction to ker rho.  codes are the odd sub-multisets
+    of m of size below the multiplicity: m adds 1 to the parity sum of
+    exactly these witnesses in its group.  At multiplicity 1 that is the
+    empty multiset alone, code 1.
     """
     distinct = dict.fromkeys(m)
     odd = odd_submultisets(m, k) if len(distinct) < len(m) else None
     return tuple(
-        (rho,
-         restrict(m, kernel_basis(rho, k)),
-         (1,) if (c := m.count(rho)) == 1 else odd[:bisect_left(odd, 1 << k * c)])
+        ((rho, (c := m.count(rho)), restrict(m, kernel_basis(rho, k))),
+         (1,) if c == 1 else odd[:bisect_left(odd, 1 << k * c)])
         for rho in distinct
     )
 
 
-def _field_bits(n: int, k: int) -> tuple[int, int, int]:
-    """Bits of the multiplicity, class and witness-code fields of a packed
-    (group, witness) int at degree n, rank k: a multiplicity is at most n,
-    a class has n factors of k - 1 bits, and the code of fewer than n
-    factors is below 1 << k * n."""
-    return n.bit_length(), n * (k - 1), n * k
-
-
-def _unpack(x: int, n: int, k: int) -> tuple[int, int, tuple[int, ...], int]:
-    """(rho, multiplicity, class, code) packed in x by _checked_profile."""
-    mult_bits, class_bits, code_bits = _field_bits(n, k)
-    code, x = x & ((1 << code_bits) - 1), x >> code_bits
-    cls, x = x & ((1 << class_bits) - 1), x >> class_bits
-    mask = (1 << k - 1) - 1
-    factors = tuple(cls >> (k - 1) * i & mask for i in reversed(range(n)))
-    return x >> mult_bits, x & ((1 << mult_bits) - 1), factors, code
-
-
 @lru_cache(maxsize=1 << 16)  # the 26,740 faithful monomials of (6,4) fit
-def _checked_profile(m: tuple[int, ...], k: int) -> frozenset[int] | None:
-    """One packed int per (group, odd witness) pair of parity_profile(m, k)
-    (see the module docstring), or None when m is not faithful."""
+def _checked_profile(m: tuple[int, ...], k: int) -> frozenset[tuple] | None:
+    """The (rho, multiplicity, class, code) tuple of every (group, odd
+    witness) pair of parity_profile(m, k), or None when m is not faithful."""
     if not is_faithful(m, k):
         return None
-    mult_bits, class_bits, code_bits = _field_bits(len(m), k)
-    out = []
-    for rho, key, codes in parity_profile(m, k):
-        cls = 0
-        for f in key:
-            cls = cls << k - 1 | f
-        group = ((rho << mult_bits | key.count(0)) << class_bits | cls) << code_bits
-        out += [group | code for code in codes]
-    return frozenset(out)
+    return frozenset(group + (code,) for group, codes in parity_profile(m, k)
+                     for code in codes)
 
 
 def require_faithful(p: Polynomial) -> Polynomial:
@@ -225,11 +200,11 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
     """Certificate-producing test for realizability of p.
 
     p is accepted iff every (group, witness) pair has an even parity sum,
-    that is iff the mod-2 sum of the monomials' packed profiles is empty.
+    that is iff the mod-2 sum of the monomials' profiles is empty.
     Otherwise the violation reported is the least odd pair in (rho,
     multiplicity, class, (len(s), s)) order.
     """
-    odd: set[int] = set()
+    odd: set[tuple] = set()
     for m in p.monomials:
         profile = _checked_profile(m, p.k)
         if profile is None:
@@ -237,7 +212,7 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
         odd ^= profile
     if not odd:
         return MembershipCertificate(True, polynomial=p)
-    rho, mult, cls, code = _unpack(min(odd), p.n, p.k)
+    rho, mult, cls, code = min(odd)
     return MembershipCertificate(
         False, violation=Violation(rho, mult, cls, submultiset(code, p.k)))
 
@@ -316,15 +291,15 @@ class ConstraintSystem:
 
 
 def build_constraint_system(n: int, k: int) -> ConstraintSystem:
-    """One row per (rho, group key, witness code) that some monomial meets:
-    bit j is set when monomial j is in that group and the witness is one
-    of its odd sub-multisets."""
+    """One row per (group, witness code) that some monomial meets: bit j
+    is set when monomial j is in that group and the witness is one of its
+    odd sub-multisets."""
     monomials = tuple(enumerate_faithful_monomials(n, k))
-    groups: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+    groups: dict[tuple, dict[int, int]] = {}
     for j, m in enumerate(monomials):
         bit = 1 << j
-        for rho, key, codes in parity_profile(m, k):
-            by_code = groups.setdefault((rho, key), {})
+        for group, codes in parity_profile(m, k):
+            by_code = groups.setdefault(group, {})
             for code in codes:
                 by_code[code] = by_code.get(code, 0) | bit
     rows = {row for by_code in groups.values() for row in by_code.values()}

@@ -203,6 +203,10 @@ def parse_polynomial(text: str) -> Polynomial:
 
 
 def render_polynomial(p: Polynomial) -> str:
-    """Canonical text form: sorted factors within sorted monomials."""
+    """Canonical text form: sorted factors within sorted monomials.  The
+    format has no line for the empty monomial, so a nonzero polynomial of
+    degree 0 is refused."""
+    if p.n == 0 and not p.is_zero:
+        raise InputError("a nonzero polynomial of degree 0 has no text form")
     lines = (render_monomial(m, p.k) + "\n" for m in p.support())
     return "".join(lines)

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2bord.catalog import GEN_1, GENERATORS, REJECTED_SINGLETON, mono, poly
+from z2bord.catalog import (
+    GEN_1, GENERATORS, REJECTED_SINGLETON, SMALL_COVER_1, SMALL_COVER_2, mono, poly,
+)
 from z2bord.gf2 import InputError, ResourceLimitError, rank_of, unit
 from z2bord.membership import (
     Violation,
@@ -27,6 +29,7 @@ from z2bord.membership import (
     submultiset,
 )
 from z2bord.repalg import Polynomial, is_faithful, sub_multiset_multiplicity
+from z2bord.smallcover import CharacteristicFunction, fixed_polynomial
 from test_acceptance import closed_form_dimension
 
 
@@ -310,6 +313,48 @@ def reference_rows(n, k):
     return tuple(sorted(rows))
 
 
+def spanning_factors(draw, n, k):
+    """n nonzero factors over rank k, in drawn order, that span rank k:
+    k independent ones and n - k more."""
+    factors = []
+    for _ in range(k):
+        span = {0}
+        for f in factors:
+            span |= {v ^ f for v in span}
+        factors.append(draw(st.sampled_from([v for v in range(1 << k) if v not in span])))
+    factors += draw(st.lists(st.integers(1, (1 << k) - 1), min_size=n - k, max_size=n - k))
+    return draw(st.permutations(factors))
+
+
+@st.composite
+def faithful_polynomials(draw):
+    """(p, realizable): a degree-n polynomial over rank k = 1..6, n = k..k+2,
+    of faithful monomials.  p is the fixed-point polynomial of a product of
+    real projective spaces, plus up to two random faithful monomials;
+    realizable when none is added.
+
+    Each factor RP^a carries the characters 0, d_1, ..., d_a (distinct);
+    its fixed point at character x has the tangent factors x + y for the
+    other characters y, which span the d's.  Together the d's span rank k,
+    so every monomial is faithful.  RP^1's two fixed points have the same
+    tangent factor, so a product with an RP^1 factor is zero; the factors
+    have a >= 2 where the characters allow it.
+    """
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(k, k + 2))
+    parts = [[]]
+    for d in spanning_factors(draw, n, k):
+        if d in parts[-1] or len(parts[-1]) > 1 and draw(st.booleans()):
+            parts.append([])
+        parts[-1].append(d)
+    fixed_points = itertools.product(*(
+        [[x ^ y for y in (0, *part) if y != x] for x in (0, *part)] for part in parts))
+    monomials = [tuple(sorted(itertools.chain(*point))) for point in fixed_points]
+    extra = [tuple(sorted(spanning_factors(draw, n, k)))
+             for _ in range(draw(st.integers(0, 2)))]
+    return Polynomial.make(monomials + extra, n, k), not extra
+
+
 class TestParityKernel:
     """The odd sub-multiset listing behind check_membership and the build."""
 
@@ -344,11 +389,11 @@ class TestParityKernel:
     def test_profile_keys_are_restriction_classes(self, n, k):
         for m in enumerate_faithful_monomials(n, k):
             profile = parity_profile(m, k)
-            assert [rho for rho, _, _ in profile] == list(dict.fromkeys(m))
-            for rho, key, codes in profile:
-                assert key == restriction_class(m, rho, k)
-                assert key.count(0) == m.count(rho)
-                if m.count(rho) == 1:
+            assert [rho for (rho, _, _), _ in profile] == list(dict.fromkeys(m))
+            for (rho, mult, cls), codes in profile:
+                assert cls == restriction_class(m, rho, k)
+                assert mult == m.count(rho) == cls.count(0)
+                if mult == 1:
                     assert codes == (1,)
 
 
@@ -363,9 +408,25 @@ class TestAgainstReference:
         assert build_constraint_system(n, k).rows == reference_rows(n, k)
 
     def test_catalog_certificates(self):
-        for p in (*GENERATORS, REJECTED_SINGLETON, RP2):
+        covers = [fixed_polynomial(CharacteristicFunction.from_matrix(
+            data["factor_dims"], data["matrix"])) for data in (SMALL_COVER_1, SMALL_COVER_2)]
+        # Dropping one monomial from a realizable polynomial leaves it
+        # unrealizable, since no single monomial is realizable.
+        twins = [Polynomial(p.monomials - {min(p.monomials)}, p.n, p.k) for p in covers]
+        for p in (*GENERATORS, REJECTED_SINGLETON, RP2, *covers, *twins):
             assert certificate(check_membership(p)) == reference_check(p)
-        assert not check_membership(REJECTED_SINGLETON).accepted
+        assert [p.k for p in covers] == [5, 5]
+        assert all(check_membership(p).accepted for p in covers)
+        assert not any(check_membership(p).accepted for p in (REJECTED_SINGLETON, *twins))
+
+    @settings(max_examples=200, deadline=None)
+    @given(faithful_polynomials())
+    def test_random_certificates(self, p_and_realizable):
+        p, realizable = p_and_realizable
+        cert = check_membership(p)
+        assert certificate(cert) == reference_check(p)
+        if realizable:
+            assert cert.accepted
 
     @pytest.mark.parametrize("n,k", [(5, 3), (6, 3), (4, 4)])
     def test_seeded_certificates(self, n, k):

@@ -241,6 +241,8 @@ BAD_INPUT = {
                            "monomial 01,10,100 has a factor outside rank 2"),
     "make_negative_factor": (lambda: Polynomial.make([(-1, 1, 2)], 3, 3),
                              "monomial -01,001,010 has a factor outside rank 3"),
+    "render_degree_zero": (lambda: render_polynomial(Polynomial.make([()], 0, 3)),
+                           "a nonzero polynomial of degree 0 has no text form"),
     "parse_degree_mismatch": (lambda: parse_polynomial("100,010,001\n100,010\n"),
                               "line 2: degree 2 != earlier degree 3"),
     "parse_rank_mismatch": (lambda: parse_polynomial("100,010,001\n10,01,11\n"),

@@ -12,7 +12,7 @@ from z2bord.catalog import DELTA5, SMALL_COVER_1, SMALL_COVER_2
 from z2bord.gf2 import InputError, enumerate_subspaces, nullspace, rank_of, row_reduce
 from z2bord.membership import check_membership
 from z2bord.orbits import orbit
-from z2bord.repalg import Polynomial, restriction_table
+from z2bord.repalg import Polynomial, restrict, restriction_table
 from z2bord.smallcover import (
     CharacteristicFunction,
     NonIsolatedError,
@@ -174,6 +174,15 @@ class TestConstructions:
                 for reps in data["restricted_cosets"]
             )
             assert p == Polynomial(expect, 5, len(basis))
+
+    @pytest.mark.parametrize("data", [SMALL_COVER_1, SMALL_COVER_2], ids=["cover_1", "cover_2"])
+    def test_published_cosets_align_with_tangent_monomials(self, data):
+        # Monomial by monomial, not factor by factor: each published coset
+        # list restricts to the same multiset as its tangent monomial.
+        basis = data["subgroup_basis"]
+        pairs = zip(data["tangent_monomials"], data["restricted_cosets"], strict=True)
+        for tangent, cosets in pairs:
+            assert restrict(tangent, basis) == restrict(cosets, basis)
 
     def test_different_basis_same_orbit(self):
         data = SMALL_COVER_1
