@@ -24,18 +24,26 @@ multiplicity, class) tuples and rests on three facts:
   numeric order on codes is (len(s), s) order.
 
 check_membership reads each monomial's (group, odd witness) pairs as
-one cached set of (rho, multiplicity, class, code) tuples.  Tuples
+one cached int with a bit per pair.  Each shape (n, k) numbers its
+distinct (rho, multiplicity, class, code) pairs in the order they are
+first seen and keeps the bit -> pair list, so a profile is only as wide
+as its own shape's pair count.  A polynomial is accepted iff the XOR of
+its monomials' profiles is 0.  Otherwise the set bits are decoded to
+their pairs and the least of these is the reported violation: tuples
 compare field by field and every class of a polynomial has its degree
 as length, so tuple order is the certificate's (rho, multiplicity,
-class, (len(s), s)) order.  A polynomial is accepted iff the XOR of its
-monomials' sets is empty, and otherwise the least tuple left is the
-reported violation.  An accepted certificate builds its decompositions
-when they are first read.
+class, (len(s), s)) order, which bit order is not.  The numbering and
+the profiles share the profile cache's bound: once it is reached they
+are dropped together, at the start of a verdict, so no verdict mixes
+two numberings; a lock keeps verdicts in other threads from numbering
+or dropping pairs meanwhile.  An accepted certificate decodes its
+profiles into decompositions when they are first read.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -100,9 +108,11 @@ class MembershipCertificate:
         if p is None:  # rejected
             return ()
         members: defaultdict[tuple, list[tuple[int, ...]]] = defaultdict(list)
-        for m in p.monomials:
-            for group in {x[:3] for x in _checked_profile(m, p.k)}:
-                members[group].append(m)
+        with _profiles_lock:
+            for m in p.monomials:
+                profile = _checked_profile(m, p.k)
+                for group in {pair[:3] for pair in _decoded(profile, p.n, p.k)}:
+                    members[group].append(m)
         by_rho: defaultdict[int, list[Group]] = defaultdict(list)
         for (rho, mult, cls), ms in sorted(members.items()):
             by_rho[rho].append(Group(mult, cls, frozenset(ms)))
@@ -178,14 +188,40 @@ def parity_profile(m: tuple[int, ...], k: int) -> tuple:
     )
 
 
+# (n, k) -> (pair -> bit, bit -> pair) for the pairs of the cached profiles.
+# Numbering, decoding and dropping them happen under _profiles_lock.
+_pair_tables: dict[tuple[int, int], tuple[dict[tuple, int], list[tuple]]] = {}
+_profiles_lock = threading.Lock()
+
+
 @lru_cache(maxsize=1 << 16)  # the 26,740 faithful monomials of (6,4) fit
-def _checked_profile(m: tuple[int, ...], k: int) -> frozenset[tuple] | None:
-    """The (rho, multiplicity, class, code) tuple of every (group, odd
-    witness) pair of parity_profile(m, k), or None when m is not faithful."""
+def _checked_profile(m: tuple[int, ...], k: int) -> int | None:
+    """The int with one bit set for each (rho, multiplicity, class, code)
+    pair of parity_profile(m, k), or None when m is not faithful.
+
+    The bits are numbered in the table of m's shape (len(m), k), which
+    gives a pair it has not seen the next bit.  The tables hold the pairs
+    of the cached profiles and share their bound: check_membership drops
+    both when a verdict starts with the cache full.
+    """
     if not is_faithful(m, k):
         return None
-    return frozenset(group + (code,) for group, codes in parity_profile(m, k)
-                     for code in codes)
+    ids, pairs = _pair_tables.setdefault((len(m), k), ({}, []))
+    profile = 0
+    for group, codes in parity_profile(m, k):
+        for code in codes:
+            pair = group + (code,)
+            if pair not in ids:
+                ids[pair] = len(pairs)
+                pairs.append(pair)
+            profile |= 1 << ids[pair]
+    return profile
+
+
+def _decoded(profile: int, n: int, k: int) -> list[tuple]:
+    """The pairs whose bits are set in profile, a XOR of (n, k) profiles."""
+    pairs = _pair_tables[n, k][1]
+    return [pairs[bit] for bit in set_bits(profile)]
 
 
 def require_faithful(p: Polynomial) -> Polynomial:
@@ -200,19 +236,25 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
     """Certificate-producing test for realizability of p.
 
     p is accepted iff every (group, witness) pair has an even parity sum,
-    that is iff the mod-2 sum of the monomials' profiles is empty.
-    Otherwise the violation reported is the least odd pair in (rho,
-    multiplicity, class, (len(s), s)) order.
+    that is iff the XOR of the monomials' profiles is 0.  Otherwise the
+    set bits are decoded to their pairs, and the violation reported is the
+    least of these in (rho, multiplicity, class, (len(s), s)) order; the
+    lowest bit is only the first pair seen.
     """
-    odd: set[tuple] = set()
-    for m in p.monomials:
-        profile = _checked_profile(m, p.k)
-        if profile is None:
-            require_faithful(p)
-        odd ^= profile
-    if not odd:
-        return MembershipCertificate(True, polynomial=p)
-    rho, mult, cls, code = min(odd)
+    with _profiles_lock:
+        cache = _checked_profile.cache_info()
+        if cache.currsize == cache.maxsize:  # drop the profiles with their numbering
+            _checked_profile.cache_clear()
+            _pair_tables.clear()
+        odd = 0
+        for m in p.monomials:
+            profile = _checked_profile(m, p.k)
+            if profile is None:
+                require_faithful(p)
+            odd ^= profile
+        if not odd:
+            return MembershipCertificate(True, polynomial=p)
+        rho, mult, cls, code = min(_decoded(odd, p.n, p.k))
     return MembershipCertificate(
         False, violation=Violation(rho, mult, cls, submultiset(code, p.k)))
 

@@ -4,6 +4,8 @@ import gc
 import itertools
 import random
 import re
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -17,6 +19,8 @@ from z2bord.catalog import (
 from z2bord.gf2 import InputError, ResourceLimitError, rank_of, unit
 from z2bord.membership import (
     Violation,
+    _checked_profile,
+    _pair_tables,
     build_constraint_system,
     check_membership,
     decompose_for_rho,
@@ -444,6 +448,87 @@ class TestAgainstReference:
                 cert = check_membership(p)
                 assert cert.accepted == accepted
                 assert certificate(cert) == reference_check(p)
+
+    def test_interleaved_shapes_across_a_table_reset(self):
+        # Each shape numbers its (group, witness) pairs in first-seen order,
+        # and a verdict that starts with the profile cache full renumbers
+        # them from scratch.
+        rng = random.Random("interleaved")
+        by_shape = []
+        for n, k in ((5, 3), (4, 4), (6, 3)):
+            cs = build_constraint_system(n, k)
+            basis = cs.nullspace_basis()
+            polys = []
+            for _ in range(8):
+                monos = frozenset()
+                for q in rng.sample(basis, rng.randint(1, 4)):
+                    monos ^= q.monomials
+                polys.append(Polynomial(monos, n, k))
+                polys.append(Polynomial(monos ^ {rng.choice(cs.monomials)}, n, k))
+            by_shape.append(polys)
+        interleaved = [p for ps in zip(*by_shape) for p in ps]
+        factors = {k: {f for p in interleaved if p.k == k for m in p.monomials for f in m}
+                   for k in (3, 4)}
+        assert factors[3] & factors[4]
+        half = len(interleaved) // 2
+        accepted = [p for p in interleaved if check_membership(p).accepted]
+        assert 0 < len(accepted) < len(interleaved)
+        read_before = {p: check_membership(p).decompositions for p in accepted}
+        unread = {p: check_membership(p) for p in accepted}
+        for p in interleaved[:half]:
+            assert certificate(check_membership(p)) == reference_check(p)
+
+        # Non-faithful monomials are cached too; these fill the cache.
+        bound = _checked_profile.cache_info().maxsize
+        for k in range(2, 2 + bound):
+            _checked_profile((1,), k)
+        assert _checked_profile.cache_info().currsize == bound
+        first, *rest = interleaved[half:]
+        assert certificate(check_membership(first)) == reference_check(first)
+        assert _checked_profile.cache_info().currsize == len(first)
+        assert list(_pair_tables) == [(first.n, first.k)]
+        for p in rest:
+            assert certificate(check_membership(p)) == reference_check(p)
+        for p, cert in unread.items():
+            assert cert.decompositions == read_before[p] == reference_check(p)[2]
+
+    def test_threads_share_the_numbering(self):
+        # Three threads check polynomials of two shapes while a fourth
+        # fills the profile cache twice over, so verdicts drop and renumber
+        # the pairs while other verdicts are under way.
+        polys = [*GENERATORS, REJECTED_SINGLETON, RP2]
+        polys += [Polynomial(p.monomials - {min(p.monomials)}, p.n, p.k) for p in GENERATORS]
+        expected = [reference_check(p) for p in polys]
+        bound = _checked_profile.cache_info().maxsize
+        errors = []
+
+        def verdicts():
+            try:
+                while filler.is_alive():
+                    for p, want in zip(polys, expected):
+                        if certificate(check_membership(p)) != want:
+                            errors.append(p)
+            except Exception as e:  # reported by the assertion below
+                errors.append(e)
+
+        def fill():
+            for k in range(2, 2 + 2 * bound):
+                _checked_profile((1,), k)
+
+        filler = threading.Thread(target=fill)
+        checkers = [threading.Thread(target=verdicts) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            filler.start()
+            for t in checkers:
+                t.start()
+            for t in (filler, *checkers):
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in (filler, *checkers))
+        assert errors == []
 
     def test_least_violation_is_reported(self):
         # Three groups of rho = 001 are odd, of multiplicities 2, 2 and 3,
