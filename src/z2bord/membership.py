@@ -24,20 +24,18 @@ multiplicity, class) tuples and rests on three facts:
   numeric order on codes is (len(s), s) order.
 
 check_membership reads each monomial's (group, odd witness) pairs as
-one cached int with a bit per pair.  Each shape (n, k) numbers its
-distinct (rho, multiplicity, class, code) pairs in the order they are
-first seen and keeps the bit -> pair list, so a profile is only as wide
-as its own shape's pair count.  A polynomial is accepted iff the XOR of
-its monomials' profiles is 0.  Otherwise the set bits are decoded to
-their pairs and the least of these is the reported violation: tuples
-compare field by field and every class of a polynomial has its degree
-as length, so tuple order is the certificate's (rho, multiplicity,
-class, (len(s), s)) order, which bit order is not.  The numbering and
-the profiles share the profile cache's bound: once it is reached they
-are dropped together, at the start of a verdict, so no verdict mixes
-two numberings; a lock keeps verdicts in other threads from numbering
-or dropping pairs meanwhile.  An accepted certificate decodes its
-profiles into decompositions when they are first read.
+one int with a bit per pair, from the table of its shape (n, k).  The
+table numbers that shape's distinct (rho, multiplicity, class, code)
+pairs in first-seen order and keeps the bit -> pair list, so a profile
+is only as wide as its shape's pair count.  A polynomial is accepted iff
+the XOR of its monomials' profiles is 0.  Otherwise the set bits are
+decoded to their pairs and the least of these is the reported
+violation: tuples compare field by field and every class of a
+polynomial has its degree as length, so tuple order is the certificate's
+(rho, multiplicity, class, (len(s), s)) order, which bit order is not.
+A verdict that starts with the tables full drops them all, then reads
+only the table it took, so no verdict mixes two numberings; a lock
+covers only the numbering of new pairs.
 """
 
 from __future__ import annotations
@@ -108,11 +106,9 @@ class MembershipCertificate:
         if p is None:  # rejected
             return ()
         members: defaultdict[tuple, list[tuple[int, ...]]] = defaultdict(list)
-        with _profiles_lock:
-            for m in p.monomials:
-                profile = _checked_profile(m, p.k)
-                for group in {pair[:3] for pair in _decoded(profile, p.n, p.k)}:
-                    members[group].append(m)
+        for m in p.monomials:
+            for group, _ in parity_profile(m, p.k):
+                members[group].append(m)
         by_rho: defaultdict[int, list[Group]] = defaultdict(list)
         for (rho, mult, cls), ms in sorted(members.items()):
             by_rho[rho].append(Group(mult, cls, frozenset(ms)))
@@ -188,40 +184,41 @@ def parity_profile(m: tuple[int, ...], k: int) -> tuple:
     )
 
 
-# (n, k) -> (pair -> bit, bit -> pair) for the pairs of the cached profiles.
-# Numbering, decoding and dropping them happen under _profiles_lock.
-_pair_tables: dict[tuple[int, int], tuple[dict[tuple, int], list[tuple]]] = {}
-_profiles_lock = threading.Lock()
+_PROFILE_BOUND = 1 << 16  # profiles in all tables; the 26,740 of (6,4) fit
+_numbering_lock = threading.Lock()
 
 
-@lru_cache(maxsize=1 << 16)  # the 26,740 faithful monomials of (6,4) fit
-def _checked_profile(m: tuple[int, ...], k: int) -> int | None:
-    """The int with one bit set for each (rho, multiplicity, class, code)
-    pair of parity_profile(m, k), or None when m is not faithful.
+class _Profiles(dict):
+    """The table of one shape (n, k): entry m is the int with a bit set per
+    (rho, multiplicity, class, code) pair of parity_profile(m, k), or None
+    (not stored) when m is not faithful.  ids numbers the pairs in
+    first-seen order and pairs lists them by bit; a new pair is listed
+    before its bit is published, so every bit of a profile decodes."""
 
-    The bits are numbered in the table of m's shape (len(m), k), which
-    gives a pair it has not seen the next bit.  The tables hold the pairs
-    of the cached profiles and share their bound: check_membership drops
-    both when a verdict starts with the cache full.
-    """
-    if not is_faithful(m, k):
-        return None
-    ids, pairs = _pair_tables.setdefault((len(m), k), ({}, []))
-    profile = 0
-    for group, codes in parity_profile(m, k):
-        for code in codes:
-            pair = group + (code,)
-            if pair not in ids:
-                ids[pair] = len(pairs)
-                pairs.append(pair)
-            profile |= 1 << ids[pair]
-    return profile
+    def __init__(self, k: int):
+        super().__init__()
+        self.k = k
+        self.ids: dict[tuple, int] = {}
+        self.pairs: list[tuple] = []
+
+    def __missing__(self, m: tuple[int, ...]) -> int | None:
+        if not is_faithful(m, self.k):
+            return None
+        profile = 0
+        for group, codes in parity_profile(m, self.k):
+            for code in codes:
+                pair = group + (code,)
+                if pair not in self.ids:
+                    with _numbering_lock:
+                        if pair not in self.ids:  # not numbered meanwhile elsewhere
+                            self.pairs.append(pair)
+                            self.ids[pair] = len(self.pairs) - 1
+                profile |= 1 << self.ids[pair]
+        self[m] = profile
+        return profile
 
 
-def _decoded(profile: int, n: int, k: int) -> list[tuple]:
-    """The pairs whose bits are set in profile, a XOR of (n, k) profiles."""
-    pairs = _pair_tables[n, k][1]
-    return [pairs[bit] for bit in set_bits(profile)]
+_profiles: dict[tuple[int, int], _Profiles] = {}
 
 
 def require_faithful(p: Polynomial) -> Polynomial:
@@ -239,22 +236,24 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
     that is iff the XOR of the monomials' profiles is 0.  Otherwise the
     set bits are decoded to their pairs, and the violation reported is the
     least of these in (rho, multiplicity, class, (len(s), s)) order; the
-    lowest bit is only the first pair seen.
+    lowest bit is only the first pair seen.  The verdict first drops every
+    table if together they hold _PROFILE_BOUND profiles, then takes its
+    shape's table and reads only that one, whatever other threads drop.
     """
-    with _profiles_lock:
-        cache = _checked_profile.cache_info()
-        if cache.currsize == cache.maxsize:  # drop the profiles with their numbering
-            _checked_profile.cache_clear()
-            _pair_tables.clear()
-        odd = 0
-        for m in p.monomials:
-            profile = _checked_profile(m, p.k)
-            if profile is None:
-                require_faithful(p)
-            odd ^= profile
-        if not odd:
-            return MembershipCertificate(True, polynomial=p)
-        rho, mult, cls, code = min(_decoded(odd, p.n, p.k))
+    if sum(map(len, list(_profiles.values()))) >= _PROFILE_BOUND:
+        _profiles.clear()
+    table = _profiles.get((p.n, p.k))
+    if table is None:
+        table = _profiles.setdefault((p.n, p.k), _Profiles(p.k))
+    odd = 0
+    for m in p.monomials:
+        profile = table[m]
+        if profile is None:
+            require_faithful(p)
+        odd ^= profile
+    if not odd:
+        return MembershipCertificate(True, polynomial=p)
+    rho, mult, cls, code = min(table.pairs[bit] for bit in set_bits(odd))
     return MembershipCertificate(
         False, violation=Violation(rho, mult, cls, submultiset(code, p.k)))
 

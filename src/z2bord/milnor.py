@@ -84,7 +84,7 @@ def milnor_fixed_polynomial(m: int, n: int, family: SubsetFamily) -> Polynomial:
         for j in range(n + 1):
             if j != i:
                 fiber = [rho[j] ^ rho[l] for l in range(n + 1) if l not in (i, j)]
-                terms.append(tuple(sorted(base + fiber)))
+                terms.append(base + fiber)
     return Polynomial.make(terms, m + n - 1, family.r)
 
 

@@ -79,9 +79,9 @@ class Polynomial:
 
     @classmethod
     def make(cls, monomials, n: int, k: int) -> "Polynomial":
-        """Mod-2 sum of the monomials, each a sorted tuple of n factors below
-        1 << k: a monomial that repeats cancels in pairs."""
-        counts = Counter(monomials)
+        """Mod-2 sum of the monomials, each n factors below 1 << k in any order
+        (a sorted tuple is kept as given): a repeated monomial cancels in pairs."""
+        counts = Counter(m if (s := tuple(sorted(m))) == m else s for m in monomials)
         for m in counts:
             if len(m) != n:
                 raise InputError(f"monomial {render_monomial(m, k)} has degree "
@@ -196,7 +196,7 @@ def parse_polynomial(text: str) -> Polynomial:
         if n is not None and len(factors) != n:
             raise InputError(f"line {lineno}: degree {len(factors)} != earlier degree {n}")
         k, n = width, len(factors)
-        monos.append(tuple(sorted(factors)))
+        monos.append(factors)
     if k is None:
         return Polynomial.zero(0, 0)
     return Polynomial.make(monos, n, k)

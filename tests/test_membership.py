@@ -17,10 +17,9 @@ from z2bord.catalog import (
     GEN_1, GENERATORS, REJECTED_SINGLETON, SMALL_COVER_1, SMALL_COVER_2, mono, poly,
 )
 from z2bord.gf2 import InputError, ResourceLimitError, rank_of, unit
+from z2bord import membership
 from z2bord.membership import (
     Violation,
-    _checked_profile,
-    _pair_tables,
     build_constraint_system,
     check_membership,
     decompose_for_rho,
@@ -449,10 +448,10 @@ class TestAgainstReference:
                 assert cert.accepted == accepted
                 assert certificate(cert) == reference_check(p)
 
-    def test_interleaved_shapes_across_a_table_reset(self):
-        # Each shape numbers its (group, witness) pairs in first-seen order,
-        # and a verdict that starts with the profile cache full renumbers
-        # them from scratch.
+    def test_interleaved_shapes_across_a_table_reset(self, monkeypatch):
+        # Each shape numbers its (group, witness) pairs in first-seen order
+        # in its own table, and a verdict that starts with the tables full
+        # drops them all and numbers its pairs from scratch.
         rng = random.Random("interleaved")
         by_shape = []
         for n, k in ((5, 3), (4, 4), (6, 3)):
@@ -470,65 +469,96 @@ class TestAgainstReference:
         factors = {k: {f for p in interleaved if p.k == k for m in p.monomials for f in m}
                    for k in (3, 4)}
         assert factors[3] & factors[4]
-        half = len(interleaved) // 2
         accepted = [p for p in interleaved if check_membership(p).accepted]
         assert 0 < len(accepted) < len(interleaved)
         read_before = {p: check_membership(p).decompositions for p in accepted}
         unread = {p: check_membership(p) for p in accepted}
-        for p in interleaved[:half]:
-            assert certificate(check_membership(p)) == reference_check(p)
 
-        # Non-faithful monomials are cached too; these fill the cache.
-        bound = _checked_profile.cache_info().maxsize
-        for k in range(2, 2 + bound):
-            _checked_profile((1,), k)
-        assert _checked_profile.cache_info().currsize == bound
-        first, *rest = interleaved[half:]
-        assert certificate(check_membership(first)) == reference_check(first)
-        assert _checked_profile.cache_info().currsize == len(first)
-        assert list(_pair_tables) == [(first.n, first.k)]
-        for p in rest:
+        # A bound of a few polynomials, so a drop happens every few verdicts.
+        bound = 3 * max(map(len, interleaved))
+        monkeypatch.setattr(membership, "_PROFILE_BOUND", bound)
+        tables = membership._profiles
+        drops = 0
+        for p in interleaved:
+            full = sum(map(len, tables.values())) >= bound
             assert certificate(check_membership(p)) == reference_check(p)
+            if full:  # the old numbering is gone: the table holds p's pairs alone
+                drops += 1
+                table = tables[p.n, p.k]
+                assert list(tables) == [(p.n, p.k)] and set(table) == p.monomials
+                assert set(table.pairs) == {group + (code,) for m in p.monomials
+                                            for group, codes in parity_profile(m, p.k)
+                                            for code in codes}
+            # A table numbers only its shape's pairs, whose classes have its degree.
+            assert all(len(pair[2]) == n for (n, _), table in tables.items()
+                       for pair in table.pairs)
+        assert drops >= 3
         for p, cert in unread.items():
             assert cert.decompositions == read_before[p] == reference_check(p)[2]
 
-    def test_threads_share_the_numbering(self):
-        # Three threads check polynomials of two shapes while a fourth
-        # fills the profile cache twice over, so verdicts drop and renumber
-        # the pairs while other verdicts are under way.
+    def test_threads_share_the_numbering(self, monkeypatch):
+        # Three threads check polynomials of two shapes under a bound of a
+        # few polynomials, so verdicts drop the tables and renumber the
+        # pairs while other verdicts are under way.
         polys = [*GENERATORS, REJECTED_SINGLETON, RP2]
         polys += [Polynomial(p.monomials - {min(p.monomials)}, p.n, p.k) for p in GENERATORS]
         expected = [reference_check(p) for p in polys]
-        bound = _checked_profile.cache_info().maxsize
         errors = []
+
+        class Tables(dict):
+            drops = 0
+
+            def clear(self):
+                Tables.drops += 1
+                super().clear()
+
+        monkeypatch.setattr(membership, "_profiles", Tables())
+        monkeypatch.setattr(membership, "_PROFILE_BOUND", 2 * max(map(len, polys)))
 
         def verdicts():
             try:
-                while filler.is_alive():
+                for _ in range(40):
                     for p, want in zip(polys, expected):
                         if certificate(check_membership(p)) != want:
                             errors.append(p)
             except Exception as e:  # reported by the assertion below
                 errors.append(e)
 
-        def fill():
-            for k in range(2, 2 + 2 * bound):
-                _checked_profile((1,), k)
-
-        filler = threading.Thread(target=fill)
         checkers = [threading.Thread(target=verdicts) for _ in range(3)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            filler.start()
             for t in checkers:
                 t.start()
-            for t in (filler, *checkers):
+            for t in checkers:
                 t.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in (filler, *checkers))
+        assert not any(t.is_alive() for t in checkers)
         assert errors == []
+        assert Tables.drops >= 100
+
+    def test_a_verdict_reads_the_table_it_took(self, monkeypatch):
+        # The tables are dropped while the verdict computes its first
+        # profile; it goes on with the table it took, numbering and all.
+        p = GENERATORS[3]
+        twin = Polynomial(p.monomials - {min(p.monomials)}, p.n, p.k)
+        for q, accepted in ((p, True), (twin, False)):
+            monkeypatch.setattr(membership, "_profiles", {})
+            calls = []
+
+            def dropping(m, k):
+                if not calls:
+                    membership._profiles.clear()
+                calls.append(m)
+                return parity_profile(m, k)
+
+            monkeypatch.setattr(membership, "parity_profile", dropping)
+            cert = check_membership(q)
+            assert not membership._profiles and len(calls) == len(q)
+            assert cert.accepted == accepted
+            assert certificate(cert) == reference_check(q)
+            monkeypatch.undo()
 
     def test_least_violation_is_reported(self):
         # Three groups of rho = 001 are odd, of multiplicities 2, 2 and 3,

@@ -74,6 +74,10 @@ class TestPolynomial:
         pair = Polynomial.make([m, m], 3, 3)
         assert pair.is_zero and (pair.n, pair.k) == (3, 3)
         assert Polynomial.make([m, m, m], 3, 3) == Polynomial.make([m], 3, 3)
+        # Factors are sorted before counting, and a sorted tuple is kept.
+        assert Polynomial.make([(1, 3, 2), (1, 2, 3)], 3, 2).is_zero
+        assert Polynomial.make([(3, 1)], 2, 2).monomials == {(1, 3)}
+        assert next(iter(Polynomial.make([m], 3, 3).monomials)) is m
 
     def test_make_keeps_the_shape_of_the_zero_polynomial(self):
         for n, k in ((0, 0), (5, 3), (5, 20)):
