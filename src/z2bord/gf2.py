@@ -13,6 +13,7 @@ whose highest set bit it is.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 
 class InputError(ValueError):
@@ -174,8 +175,14 @@ def inverse(rows) -> tuple[int, ...]:
     return tuple(r & mask for r in red)
 
 
-def enumerate_gl(k: int) -> list[tuple[int, ...]]:
-    """Row tuples of all invertible k x k matrices, in lexicographic order."""
+@lru_cache(maxsize=None)
+def enumerate_gl(k: int) -> tuple[tuple[int, ...], ...]:
+    """Row tuples of all invertible k x k matrices, in lexicographic order.
+
+    The tuple is computed once per k and shared by every caller.
+    """
+    if k < 0:
+        raise InputError(f"need k >= 0, got {k}")
     if k > 4:
         raise ResourceLimitError(f"GL({k},2) enumeration not supported (k <= 4)")
     out: list[tuple[int, ...]] = []
@@ -191,7 +198,7 @@ def enumerate_gl(k: int) -> list[tuple[int, ...]]:
                 del table[new.bit_length() - 1]
 
     extend([], {})
-    return out
+    return tuple(out)
 
 
 def enumerate_subspaces(k: int, r: int) -> list[tuple[int, ...]]:

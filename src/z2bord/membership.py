@@ -313,14 +313,23 @@ class ConstraintSystem:
         return bits
 
     def in_nullspace(self, bits: int) -> bool:
+        """Whether the indicator bits (see indicator) meet every row."""
+        if bits < 0 or bits >> len(self.monomials):
+            raise InputError(f"not an indicator over the {len(self.monomials)} faithful "
+                             f"monomials of degree {self.n} rank {self.k}")
         return not any((row & bits).bit_count() & 1 for row in self.rows)
 
     def accepts(self, p: Polynomial) -> bool:
         return self.in_nullspace(self.indicator(p))
 
-    def nullspace_dimension(self) -> int:
+    @cached_property
+    def _nullity(self) -> int:
         # Sparse rows first: they fill the pivot table with fewer bits.
         return len(self.monomials) - rank_of(sorted(self.rows, key=int.bit_count))
+
+    def nullspace_dimension(self) -> int:
+        """Dimension of the nullspace, ranked once per system."""
+        return self._nullity
 
     def nullspace_basis(self) -> list[Polynomial]:
         """Polynomials whose indicators form a basis of the nullspace."""

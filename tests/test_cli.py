@@ -302,9 +302,18 @@ class TestMilnor:
 
     def test_search(self, capsys):
         assert main(["milnor-search", "--m", "2", "--n", "4", "--r", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "families_tried=840" in out
-        assert "unreached_orbits=3,4" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "families_tried=840", "skipped_non_isolated=0", "distinct_polynomials=35",
+            "orbit_1_hits=504 first=1;2;3;13", "orbit_2_hits=336 first=1;2;3;12",
+            "orbit_3_hits=0", "orbit_4_hits=0", "unreached_orbits=3,4"]
+
+    def test_search_in_degree_six(self, capsys):
+        # No degree-6 family reaches a degree-5 generator orbit.
+        assert main(["milnor-search", "--m", "2", "--n", "5", "--r", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "families_tried=2520", "skipped_non_isolated=0", "distinct_polynomials=70",
+            "orbit_1_hits=0", "orbit_2_hits=0", "orbit_3_hits=0", "orbit_4_hits=0",
+            "unreached_orbits=1,2,3,4"]
 
     def test_search_below_rank_three(self, capsys):
         # Rank-2 polynomials never lie in a rank-3 generator orbit, so every

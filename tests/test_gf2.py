@@ -285,6 +285,10 @@ class TestEnumerateGL:
             with pytest.raises(ResourceLimitError):
                 enumerate_gl(k)
 
+    def test_computed_once_per_k(self):
+        assert isinstance(enumerate_gl(3), tuple)
+        assert enumerate_gl(3) is enumerate_gl(3)
+
 
 BAD_INPUT = {
     "unit_range": (lambda: unit(4, 3), "coordinate 4 out of range 1..3"),
@@ -292,6 +296,7 @@ BAD_INPUT = {
     # passes the one-pivot test of the augmented rows; only the width check stops it
     "inverse_row_too_wide": (lambda: inverse((0b10,)), "not square"),
     "inverse_singular": (lambda: inverse((0b11, 0b11)), "singular matrix"),
+    "gl_negative_rank": (lambda: enumerate_gl(-1), "need k >= 0, got -1"),
 }
 
 

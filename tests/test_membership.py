@@ -204,6 +204,8 @@ class TestConstraintSystem:
         bits = cs.indicator(GEN_1)
         assert bits.bit_count() == 4
         assert cs.in_nullspace(bits)
+        # the last monomial alone is an indicator, and not realizable
+        assert not cs.in_nullspace(1 << (len(cs.monomials) - 1))
 
     @pytest.mark.parametrize("text,message", [
         ("1 2 3 123", "monomial 001,010,100,111 is not a faithful monomial of degree 5 rank 3"),
@@ -593,6 +595,12 @@ BAD_INPUT = {
     "dimension_negative_degree": (lambda: image_dimension(-1, 3), "need n >= 0 and k >= 1"),
     "dimension_negative_rank": (lambda: image_dimension(3, -1), "need n >= 0 and k >= 1"),
     "dimension_rank_zero": (lambda: image_dimension(3, 0), "need n >= 0 and k >= 1"),
+    "nullspace_negative_indicator": (
+        lambda: build_constraint_system(5, 3).in_nullspace(-1),
+        "not an indicator over the 329 faithful monomials of degree 5 rank 3"),
+    "nullspace_indicator_too_wide": (
+        lambda: build_constraint_system(5, 3).in_nullspace(1 << 400),
+        "not an indicator over the 329 faithful monomials of degree 5 rank 3"),
 }
 
 

@@ -6,11 +6,15 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2bord.catalog import GEN_1, GEN_2, GENERATORS, MILNOR_FAMILY_1, MILNOR_FAMILY_2
 from z2bord.gf2 import InputError, ResourceLimitError
+from z2bord import milnor
 from z2bord.membership import check_membership
 from z2bord.milnor import (
+    SearchReport,
     SubsetFamily,
     family_label,
     milnor_fixed_polynomial,
@@ -21,11 +25,43 @@ from z2bord.orbits import orbit
 from z2bord.repalg import NonIsolatedError, Polynomial, render_polynomial
 
 
+def nonempty_subsets(r):
+    return [frozenset(s) for size in range(1, r + 1)
+            for s in itertools.combinations(range(1, r + 1), size)]
+
+
 def all_families(n, r):
-    subsets = [frozenset(s) for size in range(1, r + 1)
-               for s in itertools.combinations(range(1, r + 1), size)]
-    for sets in itertools.permutations(subsets, n):
+    for sets in itertools.permutations(nonempty_subsets(r), n):
         yield SubsetFamily(r, sets)
+
+
+# Every (m, n, r) that search_orbit_hits accepts.
+ADMISSIBLE = [(m, n, r) for r in (1, 2, 3) for n in range(1, min(5, (1 << r) - 1) + 1)
+              for m in range(1, n + 1)]
+
+
+def search_by_definition(m, n, r, targets):
+    """search_orbit_hits's report, with every family's polynomial evaluated."""
+    report = SearchReport(hits=[[] for _ in targets])
+    for f in all_families(n, r):
+        report.families_tried += 1
+        p = milnor_fixed_polynomial(m, n, f)
+        report.produced.add(p)
+        for t_i, t in enumerate(targets):
+            if p in t:
+                report.hits[t_i].append(f)
+    report.unreached = [i for i, fams in enumerate(report.hits) if not fams]
+    return report
+
+
+@st.composite
+def block_relabelings(draw):
+    """(m, n, family, relabeled): a family at an admissible shape and the
+    same family with S_1..S_m and S_{m+1}..S_n each permuted in place."""
+    m, n, r = draw(st.sampled_from(ADMISSIBLE))
+    sets = draw(st.permutations(nonempty_subsets(r)))[:n]
+    relabeled = draw(st.permutations(sets[:m])) + draw(st.permutations(sets[m:]))
+    return m, n, SubsetFamily(r, tuple(sets)), SubsetFamily(r, tuple(relabeled))
 
 
 def rho_sym(f, i, j):
@@ -117,6 +153,19 @@ class TestFixedPolynomial:
             )
             assert milnor_fixed_polynomial(2, 4, relabeled) in o
 
+    @settings(max_examples=200, deadline=None)
+    @given(block_relabelings())
+    def test_block_permutation_invariance(self, case):
+        # the relabeling argument that search_orbit_hits rests on
+        m, n, family, relabeled = case
+        assert milnor_fixed_polynomial(m, n, relabeled) == milnor_fixed_polynomial(m, n, family)
+
+    def test_swap_across_blocks_changes_the_polynomial(self):
+        sets = list(MILNOR_FAMILY_1)
+        sets[0], sets[2] = sets[2], sets[0]
+        swapped = milnor_fixed_polynomial(2, 4, SubsetFamily.make(3, sets))
+        assert swapped != milnor_fixed_polynomial(2, 4, SubsetFamily.make(3, MILNOR_FAMILY_1))
+
     def test_degree_and_rank(self):
         p = milnor_fixed_polynomial(2, 4, SubsetFamily.make(3, MILNOR_FAMILY_1))
         assert all(len(m) == 5 for m in p.support())
@@ -135,6 +184,29 @@ class TestSearch:
     def test_distinct_outputs_counted(self):
         report = search_orbit_hits(2, 4, 3, [])
         assert report.distinct_polynomials() == 35
+
+    @pytest.mark.parametrize("m,n,r", ADMISSIBLE, ids=[f"{m}-{n}-{r}" for m, n, r in ADMISSIBLE])
+    def test_equals_evaluating_every_family(self, m, n, r):
+        # Targets: the generator orbits, which only degree-5 rank-3 shapes
+        # reach, and the orbits of the first and last family's polynomial.
+        first = milnor_fixed_polynomial(m, n, next(all_families(n, r)))
+        last = milnor_fixed_polynomial(m, n, list(all_families(n, r))[-1])
+        targets = [orbit(g) for g in GENERATORS] + [orbit(first), orbit(last)]
+        assert search_orbit_hits(m, n, r, targets) == search_by_definition(m, n, r, targets)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_one_evaluation_per_relabeling_class(self, monkeypatch, n):
+        # 7!/(7-n)! ordered families, 2! (n-2)! relabelings each: 210 classes
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return milnor_fixed_polynomial(*args)
+
+        monkeypatch.setattr(milnor, "milnor_fixed_polynomial", counted)
+        report = search_orbit_hits(2, n, 3, [])
+        assert len(calls) == 210
+        assert report.families_tried == {4: 840, 5: 2520}[n]
 
     def test_family_label_round_trip(self):
         f = SubsetFamily.make(3, MILNOR_FAMILY_1)
