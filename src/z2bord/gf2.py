@@ -24,6 +24,47 @@ class ResourceLimitError(ValueError):
     """Enumeration request beyond the supported desk-scale bounds."""
 
 
+class Record:
+    """Base of z2bord's value classes: instances of one class compare and
+    print by the attributes named in _fields, in order.  A subclass sets
+    them in its own __init__."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[name] for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # a mutable record
+
+    def __repr__(self) -> str:
+        fields = zip(self._fields, self._values())
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+
+class Frozen(Record):
+    """An immutable Record, hashed by its _fields.  Its __init__ stores the
+    fields straight into the instance __dict__; after that, assigning or
+    deleting an attribute raises AttributeError.  A
+    functools.cached_property still caches, as it writes to the __dict__."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
 def dot(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 

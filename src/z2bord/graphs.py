@@ -10,21 +10,24 @@ validation makes linear passes over the edges and that map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from z2bord.gf2 import InputError, parse_vec, rank_of, unit, vec_str
+from z2bord.gf2 import Frozen, InputError, parse_vec, rank_of, unit, vec_str
 from z2bord.repalg import Polynomial, content_lines
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(Frozen):
     """An undirected multigraph without loops, edges labeled by functionals
-    in (Z/2)^k; a zero label is allowed here and reported by validate_graph."""
+    in (Z/2)^k; a zero label is allowed here and reported by validate_graph.
+    The edges are (u, v, label bits) with u < v."""
 
-    k: int
-    edges: tuple[tuple[str, str, int], ...]  # (u, v, label bits), u < v
+    _fields = ("k", "edges")
+
+    def __init__(self, k: int, edges: tuple[tuple[str, str, int], ...]):
+        d = self.__dict__
+        d["k"] = k
+        d["edges"] = edges
 
     @classmethod
     def make(cls, k: int, edges) -> "LabeledGraph":

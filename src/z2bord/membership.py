@@ -44,12 +44,12 @@ import itertools
 import threading
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from operator import and_
+from typing import NamedTuple
 
 from z2bord import gf2
-from z2bord.gf2 import InputError, ResourceLimitError, nullspace, rank_of, set_bits
+from z2bord.gf2 import Frozen, InputError, ResourceLimitError, nullspace, rank_of, set_bits
 from z2bord.repalg import Polynomial, is_faithful, render_monomial, restrict
 
 
@@ -65,8 +65,7 @@ def restriction_class(m: tuple[int, ...], rho: int, k: int) -> tuple[int, ...]:
     return restrict(m, kernel_basis(rho, k))
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     """Monomials sharing a rho-multiplicity and a ker-rho restriction class."""
 
     multiplicity: int
@@ -74,28 +73,31 @@ class Group:
     members: frozenset[tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class RhoDecomposition:
+class RhoDecomposition(NamedTuple):
     rho: int
     groups: tuple[Group, ...]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rho: int
     multiplicity: int
     restriction: tuple[int, ...]  # over rank k-1
     witness: tuple[int, ...]  # the multiset S with odd parity sum
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(Frozen):
     """The verdict on polynomial: its violation when rejected, and when
-    accepted its decompositions, built from polynomial when first read."""
+    accepted its decompositions, built from polynomial when first read.
+    Certificates compare, hash and print without their polynomial."""
 
-    accepted: bool
-    violation: Violation | None = None
-    polynomial: Polynomial | None = field(default=None, compare=False, repr=False)
+    _fields = ("accepted", "violation")
+
+    def __init__(self, accepted: bool, violation: Violation | None = None,
+                 polynomial: Polynomial | None = None):
+        d = self.__dict__
+        d["accepted"] = accepted
+        d["violation"] = violation
+        d["polynomial"] = polynomial
 
     @cached_property
     def decompositions(self) -> tuple[RhoDecomposition, ...]:
@@ -283,8 +285,7 @@ def enumerate_faithful_monomials(n: int, k: int) -> list[tuple[int, ...]]:
             if not reduce(and_, map(mask.__getitem__, factors), every_rho)]
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(Frozen):
     """Linearized parity constraints over the faithful-monomial basis.
 
     Row bit j (counted from bit 0 = monomial 0) is the coefficient of the
@@ -292,10 +293,15 @@ class ConstraintSystem:
     nullspace iff check_membership accepts the corresponding polynomial.
     """
 
-    n: int
-    k: int
-    monomials: tuple[tuple[int, ...], ...]
-    rows: tuple[int, ...]
+    _fields = ("n", "k", "monomials", "rows")
+
+    def __init__(self, n: int, k: int, monomials: tuple[tuple[int, ...], ...],
+                 rows: tuple[int, ...]):
+        d = self.__dict__
+        d["n"] = n
+        d["k"] = k
+        d["monomials"] = monomials
+        d["rows"] = rows
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
@@ -332,10 +338,12 @@ class ConstraintSystem:
         return self._nullity
 
     def nullspace_basis(self) -> list[Polynomial]:
-        """Polynomials whose indicators form a basis of the nullspace."""
-        monomials = self.monomials
+        """Polynomials whose indicators form a basis of the nullspace.  The
+        faithful monomials are distinct sorted tuples of the system's shape,
+        so they build each Polynomial as they are, without make."""
+        monomials, n, k = self.monomials, self.n, self.k
         return [
-            Polynomial.make([monomials[j] for j in set_bits(b)], self.n, self.k)
+            Polynomial(frozenset([monomials[j] for j in set_bits(b)]), n, k)
             for b in nullspace(self.rows, len(monomials))
         ]
 

@@ -17,9 +17,9 @@ only on the pair of sets {S_1..S_m}, {S_{m+1}..S_n}.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from z2bord.gf2 import InputError, ResourceLimitError
+from z2bord.gf2 import InputError, Record, ResourceLimitError
 from z2bord.repalg import Polynomial
 
 
@@ -33,8 +33,7 @@ def rho_of_subset(s, r: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class SubsetFamily:
+class SubsetFamily(NamedTuple):
     r: int
     sets: tuple[frozenset[int], ...]
 
@@ -93,15 +92,19 @@ def milnor_fixed_polynomial(m: int, n: int, family: SubsetFamily) -> Polynomial:
     return Polynomial.make(terms, m + n - 1, family.r)
 
 
-@dataclass
-class SearchReport:
-    families_tried: int = 0
-    # Always 0: a validated family has isolated fixed points only.  Kept
-    # because milnor-search prints it.
-    skipped_non_isolated: int = 0
-    produced: set = field(default_factory=set)  # distinct polynomials
-    hits: list = field(default_factory=list)  # per target: list of families
-    unreached: list = field(default_factory=list)  # target indices never hit
+class SearchReport(Record):
+    _fields = ("families_tried", "skipped_non_isolated", "produced", "hits", "unreached")
+
+    def __init__(self, families_tried: int = 0, skipped_non_isolated: int = 0,
+                 produced: set | None = None, hits: list | None = None,
+                 unreached: list | None = None):
+        self.families_tried = families_tried
+        # Always 0: a validated family has isolated fixed points only.  Kept
+        # because milnor-search prints it.
+        self.skipped_non_isolated = skipped_non_isolated
+        self.produced = set() if produced is None else produced  # distinct polynomials
+        self.hits = [] if hits is None else hits  # per target: list of families
+        self.unreached = [] if unreached is None else unreached  # target indices never hit
 
     def distinct_polynomials(self) -> int:
         return len(self.produced)

@@ -5,18 +5,20 @@ The rank k is read from the polynomial; gf2.enumerate_gl bounds it at 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from z2bord.gf2 import InputError, enumerate_gl, rank_of
+from z2bord.gf2 import Frozen, InputError, enumerate_gl, rank_of
 from z2bord.membership import ConstraintSystem, check_membership
 from z2bord.repalg import Polynomial, apply_automorphism
 
 
-@dataclass(frozen=True)
-class PolynomialOrbit:
-    seed: Polynomial
-    elements: frozenset[Polynomial]
-    stabilizer: tuple[tuple[int, ...], ...]  # row tuples, as from enumerate_gl
+class PolynomialOrbit(Frozen):
+    _fields = ("seed", "elements", "stabilizer")
+
+    def __init__(self, seed: Polynomial, elements: frozenset[Polynomial],
+                 stabilizer: tuple[tuple[int, ...], ...]):
+        d = self.__dict__
+        d["seed"] = seed
+        d["elements"] = elements
+        d["stabilizer"] = stabilizer  # row tuples, as from enumerate_gl
 
     def __contains__(self, p: Polynomial) -> bool:
         return p in self.elements

@@ -11,11 +11,10 @@ degree n over a common rank k, and it carries n and k once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from z2bord.gf2 import InputError, parse_vec, rank_of, transpose, vec_str
+from z2bord.gf2 import Frozen, InputError, parse_vec, rank_of, transpose, vec_str
 
 
 class NonIsolatedError(ValueError):
@@ -69,13 +68,19 @@ def restriction_table(basis: tuple[int, ...]) -> RestrictionTable:
     return RestrictionTable(basis)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """A GF(2) sum of monomials of common degree n over rank k."""
+class Polynomial(Frozen):
+    """A GF(2) sum of monomials of common degree n over rank k.
 
-    monomials: frozenset[tuple[int, ...]]
-    n: int
-    k: int
+    The constructor keeps the monomials as given: each a sorted tuple of
+    n factors below 1 << k.  make builds one from any monomials."""
+
+    _fields = ("monomials", "n", "k")
+
+    def __init__(self, monomials: frozenset[tuple[int, ...]], n: int, k: int):
+        d = self.__dict__
+        d["monomials"] = monomials
+        d["n"] = n
+        d["k"] = k
 
     @classmethod
     def make(cls, monomials, n: int, k: int) -> "Polynomial":

@@ -12,8 +12,8 @@ previous checkpoint was added (or since the report began).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from time import perf_counter
+from typing import NamedTuple
 
 from z2bord.catalog import (
     DELTA5,
@@ -30,6 +30,7 @@ from z2bord.catalog import (
     SMALL_COVER_2,
     STAB_SHAPES,
 )
+from z2bord.gf2 import Record
 from z2bord.membership import build_constraint_system, check_membership, image_dimension
 from z2bord.milnor import SubsetFamily, milnor_fixed_polynomial, search_orbit_hits
 from z2bord.orbits import orbit, span_dimension, stabilizer_matches, verify_generating_set
@@ -41,8 +42,7 @@ from z2bord.smallcover import (
 )
 
 
-@dataclass
-class Checkpoint:
+class Checkpoint(NamedTuple):
     name: str
     expected: str
     computed: str
@@ -57,10 +57,12 @@ class Checkpoint:
         return f"{self.name}={self.expected}:{self.computed}:{status}"
 
 
-@dataclass
-class ReproductionReport:
-    checkpoints: list[Checkpoint] = field(default_factory=list)
-    _since: float = field(default_factory=perf_counter, init=False, repr=False)
+class ReproductionReport(Record):
+    _fields = ("checkpoints", "_since")
+
+    def __init__(self, checkpoints: list[Checkpoint] | None = None):
+        self.checkpoints = [] if checkpoints is None else checkpoints
+        self._since = perf_counter()
 
     def add(self, name: str, expected, computed):
         now, since = perf_counter(), self._since

@@ -13,11 +13,18 @@ and gives fixed-point data for lower-rank actions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from z2bord.gf2 import InputError, enumerate_subspaces, inverse, rank_of, transpose, vec_str
+from z2bord.gf2 import (
+    Frozen,
+    InputError,
+    enumerate_subspaces,
+    inverse,
+    rank_of,
+    transpose,
+    vec_str,
+)
 from z2bord.graphs import LabeledGraph
 from z2bord.repalg import NonIsolatedError, Polynomial, content_lines, restrict, restriction_table
 
@@ -25,9 +32,11 @@ Facet = tuple[int, int]  # (factor index, facet index within the factor)
 Vertex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ProductOfSimplices:
-    factor_dims: tuple[int, ...]
+class ProductOfSimplices(Frozen):
+    _fields = ("factor_dims",)
+
+    def __init__(self, factor_dims: tuple[int, ...]):
+        self.__dict__["factor_dims"] = factor_dims
 
     @classmethod
     def parse(cls, spec: str) -> "ProductOfSimplices":
@@ -75,10 +84,13 @@ class ProductOfSimplices:
         return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class CharacteristicFunction:
-    polytope: ProductOfSimplices
-    labels: tuple[int, ...]  # one label per facet, in printed order
+class CharacteristicFunction(Frozen):
+    _fields = ("polytope", "labels")
+
+    def __init__(self, polytope: ProductOfSimplices, labels: tuple[int, ...]):
+        d = self.__dict__
+        d["polytope"] = polytope
+        d["labels"] = labels  # one label per facet, in printed order
 
     @classmethod
     def from_matrix(cls, factor_dims, matrix_rows) -> "CharacteristicFunction":

@@ -4,8 +4,7 @@ A parser may refuse its input only with InputError; the CLI may end only
 in exit 0, 1 or 2, and exit 2 prints exactly one 'error:' line.  Labels
 are at most 3 bits wide, so every accepted input stays small (orbit
 enumerates at most GL(3,2)).  dim is left out because the enumeration
-bounds admit (8, 4), which runs for minutes, and milnor-search because it
-is slow.
+bounds admit (8, 4), which runs for minutes.
 """
 
 import contextlib
@@ -162,3 +161,11 @@ class TestCli:
     def test_milnor(self, workdir, mnr, sets):
         m, n, r = mnr
         run_cli(workdir, ["milnor", f"--m={m}", f"--n={n}", f"--r={r}", f"--sets={sets}"], {})
+
+    @FUZZ
+    @given(st.integers(-1, 6), st.integers(-1, 7), st.integers(-1, 5))
+    def test_milnor_search(self, workdir, m, n, r):
+        # At and past the search bound r <= 3, n <= 5: a search runs iff
+        # 1 <= m <= n and there are n distinct nonempty subsets of 1..r.
+        code = run_cli(workdir, ["milnor-search", f"--m={m}", f"--n={n}", f"--r={r}"], {})
+        assert (code == 0) == (1 <= m <= n <= min(5, 2**r - 1) and 1 <= r <= 3)
