@@ -3,17 +3,24 @@
 Subcommands: check, dim, orbit, span, graph-validate, smallcover, milnor,
 milnor-search, reproduce-paper.  Exit codes: 0 success/accepted, 1
 rejected or failed checkpoint, 2 usage or input error (one 'error:' line
-on stderr, nothing on stdout).
+on stderr, nothing on stdout), 141 when the reader of stdout closed it
+before the output ended (as in `| head -n 1`; the shell's code for a
+process ended by SIGPIPE): the rest of the output is dropped and nothing
+is printed on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from z2bord.gf2 import InputError, ResourceLimitError, parse_vec, rank_of, vec_str
 from z2bord.membership import build_constraint_system, check_membership, require_faithful
 from z2bord.repalg import content_lines, parse_polynomial, render_monomial, render_polynomial
+
+
+EXIT_BROKEN_PIPE = 141  # see the module docstring
 
 
 class _Parser(argparse.ArgumentParser):
@@ -279,12 +286,21 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if value == []:
                 raise InputError(f"argument --{name.replace('_', '-')}: expected one argument")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
     except SystemExit as e:  # --help
         return 2 if e.code not in (0, None) else 0
     except (InputError, ResourceLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The output still buffered goes to os.devnull, so the flush at
+        # exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

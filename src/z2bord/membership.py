@@ -23,6 +23,12 @@ multiplicity, class) tuples and rests on three facts:
   by s_1, ..., s_L, k bits each.  Codes of longer s are larger, so
   numeric order on codes is (len(s), s) order.
 
+parity_profile counts m's factors once; the count gives every
+multiplicity and the odd codes, listed once for m and cut at each
+multiplicity.  The classes are read from kernel_tables(k), one lazy map
+per rank from rho to the restriction table of ker rho, so no cache is
+looked up per rho and no table of 2^k entries is built.
+
 check_membership reads each monomial's (group, odd witness) pairs as
 one int with a bit per pair, from the table of its shape (n, k).  The
 table numbers that shape's distinct (rho, multiplicity, class, code)
@@ -50,7 +56,14 @@ from typing import NamedTuple
 
 from z2bord import gf2
 from z2bord.gf2 import Frozen, InputError, ResourceLimitError, nullspace, rank_of, set_bits
-from z2bord.repalg import Polynomial, is_faithful, render_monomial, restrict
+from z2bord.repalg import (
+    Polynomial,
+    RestrictionTable,
+    is_faithful,
+    render_monomial,
+    restrict,
+    restriction_table,
+)
 
 
 @lru_cache(maxsize=None)
@@ -133,17 +146,24 @@ def decompose_for_rho(p: Polynomial, rho: int) -> RhoDecomposition:
     return RhoDecomposition(rho, groups)
 
 
-def odd_submultisets(m: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Codes over rank k of every sub-multiset s of m, smaller than m's
-    largest factor multiplicity, whose sub_multiset_multiplicity(m, s) is
-    odd, in increasing order.  parity_profile reads no larger s.
+def odd_submultisets(counts: dict[int, int], k: int) -> tuple[int, ...]:
+    """Codes over rank k of every sub-multiset s of the monomial whose
+    factor counts are counts (factor -> multiplicity, in increasing factor
+    order, as a sorted monomial lists them), smaller than its largest
+    multiplicity, whose sub_multiset_multiplicity is odd, in increasing
+    order.  parity_profile counts the factors once and passes the count
+    here; it reads no larger s.
 
     By Lucas's theorem s qualifies iff its count of each factor is a
-    submask of m's count (see the module docstring), so the codes are
-    listed directly, one submask per distinct factor.
+    submask of the monomial's count (see the module docstring), so the
+    codes are listed directly, one submask per distinct factor.  At top
+    multiplicity 2 the odd s are the empty multiset and the single
+    factors of count 1, whose codes come in factor order with no sort.
     """
-    counts = {f: m.count(f) for f in dict.fromkeys(m)}
-    below = 1 << k * max(counts.values(), default=1)  # the codes of smaller s
+    top = max(counts.values(), default=1)
+    if top == 2:
+        return (1, *[1 << k | f for f, c in counts.items() if c == 1])
+    below = 1 << k * top  # the codes of smaller s
     codes = [1]
     for f, c in counts.items():
         runs = []  # (shift, f repeated j times) for each nonzero submask j of c
@@ -167,22 +187,51 @@ def submultiset(code: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(s))
 
 
+class _KernelTables(dict):
+    """Entry rho is restriction_table(kernel_basis(rho, k)), the table that
+    restricts a rank-k factor to ker rho, built on its first read and
+    then read with no cache lookup.  It holds only the rhos read, at most
+    2^k - 1 tables, each holding only the factors read."""
+
+    def __init__(self, k: int):
+        super().__init__()
+        self.k = k
+
+    def __missing__(self, rho: int) -> RestrictionTable:
+        return self.setdefault(rho, restriction_table(kernel_basis(rho, self.k)))
+
+
+@lru_cache(maxsize=None)
+def kernel_tables(k: int) -> _KernelTables:
+    """The one rho -> ker-rho restriction table map of rank k."""
+    return _KernelTables(k)
+
+
 def parity_profile(m: tuple[int, ...], k: int) -> tuple:
     """((rho, multiplicity, class), codes) for each distinct factor rho of
-    the rank-k monomial m.
+    the sorted rank-k monomial m, in factor order.
 
     The group is m's for rho: the multiplicity is m.count(rho) and the
-    class is m's restriction to ker rho.  codes are the odd sub-multisets
-    of m of size below the multiplicity: m adds 1 to the parity sum of
-    exactly these witnesses in its group.  At multiplicity 1 that is the
-    empty multiset alone, code 1.
+    class is m's restriction to ker rho, read from kernel_tables(k).  codes
+    are the odd sub-multisets of m of size below the multiplicity: m adds 1
+    to the parity sum of exactly these witnesses in its group.  At
+    multiplicity 1 that is the empty multiset alone, code 1; at m's top
+    multiplicity it is all of odd_submultisets.  The factors are counted
+    once, and that count gives every multiplicity and the odd codes.
     """
-    distinct = dict.fromkeys(m)
-    odd = odd_submultisets(m, k) if len(distinct) < len(m) else None
+    tables = kernel_tables(k)
+    counts: dict[int, int] = {}
+    for f in m:
+        counts[f] = counts.get(f, 0) + 1
+    if len(counts) == len(m):  # every multiplicity is 1
+        return tuple(((rho, 1, tuple(sorted(map(tables[rho].__getitem__, m)))), (1,))
+                     for rho in m)
+    odd = odd_submultisets(counts, k)
+    top = max(counts.values())
     return tuple(
-        ((rho, (c := m.count(rho)), restrict(m, kernel_basis(rho, k))),
-         (1,) if c == 1 else odd[:bisect_left(odd, 1 << k * c)])
-        for rho in distinct
+        ((rho, c, tuple(sorted(map(tables[rho].__getitem__, m)))),
+         (1,) if c == 1 else odd if c == top else odd[:bisect_left(odd, 1 << k * c)])
+        for rho, c in counts.items()
     )
 
 
@@ -357,9 +406,12 @@ def build_constraint_system(n: int, k: int) -> ConstraintSystem:
     for j, m in enumerate(monomials):
         bit = 1 << j
         for group, codes in parity_profile(m, k):
-            by_code = groups.setdefault(group, {})
-            for code in codes:
-                by_code[code] = by_code.get(code, 0) | bit
+            by_code = groups.get(group)
+            if by_code is None:
+                groups[group] = dict.fromkeys(codes, bit)
+            else:
+                for code in codes:
+                    by_code[code] = by_code.get(code, 0) | bit
     rows = {row for by_code in groups.values() for row in by_code.values()}
     return ConstraintSystem(n, k, monomials, tuple(sorted(rows)))
 

@@ -1,12 +1,17 @@
 """Command-line interface: dispatch, output, and exit codes."""
 
 import argparse
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import z2bord
 from z2bord.catalog import GEN_1, GEN_4, REJECTED_SINGLETON, SMALL_COVER_1
-from z2bord.cli import _parse_subgroup, main
+from z2bord.cli import EXIT_BROKEN_PIPE, _parse_subgroup, main
 from z2bord.gf2 import InputError
 from z2bord.repalg import render_polynomial
 
@@ -368,6 +373,27 @@ class TestReproduce:
         first = capsys.readouterr().out
         main(["reproduce-paper"])
         assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["reproduce-paper"], ["dim", "--n", "5", "--k", "3"]],
+                         ids=["reproduce-paper", "dim"])
+def test_reader_closed_at_once(argv, unbuffered):
+    # The read end is closed before the process starts, so its first write
+    # (a print when unbuffered, the flush in main when buffered) fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(z2bord.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        done = subprocess.run([sys.executable, "-m", "z2bord.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == EXIT_BROKEN_PIPE == 141
 
 
 class TestDispatch:

@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -374,7 +375,7 @@ class TestParityKernel:
         subs = {s for size in range(top)
                 for s in itertools.combinations(m, size)}
         odd = {s for s in subs if sub_multiset_multiplicity(m, s) & 1}
-        codes = odd_submultisets(m, k)
+        codes = odd_submultisets(Counter(m), k)
         listed = [submultiset(code, k) for code in codes]
         assert len(set(listed)) == len(listed) and set(listed) == odd
         assert list(codes) == sorted(codes)
@@ -384,13 +385,34 @@ class TestParityKernel:
         m = (0b001, 0b010, 0b010, 0b010)
         # C(3, j) is odd for j = 0..3, C(1, j) for j = 0, 1; only sizes
         # below the largest multiplicity, 3, are listed.
-        assert [submultiset(c, 3) for c in odd_submultisets(m, 3)] == [
+        assert [submultiset(c, 3) for c in odd_submultisets(Counter(m), 3)] == [
             (), (1,), (2,), (1, 2), (2, 2),
         ]
         assert submultiset(1, 3) == ()
         assert submultiset(0b1_001_010, 3) == (1, 2)
 
-    @pytest.mark.parametrize("n,k", [(5, 3), (4, 4)])
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_profile_equals_the_definition(self, data):
+        # Sorted monomials, faithful or not, with repeats up to the
+        # degree: every fast path of the kernel (all factors distinct, top
+        # multiplicity 2, c at or below the top) against the criterion.
+        k = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(0, 12))
+        pool = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=n + 1,
+                                  unique=True))
+        m = tuple(sorted(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))))
+        profile = parity_profile(m, k)
+        assert [group for group, _ in profile] == [
+            (rho, m.count(rho), restriction_class(m, rho, k)) for rho in dict.fromkeys(m)]
+        for (_, c, _), codes in profile:
+            subs = {s for size in range(c) for s in itertools.combinations(m, size)}
+            odd = sorted((s for s in subs if sub_multiset_multiplicity(m, s) & 1),
+                         key=lambda s: (len(s), s))
+            assert type(codes) is tuple
+            assert [submultiset(code, k) for code in codes] == odd
+
+    @pytest.mark.parametrize("n,k", [(5, 3), (4, 4), (8, 3), (5, 4)])
     def test_profile_keys_are_restriction_classes(self, n, k):
         for m in enumerate_faithful_monomials(n, k):
             profile = parity_profile(m, k)
