@@ -8,6 +8,12 @@ is the tuple of its bit-packed rows; a matrix acts on a vector through
 repalg.restriction_table of its rows.  Every elimination goes through one
 step, reduce_into, on a pivot table: a dict from a pivot bit to the one row
 whose highest set bit it is.
+
+A sparse vector is the tuple of its set-bit positions, highest first, as
+set_bits lists them; these tuples sort in the numeric order of their
+ints.  from_bits, the inverse of set_bits, makes the int of a sparse
+vector.  It ORs in one bit per position, highest first, so every
+intermediate already has the result's width and each is freed by the next.
 """
 
 from __future__ import annotations
@@ -97,6 +103,15 @@ def set_bits(v: int) -> list[int]:
         out.append(top - i)
         i = s.find("1", i + 1)
     return out
+
+
+def from_bits(bits) -> int:
+    """The int whose set bits are at the positions bits, listed highest
+    first: the inverse of set_bits."""
+    v = 0
+    for j in bits:
+        v |= 1 << j
+    return v
 
 
 def reduce_into(table: dict[int, int], v: int) -> int:

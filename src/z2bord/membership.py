@@ -55,7 +55,9 @@ from operator import and_
 from typing import NamedTuple
 
 from z2bord import gf2
-from z2bord.gf2 import Frozen, InputError, ResourceLimitError, nullspace, rank_of, set_bits
+from z2bord.gf2 import (
+    Frozen, InputError, ResourceLimitError, from_bits, nullspace, rank_of, set_bits,
+)
 from z2bord.repalg import (
     Polynomial,
     RestrictionTable,
@@ -337,15 +339,19 @@ def enumerate_faithful_monomials(n: int, k: int) -> list[tuple[int, ...]]:
 class ConstraintSystem(Frozen):
     """Linearized parity constraints over the faithful-monomial basis.
 
-    Row bit j (counted from bit 0 = monomial 0) is the coefficient of the
-    j-th faithful monomial; an indicator vector of a support lies in the
-    nullspace iff check_membership accepts the corresponding polynomial.
+    Each row is the tuple of its monomial indices, highest first (the
+    set_bits of its dense int), and the rows are sorted.  Index j in a row
+    is the j-th faithful monomial, whose coefficient there is 1.  An
+    indicator vector of a support lies in the nullspace iff
+    check_membership accepts the corresponding polynomial.  Dense ints
+    are built only for elimination: a row as it is filed into the pivot
+    table, and the rows of the nullspace for as long as gf2.nullspace runs.
     """
 
     _fields = ("n", "k", "monomials", "rows")
 
     def __init__(self, n: int, k: int, monomials: tuple[tuple[int, ...], ...],
-                 rows: tuple[int, ...]):
+                 rows: tuple[tuple[int, ...], ...]):
         d = self.__dict__
         d["n"] = n
         d["k"] = k
@@ -355,6 +361,20 @@ class ConstraintSystem(Frozen):
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
         return {m: j for j, m in enumerate(self.monomials)}
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """Entry j is column j as a sparse vector: the numbers of the rows
+        that hold index j, highest first.  Each list of row numbers is
+        dropped as its tuple is made, so the two are never all held."""
+        columns: list = [[] for _ in self.monomials]
+        rows = self.rows
+        for r in range(len(rows) - 1, -1, -1):
+            for j in rows[r]:
+                columns[j].append(r)
+        for j, column in enumerate(columns):
+            columns[j] = tuple(column)
+        return tuple(columns)
 
     def indicator(self, p: Polynomial) -> int:
         idx = self._index
@@ -368,11 +388,17 @@ class ConstraintSystem(Frozen):
         return bits
 
     def in_nullspace(self, bits: int) -> bool:
-        """Whether the indicator bits (see indicator) meet every row."""
+        """Whether the indicator bits (see indicator) meet every row an
+        even number of times: whether the columns of its set bits XOR to 0,
+        each column taken as the set of its rows."""
         if bits < 0 or bits >> len(self.monomials):
             raise InputError(f"not an indicator over the {len(self.monomials)} faithful "
                              f"monomials of degree {self.n} rank {self.k}")
-        return not any((row & bits).bit_count() & 1 for row in self.rows)
+        columns = self._columns
+        odd: set[int] = set()
+        for j in set_bits(bits):
+            odd.symmetric_difference_update(columns[j])
+        return not odd
 
     def accepts(self, p: Polynomial) -> bool:
         return self.in_nullspace(self.indicator(p))
@@ -380,7 +406,8 @@ class ConstraintSystem(Frozen):
     @cached_property
     def _nullity(self) -> int:
         # Sparse rows first: they fill the pivot table with fewer bits.
-        return len(self.monomials) - rank_of(sorted(self.rows, key=int.bit_count))
+        rows = sorted(self.rows, key=len)
+        return len(self.monomials) - rank_of(map(from_bits, rows))
 
     def nullspace_dimension(self) -> int:
         """Dimension of the nullspace, ranked once per system."""
@@ -393,26 +420,24 @@ class ConstraintSystem(Frozen):
         monomials, n, k = self.monomials, self.n, self.k
         return [
             Polynomial(frozenset([monomials[j] for j in set_bits(b)]), n, k)
-            for b in nullspace(self.rows, len(monomials))
+            for b in nullspace(map(from_bits, self.rows), len(monomials))
         ]
 
 
 def build_constraint_system(n: int, k: int) -> ConstraintSystem:
-    """One row per (group, witness code) that some monomial meets: bit j
-    is set when monomial j is in that group and the witness is one of its
-    odd sub-multisets."""
+    """One row per (group, witness code) that some monomial meets: index j
+    is in it when monomial j is in that group and the witness is one of
+    its odd sub-multisets.  The monomials are visited last first, so each
+    row lists its indices highest first as they are met, and no dense int
+    is built."""
     monomials = tuple(enumerate_faithful_monomials(n, k))
-    groups: dict[tuple, dict[int, int]] = {}
-    for j, m in enumerate(monomials):
-        bit = 1 << j
-        for group, codes in parity_profile(m, k):
-            by_code = groups.get(group)
-            if by_code is None:
-                groups[group] = dict.fromkeys(codes, bit)
-            else:
-                for code in codes:
-                    by_code[code] = by_code.get(code, 0) | bit
-    rows = {row for by_code in groups.values() for row in by_code.values()}
+    groups: defaultdict[tuple, dict[int, list[int]]] = defaultdict(dict)
+    for j in range(len(monomials) - 1, -1, -1):
+        for group, codes in parity_profile(monomials[j], k):
+            by_code = groups[group]
+            for code in codes:
+                by_code.setdefault(code, []).append(j)
+    rows = {tuple(row) for by_code in groups.values() for row in by_code.values()}
     return ConstraintSystem(n, k, monomials, tuple(sorted(rows)))
 
 

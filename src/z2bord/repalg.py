@@ -144,9 +144,10 @@ def automorphism_columns(a: tuple[int, ...], k: int) -> tuple[int, ...]:
 
 
 def apply_automorphism(p: Polynomial, a: tuple[int, ...]) -> Polynomial:
-    """Precompose every factor functional with the automorphism g -> Ag."""
-    columns = automorphism_columns(a, p.k)
-    monos = {restrict(m, columns) for m in p.monomials}
+    """Precompose every factor functional with the automorphism g -> Ag:
+    restrict each monomial to its columns, through one table lookup."""
+    image = restriction_table(automorphism_columns(a, p.k)).__getitem__
+    monos = {tuple(sorted(map(image, m))) for m in p.monomials}
     return Polynomial(frozenset(monos), p.n, p.k)
 
 

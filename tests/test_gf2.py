@@ -17,11 +17,13 @@ from z2bord.gf2 import (
     dot,
     enumerate_gl,
     enumerate_subspaces,
+    from_bits,
     inverse,
     nullspace,
     parse_vec,
     rank_of,
     row_reduce,
+    set_bits,
     transpose,
     unit,
     vec_str,
@@ -124,6 +126,22 @@ class TestVectors:
     @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
     def test_dot_bilinear(self, a, b, c):
         assert dot(a ^ b, c) == (dot(a, c) + dot(b, c)) % 2
+
+    @given(st.integers(0, 2**700), st.integers(0, 2**700))
+    def test_sparse_round_trip_and_order(self, a, b):
+        # A sparse vector is its set bits, highest first; as tuples these
+        # sort in the order of their ints.
+        sparse = tuple(set_bits(a))
+        assert list(sparse) == sorted((j for j in range(a.bit_length()) if a >> j & 1),
+                                      reverse=True)
+        assert from_bits(sparse) == a
+        assert (sparse < tuple(set_bits(b))) == (a < b)
+
+    @given(st.sets(st.integers(0, 700)))
+    def test_set_bits_inverts_from_bits(self, positions):
+        bits = sorted(positions, reverse=True)
+        assert set_bits(from_bits(bits)) == bits
+        assert from_bits(tuple(bits)) == sum(1 << j for j in positions)
 
 
 class TestRowReduce:

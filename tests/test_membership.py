@@ -1,5 +1,6 @@
 """Realizability criterion: direct checker and linear constraint system."""
 
+import functools
 import gc
 import itertools
 import random
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from z2bord.catalog import (
     GEN_1, GENERATORS, REJECTED_SINGLETON, SMALL_COVER_1, SMALL_COVER_2, mono, poly,
 )
-from z2bord.gf2 import InputError, ResourceLimitError, rank_of, unit
+from z2bord.gf2 import InputError, ResourceLimitError, rank_of, set_bits, unit
 from z2bord import membership
 from z2bord.membership import (
     Violation,
@@ -38,6 +39,13 @@ from test_acceptance import closed_form_dimension
 
 
 RP2 = poly("1 2\n1 12\n2 12", 2)  # the unique realizable class at degree 2, rank 2
+
+
+@functools.lru_cache(maxsize=None)
+def indexed_system(n, k):
+    """The constraint system of (n, k) and the indicators of its basis."""
+    cs = build_constraint_system(n, k)
+    return cs, [cs.indicator(p) for p in cs.nullspace_basis()]
 
 
 class TestDecomposition:
@@ -218,6 +226,35 @@ class TestConstraintSystem:
             cs.indicator(poly(text, 3))
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             cs.accepts(poly(text, 3))
+
+    @pytest.mark.parametrize("n,k", [(0, 3), (2, 3)])
+    def test_system_without_rows(self, n, k):
+        # No faithful monomial, so no row: the nullspace is the zero space.
+        cs = build_constraint_system(n, k)
+        assert cs.monomials == () and cs.rows == ()
+        assert cs.nullspace_dimension() == 0
+        assert cs.nullspace_basis() == []
+        assert cs.in_nullspace(0)
+        assert cs.accepts(Polynomial.zero(n, k))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_in_nullspace_is_the_parity_of_every_row(self, data):
+        # An indicator is a sum of basis elements with a few bits toggled,
+        # the top valid bit among those that may be; it meets each row of
+        # the system, scanned by definition, an even number of times iff
+        # in_nullspace holds, and iff check_membership accepts its support.
+        n, k = data.draw(st.sampled_from([(5, 3), (6, 3), (4, 4)]))
+        cs, basis = indexed_system(n, k)
+        top = len(cs.monomials) - 1
+        bits = 0
+        for b in data.draw(st.lists(st.sampled_from(basis), max_size=6)):
+            bits ^= b
+        for j in data.draw(st.lists(st.one_of(st.just(top), st.integers(0, top)), max_size=3)):
+            bits ^= 1 << j
+        even = all(sum(bits >> j & 1 for j in row) % 2 == 0 for row in cs.rows)
+        p = Polynomial(frozenset(m for j, m in enumerate(cs.monomials) if bits >> j & 1), n, k)
+        assert cs.in_nullspace(bits) == even == check_membership(p).accepted
 
     def _oracle_agreement(self, n, k, subsets):
         cs = build_constraint_system(n, k)
@@ -432,7 +469,8 @@ class TestAgainstReference:
         (2, 2), (3, 3), (5, 3), (6, 3), (7, 3), (8, 3), (4, 4), (5, 4),
     ])
     def test_rows(self, n, k):
-        assert build_constraint_system(n, k).rows == reference_rows(n, k)
+        sparse = tuple(tuple(set_bits(row)) for row in reference_rows(n, k))
+        assert build_constraint_system(n, k).rows == sparse
 
     def test_catalog_certificates(self):
         covers = [fixed_polynomial(CharacteristicFunction.from_matrix(

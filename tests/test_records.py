@@ -53,7 +53,7 @@ CASES = {
                 lambda: Violation(4, 2, (0, 0, 1), (4, 4)), True),
     MembershipCertificate: (lambda: MembershipCertificate(False, VIOLATION),
                             lambda: MembershipCertificate(True), True),
-    ConstraintSystem: (lambda: ConstraintSystem(2, 2, ((1, 2),), (1,)),
+    ConstraintSystem: (lambda: ConstraintSystem(2, 2, ((1, 2),), ((0,),)),
                        lambda: ConstraintSystem(2, 2, ((1, 2),), ()), True),
     LabeledGraph: (lambda: LabeledGraph(1, (("a", "b", 1),)),
                    lambda: LabeledGraph(1, (("a", "c", 1),)), True),
