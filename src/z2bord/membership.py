@@ -11,11 +11,15 @@ give the realizable space as a GF(2) nullspace.
 
 check_membership and build_constraint_system share one parity kernel,
 parity_profile, which gives each monomial's groups as (rho,
-multiplicity, class) tuples and rests on three facts:
+multiplicity, class) tuples and rests on four facts:
 
 - Lucas's theorem: C(c, j) is odd iff j & ~c == 0.  So the s with an
   odd sub_multiset_multiplicity(m, s) are listed directly, by taking a
   submask of m's count of each distinct factor.
+- Only witnesses that avoid rho are needed.  The members of a group share
+  rho-multiplicity c, so C(m, s + rho^j) = C(c, j) * C(m, s) for every
+  rho-free s: the row of s + rho^j is empty or the row of s, and a
+  violating s + rho^j comes with the smaller violating s.
 - The class is the restriction to ker rho: f -> f restricted to ker rho
   is linear with kernel {0, rho}, so a factor restricts to 0 exactly
   when it is rho, and the class's zeros count the rho-multiplicity.
@@ -24,21 +28,22 @@ multiplicity, class) tuples and rests on three facts:
   numeric order on codes is (len(s), s) order.
 
 parity_profile counts m's factors once; the count gives every
-multiplicity and the odd codes, listed once for m and cut at each
-multiplicity.  The classes are read from kernel_tables(k), one lazy map
-per rank from rho to the restriction table of ker rho, so no cache is
-looked up per rho and no table of 2^k entries is built.
+multiplicity and, per rho, the odd rho-free codes below it.  The
+classes are read from kernel_tables(k), one lazy map per rank from rho
+to the restriction table of ker rho, so no cache is looked up per rho
+and no table of 2^k entries is built.
 
 check_membership reads each monomial's (group, odd witness) pairs as
 one int with a bit per pair, from the table of its shape (n, k).  The
 table numbers that shape's distinct (rho, multiplicity, class, code)
 pairs in first-seen order and keeps the bit -> pair list, so a profile
 is only as wide as its shape's pair count.  A polynomial is accepted iff
-the XOR of its monomials' profiles is 0.  Otherwise the set bits are
-decoded to their pairs and the least of these is the reported
-violation: tuples compare field by field and every class of a
-polynomial has its degree as length, so tuple order is the certificate's
-(rho, multiplicity, class, (len(s), s)) order, which bit order is not.
+the XOR of its monomials' profiles, folded in one pass, is 0.  Otherwise
+the set bits are peeled off from the top and decoded to their pairs,
+and the least of these is the reported violation: tuples compare field
+by field and every class of a polynomial has its degree as length, so
+tuple order is the certificate's (rho, multiplicity, class, (len(s), s))
+order, which bit order is not.
 A verdict that starts with the tables full drops them all, then reads
 only the table it took, so no verdict mixes two numberings; a lock
 covers only the numbering of new pairs.
@@ -48,10 +53,9 @@ from __future__ import annotations
 
 import itertools
 import threading
-from bisect import bisect_left
 from collections import defaultdict
 from functools import cached_property, lru_cache, reduce
-from operator import and_
+from operator import and_, xor
 from typing import NamedTuple
 
 from z2bord import gf2
@@ -148,39 +152,9 @@ def decompose_for_rho(p: Polynomial, rho: int) -> RhoDecomposition:
     return RhoDecomposition(rho, groups)
 
 
-def odd_submultisets(counts: dict[int, int], k: int) -> tuple[int, ...]:
-    """Codes over rank k of every sub-multiset s of the monomial whose
-    factor counts are counts (factor -> multiplicity, in increasing factor
-    order, as a sorted monomial lists them), smaller than its largest
-    multiplicity, whose sub_multiset_multiplicity is odd, in increasing
-    order.  parity_profile counts the factors once and passes the count
-    here; it reads no larger s.
-
-    By Lucas's theorem s qualifies iff its count of each factor is a
-    submask of the monomial's count (see the module docstring), so the
-    codes are listed directly, one submask per distinct factor.  At top
-    multiplicity 2 the odd s are the empty multiset and the single
-    factors of count 1, whose codes come in factor order with no sort.
-    """
-    top = max(counts.values(), default=1)
-    if top == 2:
-        return (1, *[1 << k | f for f, c in counts.items() if c == 1])
-    below = 1 << k * top  # the codes of smaller s
-    codes = [1]
-    for f, c in counts.items():
-        runs = []  # (shift, f repeated j times) for each nonzero submask j of c
-        j = c
-        while j:
-            runs.append((j * k, f * ((1 << j * k) - 1) // ((1 << k) - 1)))
-            j = (j - 1) & c
-        codes += [new for code in codes for shift, run in runs
-                  if (new := code << shift | run) < below]
-    return tuple(sorted(codes))
-
-
 def submultiset(code: int, k: int) -> tuple[int, ...]:
     """The sorted sub-multiset whose code is code (inverse of the coding
-    in odd_submultisets)."""
+    in the module docstring)."""
     mask = (1 << k) - 1
     s = []
     while code > 1:
@@ -213,13 +187,15 @@ def parity_profile(m: tuple[int, ...], k: int) -> tuple:
     """((rho, multiplicity, class), codes) for each distinct factor rho of
     the sorted rank-k monomial m, in factor order.
 
-    The group is m's for rho: the multiplicity is m.count(rho) and the
+    The group is m's for rho: the multiplicity c is m.count(rho) and the
     class is m's restriction to ker rho, read from kernel_tables(k).  codes
-    are the odd sub-multisets of m of size below the multiplicity: m adds 1
-    to the parity sum of exactly these witnesses in its group.  At
-    multiplicity 1 that is the empty multiset alone, code 1; at m's top
-    multiplicity it is all of odd_submultisets.  The factors are counted
-    once, and that count gives every multiplicity and the odd codes.
+    are the odd sub-multisets of m that avoid rho and have size below c,
+    in increasing order: m adds 1 to the parity sum of exactly these
+    rho-free witnesses in its group.  At c = 1 that is the empty multiset
+    alone, code 1; at c = 2 it is also each single factor of odd count,
+    which rho is not; at c >= 3 it is a product of submasks, one per other
+    factor.  The factors are counted once, and that count gives every
+    multiplicity and the odd codes.
     """
     tables = kernel_tables(k)
     counts: dict[int, int] = {}
@@ -228,13 +204,27 @@ def parity_profile(m: tuple[int, ...], k: int) -> tuple:
     if len(counts) == len(m):  # every multiplicity is 1
         return tuple(((rho, 1, tuple(sorted(map(tables[rho].__getitem__, m)))), (1,))
                      for rho in m)
-    odd = odd_submultisets(counts, k)
-    top = max(counts.values())
-    return tuple(
-        ((rho, c, tuple(sorted(map(tables[rho].__getitem__, m)))),
-         (1,) if c == 1 else odd if c == top else odd[:bisect_left(odd, 1 << k * c)])
-        for rho, c in counts.items()
-    )
+    singles = (1, *[1 << k | f for f, c in counts.items() if c & 1])
+    profile = []
+    for rho, c in counts.items():
+        if c <= 2:
+            codes = (1,) if c == 1 else singles
+        else:
+            below = 1 << k * c  # the codes of s smaller than c
+            listed = [1]
+            for f, cf in counts.items():
+                if f == rho:
+                    continue
+                runs = []  # (shift, f repeated j times) for each nonzero submask j of cf
+                j = cf
+                while j:
+                    runs.append((j * k, f * ((1 << j * k) - 1) // ((1 << k) - 1)))
+                    j = (j - 1) & cf
+                listed += [new for code in listed for shift, run in runs
+                           if (new := code << shift | run) < below]
+            codes = tuple(sorted(listed))
+        profile.append(((rho, c, tuple(sorted(map(tables[rho].__getitem__, m)))), codes))
+    return tuple(profile)
 
 
 _PROFILE_BOUND = 1 << 16  # profiles in all tables; the 26,740 of (6,4) fit
@@ -257,16 +247,19 @@ class _Profiles(dict):
     def __missing__(self, m: tuple[int, ...]) -> int | None:
         if not is_faithful(m, self.k):
             return None
+        ids, pairs = self.ids, self.pairs
         profile = 0
         for group, codes in parity_profile(m, self.k):
             for code in codes:
                 pair = group + (code,)
-                if pair not in self.ids:
+                bit = ids.get(pair)
+                if bit is None:
                     with _numbering_lock:
-                        if pair not in self.ids:  # not numbered meanwhile elsewhere
-                            self.pairs.append(pair)
-                            self.ids[pair] = len(self.pairs) - 1
-                profile |= 1 << self.ids[pair]
+                        bit = ids.get(pair)
+                        if bit is None:  # not numbered meanwhile elsewhere
+                            pairs.append(pair)
+                            bit = ids[pair] = len(pairs) - 1
+                profile |= 1 << bit
         self[m] = profile
         return profile
 
@@ -285,28 +278,35 @@ def require_faithful(p: Polynomial) -> Polynomial:
 def check_membership(p: Polynomial) -> MembershipCertificate:
     """Certificate-producing test for realizability of p.
 
-    p is accepted iff every (group, witness) pair has an even parity sum,
-    that is iff the XOR of the monomials' profiles is 0.  Otherwise the
-    set bits are decoded to their pairs, and the violation reported is the
-    least of these in (rho, multiplicity, class, (len(s), s)) order; the
-    lowest bit is only the first pair seen.  The verdict first drops every
-    table if together they hold _PROFILE_BOUND profiles, then takes its
-    shape's table and reads only that one, whatever other threads drop.
+    p is accepted iff every (group, rho-free witness) pair has an even
+    parity sum, that is iff the XOR of the monomials' profiles, folded in
+    one pass, is 0; a None profile in the fold means a monomial that is
+    not faithful, named by require_faithful.  Otherwise the set bits are
+    peeled off from the top and decoded to their pairs, and the violation
+    reported is the least of these in (rho, multiplicity, class, (len(s),
+    s)) order, which no witness holding rho could be; the lowest bit is
+    only the first pair seen.  The verdict first drops every table if
+    together they hold _PROFILE_BOUND profiles, then takes its shape's
+    table and reads only that one, whatever other threads drop.
     """
     if sum(map(len, list(_profiles.values()))) >= _PROFILE_BOUND:
         _profiles.clear()
     table = _profiles.get((p.n, p.k))
     if table is None:
         table = _profiles.setdefault((p.n, p.k), _Profiles(p.k))
-    odd = 0
-    for m in p.monomials:
-        profile = table[m]
-        if profile is None:
-            require_faithful(p)
-        odd ^= profile
+    try:
+        odd = reduce(xor, map(table.__getitem__, p.monomials), 0)
+    except TypeError:  # a None profile: a monomial that is not faithful
+        require_faithful(p)
+        raise
     if not odd:
         return MembershipCertificate(True, polynomial=p)
-    rho, mult, cls, code = min(table.pairs[bit] for bit in set_bits(odd))
+    pairs, found = table.pairs, []
+    while odd:
+        top = odd.bit_length() - 1
+        found.append(pairs[top])
+        odd ^= 1 << top
+    rho, mult, cls, code = min(found)
     return MembershipCertificate(
         False, violation=Violation(rho, mult, cls, submultiset(code, p.k)))
 
@@ -427,9 +427,9 @@ class ConstraintSystem(Frozen):
 def build_constraint_system(n: int, k: int) -> ConstraintSystem:
     """One row per (group, witness code) that some monomial meets: index j
     is in it when monomial j is in that group and the witness is one of
-    its odd sub-multisets.  The monomials are visited last first, so each
-    row lists its indices highest first as they are met, and no dense int
-    is built."""
+    its odd rho-free sub-multisets.  The monomials are visited last
+    first, so each row lists its indices highest first as they are met,
+    and no dense int is built."""
     monomials = tuple(enumerate_faithful_monomials(n, k))
     groups: defaultdict[tuple, dict[int, list[int]]] = defaultdict(dict)
     for j in range(len(monomials) - 1, -1, -1):

@@ -9,7 +9,6 @@ import sys
 import threading
 import tracemalloc
 import weakref
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +27,6 @@ from z2bord.membership import (
     enumerate_faithful_monomials,
     image_dimension,
     kernel_basis,
-    odd_submultisets,
     parity_profile,
     restriction_class,
     submultiset,
@@ -134,6 +132,17 @@ class TestChecker:
         p = poly("1 2 3\n1 1 2\n1 2 2", 3)
         with pytest.raises(InputError, match="^monomial 010,010,100 is not faithful$"):
             check_membership(p)
+
+    def test_a_type_error_from_the_kernel_is_not_an_input_error(self, monkeypatch):
+        # Only a None profile means a non-faithful monomial; any other
+        # TypeError on the way is raised as it is.
+        def broken(m, k):
+            raise TypeError("broken kernel")
+
+        monkeypatch.setattr(membership, "_profiles", {})
+        monkeypatch.setattr(membership, "parity_profile", broken)
+        with pytest.raises(TypeError, match="^broken kernel$"):
+            check_membership(GEN_1)
 
     @pytest.mark.parametrize("factors", [
         [unit(i, 16) for i in range(1, 17)],
@@ -398,8 +407,17 @@ def faithful_polynomials(draw):
     return Polynomial.make(monomials + extra, n, k), not extra
 
 
+def rho_free_odd(m, rho, c):
+    """By definition: the sub-multisets s of m with |s| < c and rho not in
+    s whose sub_multiset_multiplicity is odd, in (len(s), s) order."""
+    subs = {s for size in range(c) for s in itertools.combinations(m, size) if rho not in s}
+    return sorted((s for s in subs if sub_multiset_multiplicity(m, s) & 1),
+                  key=lambda s: (len(s), s))
+
+
 class TestParityKernel:
-    """The odd sub-multiset listing behind check_membership and the build."""
+    """The per-rho listing of rho-free odd witnesses behind check_membership
+    and the build, against the criterion by definition."""
 
     @settings(max_examples=300)
     @given(st.data())
@@ -408,23 +426,20 @@ class TestParityKernel:
         pool = data.draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=4))
         factors = data.draw(st.lists(st.sampled_from(pool), max_size=8))
         m = tuple(sorted(factors))
-        top = max(map(m.count, m), default=1)
-        subs = {s for size in range(top)
-                for s in itertools.combinations(m, size)}
-        odd = {s for s in subs if sub_multiset_multiplicity(m, s) & 1}
-        codes = odd_submultisets(Counter(m), k)
-        listed = [submultiset(code, k) for code in codes]
-        assert len(set(listed)) == len(listed) and set(listed) == odd
-        assert list(codes) == sorted(codes)
-        assert listed == sorted(listed, key=lambda s: (len(s), s))
+        for (rho, c, _), codes in parity_profile(m, k):
+            listed = [submultiset(code, k) for code in codes]
+            assert len(set(listed)) == len(listed)
+            assert set(listed) == set(rho_free_odd(m, rho, c))
+            assert list(codes) == sorted(codes)
+            assert listed == sorted(listed, key=lambda s: (len(s), s))
 
     def test_codes(self):
         m = (0b001, 0b010, 0b010, 0b010)
         # C(3, j) is odd for j = 0..3, C(1, j) for j = 0, 1; only sizes
-        # below the largest multiplicity, 3, are listed.
-        assert [submultiset(c, 3) for c in odd_submultisets(Counter(m), 3)] == [
-            (), (1,), (2,), (1, 2), (2, 2),
-        ]
+        # below each rho's multiplicity are listed, and none holds rho.
+        listed = {rho: [submultiset(c, 3) for c in codes]
+                  for (rho, _, _), codes in parity_profile(m, 3)}
+        assert listed == {1: [()], 2: [(), (1,)]}
         assert submultiset(1, 3) == ()
         assert submultiset(0b1_001_010, 3) == (1, 2)
 
@@ -432,8 +447,8 @@ class TestParityKernel:
     @given(st.data())
     def test_profile_equals_the_definition(self, data):
         # Sorted monomials, faithful or not, with repeats up to the
-        # degree: every fast path of the kernel (all factors distinct, top
-        # multiplicity 2, c at or below the top) against the criterion.
+        # degree: every fast path of the kernel (all factors distinct,
+        # multiplicity 2, multiplicity 3 and more) against the criterion.
         k = data.draw(st.integers(1, 6))
         n = data.draw(st.integers(0, 12))
         pool = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=n + 1,
@@ -442,12 +457,9 @@ class TestParityKernel:
         profile = parity_profile(m, k)
         assert [group for group, _ in profile] == [
             (rho, m.count(rho), restriction_class(m, rho, k)) for rho in dict.fromkeys(m)]
-        for (_, c, _), codes in profile:
-            subs = {s for size in range(c) for s in itertools.combinations(m, size)}
-            odd = sorted((s for s in subs if sub_multiset_multiplicity(m, s) & 1),
-                         key=lambda s: (len(s), s))
+        for (rho, c, _), codes in profile:
             assert type(codes) is tuple
-            assert [submultiset(code, k) for code in codes] == odd
+            assert [submultiset(code, k) for code in codes] == rho_free_odd(m, rho, c)
 
     @pytest.mark.parametrize("n,k", [(5, 3), (4, 4), (8, 3), (5, 4)])
     def test_profile_keys_are_restriction_classes(self, n, k):
@@ -459,6 +471,22 @@ class TestParityKernel:
                 assert mult == m.count(rho) == cls.count(0)
                 if mult == 1:
                     assert codes == (1,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(faithful_polynomials())
+def test_a_violation_holding_its_rho_has_a_rho_free_companion(p_and_realizable):
+    # Every member of a group has rho-multiplicity c, so s + rho^j has
+    # C(c, j) times the parity of s: the kernel lists rho-free witnesses
+    # only.  Checked here from the definitions alone.
+    p, _ = p_and_realizable
+    violations = set(reference_violations(p))
+    for v in violations:
+        if v.rho in v.witness:
+            rest = tuple(f for f in v.witness if f != v.rho)
+            assert v._replace(witness=rest) in violations
+    first = next(reference_violations(p), None)
+    assert first is None or first.rho not in first.witness
 
 
 class TestAgainstReference:
@@ -621,6 +649,16 @@ class TestAgainstReference:
             assert cert.accepted == accepted
             assert certificate(cert) == reference_check(q)
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("n,k,count", [(5, 3, 532), (6, 3, 1414)])
+    def test_tables_number_only_rho_free_pairs(self, monkeypatch, n, k, count):
+        # A witness that holds rho repeats a rho-free row, so no table
+        # numbers it; with it, (5,3) and (6,3) would hold 658 and 1,722.
+        monkeypatch.setattr(membership, "_profiles", {})
+        check_membership(Polynomial.make(enumerate_faithful_monomials(n, k), n, k))
+        pairs = membership._profiles[n, k].pairs
+        assert all(rho not in submultiset(code, k) for rho, _, _, code in pairs)
+        assert len(pairs) == count
 
     def test_least_violation_is_reported(self):
         # Three groups of rho = 001 are odd, of multiplicities 2, 2 and 3,
