@@ -11,7 +11,7 @@ give the realizable space as a GF(2) nullspace.
 
 check_membership and build_constraint_system share one parity kernel,
 parity_profile, which gives each monomial's groups as (rho,
-multiplicity, class) tuples and rests on four facts:
+multiplicity, key) triples and rests on four facts:
 
 - Lucas's theorem: C(c, j) is odd iff j & ~c == 0.  So the s with an
   odd sub_multiset_multiplicity(m, s) are listed directly, by taking a
@@ -27,35 +27,37 @@ multiplicity, class) tuples and rests on four facts:
   by s_1, ..., s_L, k bits each.  Codes of longer s are larger, so
   numeric order on codes is (len(s), s) order.
 
-parity_profile counts m's factors once; the count gives every
-multiplicity and, per rho, the odd rho-free codes below it.  The
-classes are read from kernel_tables(k), one lazy map per rank from rho
-to the restriction table of ker rho, so no cache is looked up per rho
-and no table of 2^k entries is built.
+The key of m's class is its count vector: the sum over m's factors f of
+1 << B*r, r being f restricted to ker rho and B = len(m).bit_length().
+No slot counts more than len(m) < 2^B factors, so no sum carries into
+the next slot: the key is injective, needs no sort and is B * 2^(k-1)
+bits wide.  kernel_weights gives its terms with no cache lookup per rho
+and no table of 2^k entries.  Past about rank 8, summing the wide key
+costs more than sorting the class would.  A class tuple is made from a
+member only for a decoded pair or a decomposition.
 
 check_membership reads each monomial's (group, odd witness) pairs as
 one int with a bit per pair, from the table of its shape (n, k).  The
-table numbers that shape's distinct (rho, multiplicity, class, code)
-pairs in first-seen order and keeps the bit -> pair list, so a profile
-is only as wide as its shape's pair count.  A polynomial is accepted iff
-the XOR of its monomials' profiles, folded in one pass, is 0.  Otherwise
-the set bits are peeled off from the top and decoded to their pairs,
-and the least of these is the reported violation: tuples compare field
-by field and every class of a polynomial has its degree as length, so
-tuple order is the certificate's (rho, multiplicity, class, (len(s), s))
-order, which bit order is not.
-A verdict that starts with the tables full drops them all, then reads
-only the table it took, so no verdict mixes two numberings; a lock
-covers only the numbering of new pairs.
+table numbers that shape's distinct (rho, key, code) pairs in
+first-seen order and keeps the bit -> (rho, multiplicity, class, code)
+list, so a profile is only as wide as its shape's pair count.  A
+polynomial is accepted iff the XOR of its monomials' profiles, folded in
+one pass, is 0.  Otherwise the set bits are peeled off from the top and
+decoded to their pairs, and the least of these is the reported
+violation: tuples compare field by field and every class of a
+polynomial has its degree as length, so tuple order is the
+certificate's (rho, multiplicity, class, (len(s), s)) order, which bit
+order is not.  A verdict that starts with the tables full drops them
+all, then reads only the table it took, so no verdict mixes two
+numberings; a lock covers only the numbering of new pairs.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import defaultdict
 from functools import cached_property, lru_cache, reduce
-from operator import and_, xor
+from operator import xor
 from typing import NamedTuple
 
 from z2bord import gf2
@@ -63,12 +65,7 @@ from z2bord.gf2 import (
     Frozen, InputError, ResourceLimitError, from_bits, nullspace, rank_of, set_bits,
 )
 from z2bord.repalg import (
-    Polynomial,
-    RestrictionTable,
-    is_faithful,
-    render_monomial,
-    restrict,
-    restriction_table,
+    Polynomial, is_faithful, render_monomial, restrict, restriction_table,
 )
 
 
@@ -131,7 +128,9 @@ class MembershipCertificate(Frozen):
             for group, _ in parity_profile(m, p.k):
                 members[group].append(m)
         by_rho: defaultdict[int, list[Group]] = defaultdict(list)
-        for (rho, mult, cls), ms in sorted(members.items()):
+        for rho, mult, cls, ms in sorted(  # keys are injective: no tie reaches ms
+                (rho, mult, restrict(ms[0], kernel_basis(rho, p.k)), ms)
+                for (rho, mult, _), ms in members.items()):
             by_rho[rho].append(Group(mult, cls, frozenset(ms)))
         return tuple(RhoDecomposition(rho, tuple(gs)) for rho, gs in by_rho.items())
 
@@ -145,16 +144,13 @@ def decompose_for_rho(p: Polynomial, rho: int) -> RhoDecomposition:
         mult = m.count(rho)
         if mult:
             buckets.setdefault((mult, restriction_class(m, rho, p.k)), set()).add(m)
-    groups = tuple(
-        Group(mult, cls, frozenset(members))
-        for (mult, cls), members in sorted(buckets.items())
-    )
-    return RhoDecomposition(rho, groups)
+    groups = (Group(mult, cls, frozenset(members))
+              for (mult, cls), members in sorted(buckets.items()))
+    return RhoDecomposition(rho, tuple(groups))
 
 
 def submultiset(code: int, k: int) -> tuple[int, ...]:
-    """The sorted sub-multiset whose code is code (inverse of the coding
-    in the module docstring)."""
+    """The sorted sub-multiset with this code (module docstring)."""
     mask = (1 << k) - 1
     s = []
     while code > 1:
@@ -163,47 +159,49 @@ def submultiset(code: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(s))
 
 
-class _KernelTables(dict):
-    """Entry rho is restriction_table(kernel_basis(rho, k)), the table that
-    restricts a rank-k factor to ker rho, built on its first read and
-    then read with no cache lookup.  It holds only the rhos read, at most
-    2^k - 1 tables, each holding only the factors read."""
+class _Lazy(dict):
+    """A dict that builds entry x as make(x) on its first read."""
 
-    def __init__(self, k: int):
+    def __init__(self, make):
         super().__init__()
-        self.k = k
+        self.make = make
 
-    def __missing__(self, rho: int) -> RestrictionTable:
-        return self.setdefault(rho, restriction_table(kernel_basis(rho, self.k)))
+    def __missing__(self, x):
+        return self.setdefault(x, self.make(x))
 
 
 @lru_cache(maxsize=None)
-def kernel_tables(k: int) -> _KernelTables:
-    """The one rho -> ker-rho restriction table map of rank k."""
-    return _KernelTables(k)
+def kernel_weights(k: int, width: int) -> _Lazy:
+    """Rank k's one map rho -> (f -> 1 << width * r, r being f restricted to
+    ker rho), each table and entry built on first read; equal weights share an int."""
+    weights = _Lazy(lambda r: 1 << width * r)
+
+    def table(rho: int) -> _Lazy:
+        image = restriction_table(kernel_basis(rho, k))
+        return _Lazy(lambda f: weights[image[f]])
+
+    return _Lazy(table)
 
 
 def parity_profile(m: tuple[int, ...], k: int) -> tuple:
-    """((rho, multiplicity, class), codes) for each distinct factor rho of
+    """((rho, multiplicity, key), codes) for each distinct factor rho of
     the sorted rank-k monomial m, in factor order.
 
-    The group is m's for rho: the multiplicity c is m.count(rho) and the
-    class is m's restriction to ker rho, read from kernel_tables(k).  codes
-    are the odd sub-multisets of m that avoid rho and have size below c,
-    in increasing order: m adds 1 to the parity sum of exactly these
-    rho-free witnesses in its group.  At c = 1 that is the empty multiset
-    alone, code 1; at c = 2 it is also each single factor of odd count,
-    which rho is not; at c >= 3 it is a product of submasks, one per other
-    factor.  The factors are counted once, and that count gives every
-    multiplicity and the odd codes.
+    The group is m's for rho: the multiplicity c is m.count(rho) and key
+    is the count vector of m's restriction to ker rho (module docstring).
+    codes are the odd sub-multisets of m that avoid rho and have size
+    below c, in increasing order: m adds 1 to the parity sum of exactly
+    these rho-free witnesses in its group.  At c = 1 that is the empty
+    multiset alone, code 1; at c = 2 it is also each single factor of odd
+    count; at c >= 3 it is a product of submasks, one per other factor.
+    The factors are counted once, for every multiplicity and odd code.
     """
-    tables = kernel_tables(k)
+    tables = kernel_weights(k, len(m).bit_length())
     counts: dict[int, int] = {}
     for f in m:
         counts[f] = counts.get(f, 0) + 1
     if len(counts) == len(m):  # every multiplicity is 1
-        return tuple(((rho, 1, tuple(sorted(map(tables[rho].__getitem__, m)))), (1,))
-                     for rho in m)
+        return tuple(((rho, 1, sum(map(tables[rho].__getitem__, m))), (1,)) for rho in m)
     singles = (1, *[1 << k | f for f, c in counts.items() if c & 1])
     profile = []
     for rho, c in counts.items():
@@ -223,7 +221,7 @@ def parity_profile(m: tuple[int, ...], k: int) -> tuple:
                 listed += [new for code in listed for shift, run in runs
                            if (new := code << shift | run) < below]
             codes = tuple(sorted(listed))
-        profile.append(((rho, c, tuple(sorted(map(tables[rho].__getitem__, m)))), codes))
+        profile.append(((rho, c, sum(map(tables[rho].__getitem__, m))), codes))
     return tuple(profile)
 
 
@@ -233,10 +231,9 @@ _numbering_lock = threading.Lock()
 
 class _Profiles(dict):
     """The table of one shape (n, k): entry m is the int with a bit set per
-    (rho, multiplicity, class, code) pair of parity_profile(m, k), or None
-    (not stored) when m is not faithful.  ids numbers the pairs in
-    first-seen order and pairs lists them by bit; a new pair is listed
-    before its bit is published, so every bit of a profile decodes."""
+    (rho, key, code) pair of parity_profile(m, k), or None (not stored)
+    when m is not faithful.  ids numbers the pairs and pairs lists them
+    decoded, each before its bit is published, so every bit decodes."""
 
     def __init__(self, k: int):
         super().__init__()
@@ -247,17 +244,19 @@ class _Profiles(dict):
     def __missing__(self, m: tuple[int, ...]) -> int | None:
         if not is_faithful(m, self.k):
             return None
-        ids, pairs = self.ids, self.pairs
+        ids, pairs, k = self.ids, self.pairs, self.k
         profile = 0
-        for group, codes in parity_profile(m, self.k):
+        for (rho, mult, key), codes in parity_profile(m, k):
+            cls = None
             for code in codes:
-                pair = group + (code,)
+                pair = (rho, key, code)
                 bit = ids.get(pair)
                 if bit is None:
                     with _numbering_lock:
                         bit = ids.get(pair)
                         if bit is None:  # not numbered meanwhile elsewhere
-                            pairs.append(pair)
+                            cls = cls or restrict(m, kernel_basis(rho, k))
+                            pairs.append((rho, mult, cls, code))
                             bit = ids[pair] = len(pairs) - 1
                 profile |= 1 << bit
         self[m] = profile
@@ -276,19 +275,12 @@ def require_faithful(p: Polynomial) -> Polynomial:
 
 
 def check_membership(p: Polynomial) -> MembershipCertificate:
-    """Certificate-producing test for realizability of p.
-
-    p is accepted iff every (group, rho-free witness) pair has an even
-    parity sum, that is iff the XOR of the monomials' profiles, folded in
-    one pass, is 0; a None profile in the fold means a monomial that is
-    not faithful, named by require_faithful.  Otherwise the set bits are
-    peeled off from the top and decoded to their pairs, and the violation
-    reported is the least of these in (rho, multiplicity, class, (len(s),
-    s)) order, which no witness holding rho could be; the lowest bit is
-    only the first pair seen.  The verdict first drops every table if
-    together they hold _PROFILE_BOUND profiles, then takes its shape's
-    table and reads only that one, whatever other threads drop.
-    """
+    """Certificate-producing test for realizability of p (see the module
+    docstring).  A None profile in the fold means a monomial that is not
+    faithful, named by require_faithful.  The least decoded pair holds no
+    rho in its witness; the lowest bit is only the first pair seen.  The
+    verdict first drops every table if together they hold _PROFILE_BOUND
+    profiles, then reads only its shape's table, whatever others drop."""
     if sum(map(len, list(_profiles.values()))) >= _PROFILE_BOUND:
         _profiles.clear()
     table = _profiles.get((p.n, p.k))
@@ -324,16 +316,19 @@ def enumerate_faithful_monomials(n: int, k: int) -> list[tuple[int, ...]]:
     if n > _ENUM_BOUNDS[0] or k > _ENUM_BOUNDS[1]:
         raise ResourceLimitError(
             f"faithful-monomial enumeration bounded by degree {_ENUM_BOUNDS[0]}, "
-            f"rank {_ENUM_BOUNDS[1]}; got ({n}, {k})"
-        )
+            f"rank {_ENUM_BOUNDS[1]}; got ({n}, {k})")
     # The factors span rank k iff no nonzero rho vanishes on all of them,
     # i.e. iff the AND of their masks is 0; bit rho of mask[f] is set when
-    # rho(f) = 0.
-    nonzero = range(1, 1 << k)
-    mask = [sum(1 << rho for rho in nonzero if not gf2.dot(rho, f)) for f in range(1 << k)]
-    every_rho = mask[0]
-    return [factors for factors in itertools.combinations_with_replacement(nonzero, n)
-            if not reduce(and_, map(mask.__getitem__, factors), every_rho)]
+    # rho(f) = 0.  Prefixes, each with its least next factor and the AND of
+    # its masks, grow a level at a time; only the last level is filtered.
+    top = 1 << k
+    mask = [sum(1 << rho for rho in range(1, top) if not gf2.dot(rho, f)) for f in range(top)]
+    level = [((), 1, mask[0])]
+    for _ in range(n - 1):
+        level = [(prefix + (f,), f, acc & mask[f])
+                 for prefix, low, acc in level for f in range(low, top)]
+    return [prefix + (f,) for prefix, low, acc in level for f in range(low, top)
+            if not acc & mask[f]] if n else []
 
 
 class ConstraintSystem(Frozen):
@@ -429,16 +424,21 @@ def build_constraint_system(n: int, k: int) -> ConstraintSystem:
     is in it when monomial j is in that group and the witness is one of
     its odd rho-free sub-multisets.  The monomials are visited last
     first, so each row lists its indices highest first as they are met,
-    and no dense int is built."""
+    and no dense int is built.  A row's int key is its code, its key's
+    n.bit_length() * 2^(k-1) bits and rho's k bits; no factor is 0, so
+    the key's r = 0 slot is the multiplicity."""
     monomials = tuple(enumerate_faithful_monomials(n, k))
-    groups: defaultdict[tuple, dict[int, list[int]]] = defaultdict(dict)
+    shift = (n.bit_length() << k - 1) + k
+    rows: defaultdict[int, list[int]] = defaultdict(list)
     for j in range(len(monomials) - 1, -1, -1):
-        for group, codes in parity_profile(monomials[j], k):
-            by_code = groups[group]
+        for (rho, _, key), codes in parity_profile(monomials[j], k):
+            group = key << k | rho
             for code in codes:
-                by_code.setdefault(code, []).append(j)
-    rows = {tuple(row) for by_code in groups.values() for row in by_code.values()}
-    return ConstraintSystem(n, k, monomials, tuple(sorted(rows)))
+                rows[code << shift | group].append(j)
+    unique = set()
+    while rows:  # each list is dropped as its tuple is made
+        unique.add(tuple(rows.popitem()[1]))
+    return ConstraintSystem(n, k, monomials, tuple(sorted(unique)))
 
 
 def image_dimension(n: int, k: int) -> int:

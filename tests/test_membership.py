@@ -172,6 +172,9 @@ class TestFaithfulEnumeration:
         assert len(enumerate_faithful_monomials(7, 3)) == 1478
         assert len(enumerate_faithful_monomials(8, 3)) == 2702
         assert len(enumerate_faithful_monomials(5, 4)) == 6048
+        # The empty monomial spans rank 0; at rank 1 the one factor is 1.
+        assert all(enumerate_faithful_monomials(0, k) == [] for k in range(1, 5))
+        assert all(enumerate_faithful_monomials(n, 1) == [(1,) * n] for n in range(1, 9))
 
     def test_all_enumerated_are_faithful(self):
         for m in enumerate_faithful_monomials(3, 2):
@@ -179,7 +182,8 @@ class TestFaithfulEnumeration:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_equals_the_rank_definition(self, k):
-        for n in range(6):
+        # Up to the ladder's rank-3 degrees, and (5,4) at rank 4.
+        for n in range(9 if k <= 3 else 6):
             assert enumerate_faithful_monomials(n, k) == [
                 factors
                 for factors in itertools.combinations_with_replacement(range(1, 1 << k), n)
@@ -378,6 +382,15 @@ def spanning_factors(draw, n, k):
     return draw(st.permutations(factors))
 
 
+def projective_product(parts):
+    """The fixed-point monomials of a product of real projective spaces,
+    one RP^a per part of a distinct characters d_1, ..., d_a; see
+    faithful_polynomials."""
+    fixed_points = itertools.product(*(
+        [[x ^ y for y in (0, *part) if y != x] for x in (0, *part)] for part in parts))
+    return [tuple(sorted(itertools.chain(*point))) for point in fixed_points]
+
+
 @st.composite
 def faithful_polynomials(draw):
     """(p, realizable): a degree-n polynomial over rank k = 1..6, n = k..k+2,
@@ -399,12 +412,26 @@ def faithful_polynomials(draw):
         if d in parts[-1] or len(parts[-1]) > 1 and draw(st.booleans()):
             parts.append([])
         parts[-1].append(d)
-    fixed_points = itertools.product(*(
-        [[x ^ y for y in (0, *part) if y != x] for x in (0, *part)] for part in parts))
-    monomials = [tuple(sorted(itertools.chain(*point))) for point in fixed_points]
+    monomials = projective_product(parts)
     extra = [tuple(sorted(spanning_factors(draw, n, k)))
              for _ in range(draw(st.integers(0, 2)))]
     return Polynomial.make(monomials + extra, n, k), not extra
+
+
+def count_vector(cls, n):
+    """The key of a class of degree n by definition: slot r, of
+    n.bit_length() bits, holds cls.count(r)."""
+    width = n.bit_length()
+    return sum(cls.count(r) << width * r for r in set(cls))
+
+
+def code_of(s, k):
+    """The code of the sorted sub-multiset s over rank k: a leading 1, then
+    the factors of s, k bits each."""
+    code = 1
+    for f in s:
+        code = code << k | f
+    return code
 
 
 def rho_free_odd(m, rho, c):
@@ -456,18 +483,48 @@ class TestParityKernel:
         m = tuple(sorted(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))))
         profile = parity_profile(m, k)
         assert [group for group, _ in profile] == [
-            (rho, m.count(rho), restriction_class(m, rho, k)) for rho in dict.fromkeys(m)]
+            (rho, m.count(rho), count_vector(restriction_class(m, rho, k), n))
+            for rho in dict.fromkeys(m)]
         for (rho, c, _), codes in profile:
             assert type(codes) is tuple
             assert [submultiset(code, k) for code in codes] == rho_free_odd(m, rho, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_keys_are_equal_iff_the_classes_are(self, data):
+        # Two monomials of one degree, drawn as in the test above; the
+        # second is often the first with some factors f moved to f + d for
+        # a factor d, which restricts to ker d as f does.  Per rho in both,
+        # keys and classes are equal together, and so are (multiplicity,
+        # key) and (multiplicity, class), also when a factor 0 stands in
+        # for rho.
+        k = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(0, 12))
+        pool = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=n + 1,
+                                  unique=True))
+        draw_monomial = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+        m = tuple(sorted(data.draw(draw_monomial)))
+        if data.draw(st.booleans()) and m:
+            d = data.draw(st.sampled_from(m))
+            moved = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            twin = tuple(sorted(f ^ d if t else f for f, t in zip(m, moved)))
+        else:
+            twin = tuple(sorted(data.draw(draw_monomial)))
+        groups = [{rho: group for (rho, *group), _ in parity_profile(x, k)} for x in (m, twin)]
+        for rho in set(m) & set(twin):
+            (c, key), (c2, key2) = groups[0][rho], groups[1][rho]
+            cls, cls2 = restriction_class(m, rho, k), restriction_class(twin, rho, k)
+            assert (key == key2) == (cls == cls2)
+            assert ((c, key) == (c2, key2)) == ((m.count(rho), cls) == (twin.count(rho), cls2))
 
     @pytest.mark.parametrize("n,k", [(5, 3), (4, 4), (8, 3), (5, 4)])
     def test_profile_keys_are_restriction_classes(self, n, k):
         for m in enumerate_faithful_monomials(n, k):
             profile = parity_profile(m, k)
             assert [rho for (rho, _, _), _ in profile] == list(dict.fromkeys(m))
-            for (rho, mult, cls), codes in profile:
-                assert cls == restriction_class(m, rho, k)
+            for (rho, mult, key), codes in profile:
+                cls = restriction_class(m, rho, k)
+                assert key == count_vector(cls, n)
                 assert mult == m.count(rho) == cls.count(0)
                 if mult == 1:
                     assert codes == (1,)
@@ -511,6 +568,17 @@ class TestAgainstReference:
         assert [p.k for p in covers] == [5, 5]
         assert all(check_membership(p).accepted for p in covers)
         assert not any(check_membership(p).accepted for p in (REJECTED_SINGLETON, *twins))
+
+    def test_rank_10_certificates(self):
+        # RP^3 x RP^3 x RP^4 over rank 10: its keys are 4 * 2^9 bits wide.
+        parts = [(0b1, 0b11, 0b111), (0b1000, 0b11000, 0b111001),
+                 (0b1000000, 0b11000000, 0b111000000, 0b1111111111)]
+        p = Polynomial.make(projective_product(parts), 10, 10)
+        twin = Polynomial(p.monomials - {min(p.monomials)}, 10, 10)
+        assert len(p) == 80
+        assert certificate(check_membership(p)) == reference_check(p)
+        assert certificate(check_membership(twin)) == reference_check(twin)
+        assert check_membership(p).accepted and not check_membership(twin).accepted
 
     @settings(max_examples=200, deadline=None)
     @given(faithful_polynomials())
@@ -576,9 +644,10 @@ class TestAgainstReference:
                 drops += 1
                 table = tables[p.n, p.k]
                 assert list(tables) == [(p.n, p.k)] and set(table) == p.monomials
-                assert set(table.pairs) == {group + (code,) for m in p.monomials
-                                            for group, codes in parity_profile(m, p.k)
-                                            for code in codes}
+                assert set(table.pairs) == {
+                    (rho, m.count(rho), restriction_class(m, rho, p.k), code_of(s, p.k))
+                    for m in p.monomials for rho in set(m)
+                    for s in rho_free_odd(m, rho, m.count(rho))}
             # A table numbers only its shape's pairs, whose classes have its degree.
             assert all(len(pair[2]) == n for (n, _), table in tables.items()
                        for pair in table.pairs)
