@@ -11,7 +11,7 @@ give the realizable space as a GF(2) nullspace.
 
 check_membership and build_constraint_system share one parity kernel,
 parity_profile, which gives each monomial's groups as (rho,
-multiplicity, key) triples and rests on four facts:
+multiplicity, class) triples and rests on four facts:
 
 - Lucas's theorem: C(c, j) is odd iff j & ~c == 0.  So the s with an
   odd sub_multiset_multiplicity(m, s) are listed directly, by taking a
@@ -27,29 +27,30 @@ multiplicity, key) triples and rests on four facts:
   by s_1, ..., s_L, k bits each.  Codes of longer s are larger, so
   numeric order on codes is (len(s), s) order.
 
-The key of m's class is its count vector: the sum over m's factors f of
+parity_profile counts m's factors once; the count gives every
+multiplicity and, per rho, the odd rho-free codes below it.  A class is
+the sorted images of m's factors under kernel_tables(k), one lazy map
+per rank from rho to the restriction table of ker rho: no cache lookup
+per rho and no table of 2^k entries.  build_constraint_system asks
+instead for the class's count vector, the sum over m's factors f of
 1 << B*r, r being f restricted to ker rho and B = len(m).bit_length().
-No slot counts more than len(m) < 2^B factors, so no sum carries into
-the next slot: the key is injective, needs no sort and is B * 2^(k-1)
-bits wide.  kernel_weights gives its terms with no cache lookup per rho
-and no table of 2^k entries.  Past about rank 8, summing the wide key
-costs more than sorting the class would.  A class tuple is made from a
-member only for a decoded pair or a decomposition.
+No slot counts more than len(m) < 2^B factors, so no sum carries: the
+key is injective and needs no sort, but it is B * 2^(k-1) bits wide, so
+only the build, whose rank _ENUM_BOUNDS caps at 4, uses it.
 
 check_membership reads each monomial's (group, odd witness) pairs as
 one int with a bit per pair, from the table of its shape (n, k).  The
-table numbers that shape's distinct (rho, key, code) pairs in
-first-seen order and keeps the bit -> (rho, multiplicity, class, code)
-list, so a profile is only as wide as its shape's pair count.  A
-polynomial is accepted iff the XOR of its monomials' profiles, folded in
-one pass, is 0.  Otherwise the set bits are peeled off from the top and
-decoded to their pairs, and the least of these is the reported
-violation: tuples compare field by field and every class of a
-polynomial has its degree as length, so tuple order is the
-certificate's (rho, multiplicity, class, (len(s), s)) order, which bit
-order is not.  A verdict that starts with the tables full drops them
-all, then reads only the table it took, so no verdict mixes two
-numberings; a lock covers only the numbering of new pairs.
+table numbers that shape's distinct (rho, multiplicity, class, code)
+pairs in first-seen order and keeps the bit -> pair list, so a profile
+is only as wide as its shape's pair count.  A polynomial is accepted iff
+the XOR of its monomials' profiles, folded in one pass, is 0.  Otherwise
+the set bits are peeled off from the top and decoded to their pairs,
+and the least of these is the reported violation: tuples compare field
+by field and every class of a polynomial has its degree as length, so
+tuple order is the certificate's (rho, multiplicity, class, (len(s), s))
+order, which bit order is not.  A verdict that starts with the tables
+full drops them all, then reads only the table it took, so no verdict
+mixes two numberings; a lock covers only the numbering of new pairs.
 """
 
 from __future__ import annotations
@@ -64,9 +65,7 @@ from z2bord import gf2
 from z2bord.gf2 import (
     Frozen, InputError, ResourceLimitError, from_bits, nullspace, rank_of, set_bits,
 )
-from z2bord.repalg import (
-    Polynomial, is_faithful, render_monomial, restrict, restriction_table,
-)
+from z2bord.repalg import Polynomial, is_faithful, render_monomial, restrict, restriction_table
 
 
 @lru_cache(maxsize=None)
@@ -128,9 +127,7 @@ class MembershipCertificate(Frozen):
             for group, _ in parity_profile(m, p.k):
                 members[group].append(m)
         by_rho: defaultdict[int, list[Group]] = defaultdict(list)
-        for rho, mult, cls, ms in sorted(  # keys are injective: no tie reaches ms
-                (rho, mult, restrict(ms[0], kernel_basis(rho, p.k)), ms)
-                for (rho, mult, _), ms in members.items()):
+        for (rho, mult, cls), ms in sorted(members.items()):
             by_rho[rho].append(Group(mult, cls, frozenset(ms)))
         return tuple(RhoDecomposition(rho, tuple(gs)) for rho, gs in by_rho.items())
 
@@ -171,37 +168,42 @@ class _Lazy(dict):
 
 
 @lru_cache(maxsize=None)
+def kernel_tables(k: int) -> _Lazy:
+    """Rank k's one map rho -> the table restricting a factor to ker rho,
+    each table and entry built on first read."""
+    return _Lazy(lambda rho: restriction_table(kernel_basis(rho, k)))
+
+
+@lru_cache(maxsize=None)
 def kernel_weights(k: int, width: int) -> _Lazy:
     """Rank k's one map rho -> (f -> 1 << width * r, r being f restricted to
     ker rho), each table and entry built on first read; equal weights share an int."""
-    weights = _Lazy(lambda r: 1 << width * r)
-
-    def table(rho: int) -> _Lazy:
-        image = restriction_table(kernel_basis(rho, k))
-        return _Lazy(lambda f: weights[image[f]])
-
-    return _Lazy(table)
+    weights, tables = _Lazy(lambda r: 1 << width * r), kernel_tables(k)
+    return _Lazy(lambda rho: _Lazy(lambda f: weights[tables[rho][f]]))
 
 
-def parity_profile(m: tuple[int, ...], k: int) -> tuple:
-    """((rho, multiplicity, key), codes) for each distinct factor rho of
+def parity_profile(m: tuple[int, ...], k: int, counted: bool = False) -> tuple:
+    """((rho, multiplicity, class), codes) for each distinct factor rho of
     the sorted rank-k monomial m, in factor order.
 
-    The group is m's for rho: the multiplicity c is m.count(rho) and key
-    is the count vector of m's restriction to ker rho (module docstring).
-    codes are the odd sub-multisets of m that avoid rho and have size
-    below c, in increasing order: m adds 1 to the parity sum of exactly
-    these rho-free witnesses in its group.  At c = 1 that is the empty
-    multiset alone, code 1; at c = 2 it is also each single factor of odd
-    count; at c >= 3 it is a product of submasks, one per other factor.
-    The factors are counted once, for every multiplicity and odd code.
+    The group is m's for rho: the multiplicity c is m.count(rho) and the
+    class is m's restriction to ker rho, or with counted its count vector
+    (module docstring).  codes are the odd sub-multisets of m that avoid
+    rho and have size below c, in increasing order: m adds 1 to the
+    parity sum of exactly these rho-free witnesses in its group.  At c = 1
+    that is the empty multiset alone, code 1; at c = 2 it is also each
+    single factor of odd count; at c >= 3 it is a product of submasks,
+    one per other factor.  Every code is below 1 << k * c.
     """
-    tables = kernel_weights(k, len(m).bit_length())
+    tables = kernel_weights(k, len(m).bit_length()) if counted else kernel_tables(k)
     counts: dict[int, int] = {}
     for f in m:
         counts[f] = counts.get(f, 0) + 1
     if len(counts) == len(m):  # every multiplicity is 1
-        return tuple(((rho, 1, sum(map(tables[rho].__getitem__, m))), (1,)) for rho in m)
+        if counted:
+            return tuple(((rho, 1, sum(map(tables[rho].__getitem__, m))), (1,)) for rho in m)
+        return tuple(((rho, 1, tuple(sorted(map(tables[rho].__getitem__, m)))), (1,))
+                     for rho in m)
     singles = (1, *[1 << k | f for f, c in counts.items() if c & 1])
     profile = []
     for rho, c in counts.items():
@@ -221,7 +223,8 @@ def parity_profile(m: tuple[int, ...], k: int) -> tuple:
                 listed += [new for code in listed for shift, run in runs
                            if (new := code << shift | run) < below]
             codes = tuple(sorted(listed))
-        profile.append(((rho, c, sum(map(tables[rho].__getitem__, m))), codes))
+        images = map(tables[rho].__getitem__, m)
+        profile.append(((rho, c, sum(images) if counted else tuple(sorted(images))), codes))
     return tuple(profile)
 
 
@@ -231,9 +234,10 @@ _numbering_lock = threading.Lock()
 
 class _Profiles(dict):
     """The table of one shape (n, k): entry m is the int with a bit set per
-    (rho, key, code) pair of parity_profile(m, k), or None (not stored)
-    when m is not faithful.  ids numbers the pairs and pairs lists them
-    decoded, each before its bit is published, so every bit decodes."""
+    (rho, multiplicity, class, code) pair of parity_profile(m, k), or None
+    (not stored) when m is not faithful.  ids numbers the pairs in
+    first-seen order and pairs lists them by bit; a new pair is listed
+    before its bit is published, so every bit of a profile decodes."""
 
     def __init__(self, k: int):
         super().__init__()
@@ -244,19 +248,17 @@ class _Profiles(dict):
     def __missing__(self, m: tuple[int, ...]) -> int | None:
         if not is_faithful(m, self.k):
             return None
-        ids, pairs, k = self.ids, self.pairs, self.k
+        ids, pairs = self.ids, self.pairs
         profile = 0
-        for (rho, mult, key), codes in parity_profile(m, k):
-            cls = None
+        for group, codes in parity_profile(m, self.k):
             for code in codes:
-                pair = (rho, key, code)
+                pair = group + (code,)
                 bit = ids.get(pair)
                 if bit is None:
                     with _numbering_lock:
                         bit = ids.get(pair)
                         if bit is None:  # not numbered meanwhile elsewhere
-                            cls = cls or restrict(m, kernel_basis(rho, k))
-                            pairs.append((rho, mult, cls, code))
+                            pairs.append(pair)
                             bit = ids[pair] = len(pairs) - 1
                 profile |= 1 << bit
         self[m] = profile
@@ -413,10 +415,8 @@ class ConstraintSystem(Frozen):
         faithful monomials are distinct sorted tuples of the system's shape,
         so they build each Polynomial as they are, without make."""
         monomials, n, k = self.monomials, self.n, self.k
-        return [
-            Polynomial(frozenset([monomials[j] for j in set_bits(b)]), n, k)
-            for b in nullspace(map(from_bits, self.rows), len(monomials))
-        ]
+        return [Polynomial(frozenset([monomials[j] for j in set_bits(b)]), n, k)
+                for b in nullspace(map(from_bits, self.rows), len(monomials))]
 
 
 def build_constraint_system(n: int, k: int) -> ConstraintSystem:
@@ -424,17 +424,17 @@ def build_constraint_system(n: int, k: int) -> ConstraintSystem:
     is in it when monomial j is in that group and the witness is one of
     its odd rho-free sub-multisets.  The monomials are visited last
     first, so each row lists its indices highest first as they are met,
-    and no dense int is built.  A row's int key is its code, its key's
-    n.bit_length() * 2^(k-1) bits and rho's k bits; no factor is 0, so
-    the key's r = 0 slot is the multiplicity."""
+    and no dense int is built.  A row is filed under one int: the group's
+    count-vector key, then rho in k bits, then the code in k * n bits.  A
+    faithful monomial has no factor 0, so the key's slot 0 counts rho's
+    multiplicity, which the int therefore leaves out."""
     monomials = tuple(enumerate_faithful_monomials(n, k))
-    shift = (n.bit_length() << k - 1) + k
     rows: defaultdict[int, list[int]] = defaultdict(list)
     for j in range(len(monomials) - 1, -1, -1):
-        for (rho, _, key), codes in parity_profile(monomials[j], k):
-            group = key << k | rho
+        for (rho, _, key), codes in parity_profile(monomials[j], k, True):
+            group = (key << k | rho) << k * n
             for code in codes:
-                rows[code << shift | group].append(j)
+                rows[group | code].append(j)
     unique = set()
     while rows:  # each list is dropped as its tuple is made
         unique.add(tuple(rows.popitem()[1]))

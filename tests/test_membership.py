@@ -77,6 +77,16 @@ class TestDecomposition:
                         assert len(g.members) % 2 == 0
 
 
+UNIT_MONOMIALS = ["units", "first_unit_plus_units"]
+
+
+def unit_monomials(k):
+    """The factors of two faithful rank-k monomials of degree k, each
+    factor of multiplicity 1: the units, and unit 1 with unit 1 + unit i."""
+    return [[unit(i, k) for i in range(1, k + 1)],
+            [unit(1, k)] + [unit(1, k) ^ unit(i, k) for i in range(2, k + 1)]]
+
+
 class TestChecker:
     def test_accepts_generators(self):
         for p in GENERATORS:
@@ -144,20 +154,31 @@ class TestChecker:
         with pytest.raises(TypeError, match="^broken kernel$"):
             check_membership(GEN_1)
 
-    @pytest.mark.parametrize("factors", [
-        [unit(i, 16) for i in range(1, 17)],
-        [unit(1, 16)] + [unit(1, 16) ^ unit(i, 16) for i in range(2, 17)],
-    ], ids=["units", "first_unit_plus_units"])
-    def test_rank_16_monomial_rejected_in_small_memory(self, factors):
-        # Every factor has multiplicity 1, so the smallest fails with the
-        # empty witness; nothing of size 2^16 may be built on the way.
-        p = Polynomial.make([tuple(sorted(factors))], 16, 16)
+    @staticmethod
+    def one_monomial_verdict(factors, k):
+        """The violation of the one monomial with these factors over rank k,
+        and the tracemalloc peak of its check."""
+        p = Polynomial.make([tuple(sorted(factors))], k, k)
         tracemalloc.start()
         try:
             v = check_membership(p).violation
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return v, peak
+
+    @pytest.mark.parametrize("factors", unit_monomials(16), ids=UNIT_MONOMIALS)
+    def test_rank_16_monomial_rejected_in_small_memory(self, factors):
+        # Every factor has multiplicity 1, so the smallest fails with the
+        # empty witness; nothing of size 2^16 may be built on the way.
+        v, peak = self.one_monomial_verdict(factors, 16)
+        assert (v.rho, v.multiplicity, v.witness) == (min(factors), 1, ())
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("factors", unit_monomials(32), ids=UNIT_MONOMIALS)
+    def test_rank_32_monomial_rejected_in_small_memory(self, factors):
+        # As at rank 16: a check's class tuples grow with the degree, not 2^k.
+        v, peak = self.one_monomial_verdict(factors, 32)
         assert (v.rho, v.multiplicity, v.witness) == (min(factors), 1, ())
         assert peak < 1 << 20
 
@@ -483,11 +504,12 @@ class TestParityKernel:
         m = tuple(sorted(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))))
         profile = parity_profile(m, k)
         assert [group for group, _ in profile] == [
-            (rho, m.count(rho), count_vector(restriction_class(m, rho, k), n))
-            for rho in dict.fromkeys(m)]
+            (rho, m.count(rho), restriction_class(m, rho, k)) for rho in dict.fromkeys(m)]
         for (rho, c, _), codes in profile:
             assert type(codes) is tuple
             assert [submultiset(code, k) for code in codes] == rho_free_odd(m, rho, c)
+        assert parity_profile(m, k, True) == tuple(
+            ((rho, c, count_vector(cls, n)), codes) for (rho, c, cls), codes in profile)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -495,9 +517,10 @@ class TestParityKernel:
         # Two monomials of one degree, drawn as in the test above; the
         # second is often the first with some factors f moved to f + d for
         # a factor d, which restricts to ker d as f does.  Per rho in both,
-        # keys and classes are equal together, and so are (multiplicity,
-        # key) and (multiplicity, class), also when a factor 0 stands in
-        # for rho.
+        # count-vector keys and classes are equal together, and so are
+        # (multiplicity, key) and (multiplicity, class), also when a
+        # factor 0 stands in for rho.  A carry out of a full slot is too
+        # rare to draw; test_a_full_slot_does_not_carry pins one.
         k = data.draw(st.integers(1, 6))
         n = data.draw(st.integers(0, 12))
         pool = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=n + 1,
@@ -510,24 +533,38 @@ class TestParityKernel:
             twin = tuple(sorted(f ^ d if t else f for f, t in zip(m, moved)))
         else:
             twin = tuple(sorted(data.draw(draw_monomial)))
-        groups = [{rho: group for (rho, *group), _ in parity_profile(x, k)} for x in (m, twin)]
+        groups = [{rho: group for (rho, *group), _ in parity_profile(x, k, True)}
+                  for x in (m, twin)]
         for rho in set(m) & set(twin):
             (c, key), (c2, key2) = groups[0][rho], groups[1][rho]
             cls, cls2 = restriction_class(m, rho, k), restriction_class(twin, rho, k)
             assert (key == key2) == (cls == cls2)
             assert ((c, key) == (c2, key2)) == ((m.count(rho), cls) == (twin.count(rho), cls2))
 
+    @pytest.mark.parametrize("rho", range(1, 8))
+    def test_a_full_slot_does_not_carry(self, rho):
+        # Degree 6, so 3-bit slots.  Four factors in slot 1 and one in
+        # slot 3 sum, in 2-bit slots, to five in slot 2: a slot one bit
+        # too narrow carries, and the two classes would share a key.
+        by_image = {restriction_class((f,), rho, 3): f for f in range(8)}
+        m = tuple(sorted((rho, *[by_image[1,]] * 4, by_image[3,])))
+        twin = tuple(sorted((rho, *[by_image[2,]] * 5)))
+        (key,) = [key for (r, _, key), _ in parity_profile(m, 3, True) if r == rho]
+        (key2,) = [key for (r, _, key), _ in parity_profile(twin, 3, True) if r == rho]
+        assert key == 1 + (4 << 3) + (1 << 9) and key2 == 1 + (5 << 6)
+
     @pytest.mark.parametrize("n,k", [(5, 3), (4, 4), (8, 3), (5, 4)])
     def test_profile_keys_are_restriction_classes(self, n, k):
         for m in enumerate_faithful_monomials(n, k):
             profile = parity_profile(m, k)
             assert [rho for (rho, _, _), _ in profile] == list(dict.fromkeys(m))
-            for (rho, mult, key), codes in profile:
-                cls = restriction_class(m, rho, k)
-                assert key == count_vector(cls, n)
+            for (rho, mult, cls), codes in profile:
+                assert cls == restriction_class(m, rho, k)
                 assert mult == m.count(rho) == cls.count(0)
                 if mult == 1:
                     assert codes == (1,)
+            assert [group for group, _ in parity_profile(m, k, True)] == [
+                (rho, mult, count_vector(cls, n)) for (rho, mult, cls), _ in profile]
 
 
 @settings(max_examples=200, deadline=None)
@@ -570,7 +607,7 @@ class TestAgainstReference:
         assert not any(check_membership(p).accepted for p in (REJECTED_SINGLETON, *twins))
 
     def test_rank_10_certificates(self):
-        # RP^3 x RP^3 x RP^4 over rank 10: its keys are 4 * 2^9 bits wide.
+        # RP^3 x RP^3 x RP^4 over rank 10, above every rank the build reaches.
         parts = [(0b1, 0b11, 0b111), (0b1000, 0b11000, 0b111001),
                  (0b1000000, 0b11000000, 0b111000000, 0b1111111111)]
         p = Polynomial.make(projective_product(parts), 10, 10)
