@@ -63,10 +63,9 @@ def cmd_check(args) -> int:
     cert = check_membership(p)
     if cert.accepted:
         print("accepted")
-        groups = {dec.rho: dec.groups for dec in cert.decompositions}
-        for rho in range(1, 1 << p.k):
+        for rho, groups in cert.decompositions:
             print(f"rho {vec_str(rho, p.k)}:")
-            for g in groups.get(rho, ()):
+            for g in groups:
                 members = " / ".join(render_monomial(m, p.k) for m in sorted(g.members))
                 print(f"  multiplicity {g.multiplicity}"
                       f"  size {len(g.members)}  members {members}")

@@ -32,11 +32,17 @@ class ResourceLimitError(ValueError):
 
 class Record:
     """Base of z2bord's value classes: instances of one class compare and
-    print by the attributes named in _fields, in order.  A subclass sets
-    them in its own __init__."""
+    print by the attributes named in _fields, in order.  The constructor
+    takes one value per field, in order; a subclass with defaults writes its own."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes values for {self._fields}, "
+                            f"got {len(values)}")
+        self.__dict__.update(zip(self._fields, values))
 
     def _values(self) -> tuple:
         return tuple([self.__dict__[name] for name in self._fields])
@@ -54,10 +60,10 @@ class Record:
 
 
 class Frozen(Record):
-    """An immutable Record, hashed by its _fields.  Its __init__ stores the
-    fields straight into the instance __dict__; after that, assigning or
-    deleting an attribute raises AttributeError.  A
-    functools.cached_property still caches, as it writes to the __dict__."""
+    """An immutable Record, hashed by its _fields.  A constructor writes
+    the instance __dict__ directly; after that, assigning or deleting an
+    attribute raises AttributeError.  A functools.cached_property still
+    caches, as it writes to the __dict__."""
 
     __slots__ = ()
 

@@ -24,11 +24,6 @@ class LabeledGraph(Frozen):
 
     _fields = ("k", "edges")
 
-    def __init__(self, k: int, edges: tuple[tuple[str, str, int], ...]):
-        d = self.__dict__
-        d["k"] = k
-        d["edges"] = edges
-
     @classmethod
     def make(cls, k: int, edges) -> "LabeledGraph":
         if k < 0:

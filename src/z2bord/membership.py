@@ -65,7 +65,9 @@ from z2bord import gf2
 from z2bord.gf2 import (
     Frozen, InputError, ResourceLimitError, from_bits, nullspace, rank_of, set_bits,
 )
-from z2bord.repalg import Polynomial, is_faithful, render_monomial, restrict, restriction_table
+from z2bord.repalg import (
+    Lazy, Polynomial, is_faithful, render_monomial, restrict, restriction_table,
+)
 
 
 @lru_cache(maxsize=None)
@@ -107,6 +109,7 @@ class MembershipCertificate(Frozen):
 
     _fields = ("accepted", "violation")
 
+    # Its own constructor, run once per verdict: polynomial is not a field, and two default.
     def __init__(self, accepted: bool, violation: Violation | None = None,
                  polynomial: Polynomial | None = None):
         d = self.__dict__
@@ -156,30 +159,19 @@ def submultiset(code: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(s))
 
 
-class _Lazy(dict):
-    """A dict that builds entry x as make(x) on its first read."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, x):
-        return self.setdefault(x, self.make(x))
-
-
 @lru_cache(maxsize=None)
-def kernel_tables(k: int) -> _Lazy:
+def kernel_tables(k: int) -> Lazy:
     """Rank k's one map rho -> the table restricting a factor to ker rho,
     each table and entry built on first read."""
-    return _Lazy(lambda rho: restriction_table(kernel_basis(rho, k)))
+    return Lazy(lambda rho: restriction_table(kernel_basis(rho, k)))
 
 
 @lru_cache(maxsize=None)
-def kernel_weights(k: int, width: int) -> _Lazy:
+def kernel_weights(k: int, width: int) -> Lazy:
     """Rank k's one map rho -> (f -> 1 << width * r, r being f restricted to
     ker rho), each table and entry built on first read; equal weights share an int."""
-    weights, tables = _Lazy(lambda r: 1 << width * r), kernel_tables(k)
-    return _Lazy(lambda rho: _Lazy(lambda f: weights[tables[rho][f]]))
+    weights, tables = Lazy(lambda r: 1 << width * r), kernel_tables(k)
+    return Lazy(lambda rho: Lazy(lambda f: weights[tables[rho][f]]))
 
 
 def parity_profile(m: tuple[int, ...], k: int, counted: bool = False) -> tuple:
@@ -346,14 +338,6 @@ class ConstraintSystem(Frozen):
     """
 
     _fields = ("n", "k", "monomials", "rows")
-
-    def __init__(self, n: int, k: int, monomials: tuple[tuple[int, ...], ...],
-                 rows: tuple[tuple[int, ...], ...]):
-        d = self.__dict__
-        d["n"] = n
-        d["k"] = k
-        d["monomials"] = monomials
-        d["rows"] = rows
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:

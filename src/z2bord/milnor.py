@@ -95,6 +95,7 @@ def milnor_fixed_polynomial(m: int, n: int, family: SubsetFamily) -> Polynomial:
 class SearchReport(Record):
     _fields = ("families_tried", "skipped_non_isolated", "produced", "hits", "unreached")
 
+    # Its own constructor, for the defaults: callers pass only some fields.
     def __init__(self, families_tried: int = 0, skipped_non_isolated: int = 0,
                  produced: set | None = None, hits: list | None = None,
                  unreached: list | None = None):

@@ -11,14 +11,9 @@ from z2bord.repalg import Polynomial, apply_automorphism
 
 
 class PolynomialOrbit(Frozen):
-    _fields = ("seed", "elements", "stabilizer")
+    """The orbit of seed, and its stabilizer as row tuples, as from enumerate_gl."""
 
-    def __init__(self, seed: Polynomial, elements: frozenset[Polynomial],
-                 stabilizer: tuple[tuple[int, ...], ...]):
-        d = self.__dict__
-        d["seed"] = seed
-        d["elements"] = elements
-        d["stabilizer"] = stabilizer  # row tuples, as from enumerate_gl
+    _fields = ("seed", "elements", "stabilizer")
 
     def __contains__(self, p: Polynomial) -> bool:
         return p in self.elements

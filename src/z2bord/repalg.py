@@ -11,7 +11,7 @@ degree n over a common rank k, and it carries n and k once.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from z2bord.gf2 import Frozen, InputError, parse_vec, rank_of, transpose, vec_str
@@ -42,30 +42,29 @@ def render_monomial(m: tuple[int, ...], k: int) -> str:
 _TABLE_CACHE = 1 << 15
 
 
-class RestrictionTable(dict):
-    """Entry f is the functional f restricted to the ordered basis: the
-    vector (f(b_1), ..., f(b_r)), with f(b_1) the highest bit.
+class Lazy(dict):
+    """A dict that builds entry x as make(x) on its first read, so it holds
+    only the entries read, however large the domain."""
 
-    An entry is computed on its first lookup, so the table holds only the
-    functionals read, however large the rank.
-    """
+    def __init__(self, make):  # an empty dict, as dict.__new__ made it
+        self.make = make
 
-    def __init__(self, basis: tuple[int, ...]):
-        super().__init__()
-        self.basis = basis
+    def __missing__(self, x):
+        return self.setdefault(x, self.make(x))
 
-    def __missing__(self, f: int) -> int:
-        image = 0
-        for b in self.basis:
-            image = image << 1 | (f & b).bit_count() & 1
-        self[f] = image
-        return image
+
+def _restricted(basis: tuple[int, ...], f: int) -> int:
+    """f restricted to the ordered basis: (f(b_1), ..., f(b_r)), f(b_1) the highest bit."""
+    image = 0
+    for b in basis:
+        image = image << 1 | (f & b).bit_count() & 1
+    return image
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
-def restriction_table(basis: tuple[int, ...]) -> RestrictionTable:
-    """The one table per ordered basis, shared by every restriction to it."""
-    return RestrictionTable(basis)
+def restriction_table(basis: tuple[int, ...]) -> Lazy:
+    """The one table f -> _restricted(basis, f), shared by every restriction to basis."""
+    return Lazy(partial(_restricted, basis))
 
 
 class Polynomial(Frozen):
@@ -76,6 +75,7 @@ class Polynomial(Frozen):
 
     _fields = ("monomials", "n", "k")
 
+    # Its own constructor, as it is hot: reproduce-paper builds 927, and the base's is slower.
     def __init__(self, monomials: frozenset[tuple[int, ...]], n: int, k: int):
         d = self.__dict__
         d["monomials"] = monomials

@@ -58,8 +58,9 @@ class Checkpoint(NamedTuple):
 
 
 class ReproductionReport(Record):
-    _fields = ("checkpoints", "_since")
+    _fields = ("checkpoints",)
 
+    # Its own constructor, as it starts the clock of the first checkpoint.
     def __init__(self, checkpoints: list[Checkpoint] | None = None):
         self.checkpoints = [] if checkpoints is None else checkpoints
         self._since = perf_counter()

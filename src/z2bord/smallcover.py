@@ -35,9 +35,6 @@ Vertex = tuple[int, ...]
 class ProductOfSimplices(Frozen):
     _fields = ("factor_dims",)
 
-    def __init__(self, factor_dims: tuple[int, ...]):
-        self.__dict__["factor_dims"] = factor_dims
-
     @classmethod
     def parse(cls, spec: str) -> "ProductOfSimplices":
         """Parse '1x4' or '5' into factor dimensions."""
@@ -85,12 +82,9 @@ class ProductOfSimplices(Frozen):
 
 
 class CharacteristicFunction(Frozen):
-    _fields = ("polytope", "labels")
+    """The labels of polytope's facets: one label per facet, in printed order."""
 
-    def __init__(self, polytope: ProductOfSimplices, labels: tuple[int, ...]):
-        d = self.__dict__
-        d["polytope"] = polytope
-        d["labels"] = labels  # one label per facet, in printed order
+    _fields = ("polytope", "labels")
 
     @classmethod
     def from_matrix(cls, factor_dims, matrix_rows) -> "CharacteristicFunction":

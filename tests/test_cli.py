@@ -88,7 +88,6 @@ GEN_4_CHECK = (
     '  multiplicity 1  size 2  members 001,010,011,101,110 / 001,011,100,101,110\n'
     '  multiplicity 1  size 2  members 010,010,011,100,110 / 010,100,100,101,110\n'
     '  multiplicity 2  size 4  members 010,010,011,110,110 / 010,011,100,110,110 / 010,100,101,110,110 / 100,100,101,110,110\n'
-    'rho 111:\n'
 )
 REJECTED_CHECK = (
     'rejected\n'
@@ -106,6 +105,18 @@ class TestCheck:
     def test_accepted_output(self, gen4_file, capsys):
         assert main(["check", gen4_file]) == 0
         assert capsys.readouterr() == (GEN_4_CHECK, "")
+
+    def test_only_dividing_rhos_get_headers(self, tmp_path, capsys):
+        # RP^20's fixed data has rank 20: 210 rhos divide a monomial, each
+        # in one group, and the other 2^20 - 211 get no header.
+        from z2bord.graphs import labeling_polynomial, projective_space_graph
+
+        path = tmp_path / "rp20.poly"
+        path.write_text(render_polynomial(labeling_polynomial(projective_space_graph(20))))
+        assert main(["check", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 421 and out[0] == "accepted"
+        assert sum(line.startswith("rho ") for line in out) == 210
 
     def test_rejected(self, rejected_file, capsys):
         assert main(["check", rejected_file]) == 1

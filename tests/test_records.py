@@ -19,7 +19,7 @@ from z2bord.membership import (
 )
 from z2bord.milnor import SearchReport, SubsetFamily
 from z2bord.orbits import PolynomialOrbit
-from z2bord.repalg import Polynomial
+from z2bord.repalg import Polynomial, restrict, restriction_table
 from z2bord.report import Checkpoint, ReproductionReport
 from z2bord.smallcover import CharacteristicFunction, ProductOfSimplices
 
@@ -32,9 +32,7 @@ VIOLATION = Violation(4, 2, (0, 0, 1), (4,))
 
 
 def report(elapsed_s):
-    out = ReproductionReport([Checkpoint("c", "1", "1", elapsed_s)])
-    out._since = 0.0  # set by the clock at construction
-    return out
+    return ReproductionReport([Checkpoint("c", "1", "1", elapsed_s)])
 
 
 # Class -> (a function that builds an instance, one that builds an instance
@@ -70,6 +68,9 @@ CASES = {
                    lambda: SearchReport(840, 0, set(), [[]], [0]), False),
     ReproductionReport: (lambda: report(0.5), lambda: report(0.25), False),
 }
+# The classes built by Record's constructor, one value per field.
+BASE_CONSTRUCTED = {PolynomialOrbit, ConstraintSystem, LabeledGraph, ProductOfSimplices,
+                    CharacteristicFunction}
 
 
 @pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
@@ -93,6 +94,12 @@ def test_value_semantics(cls):
             hash(a)
         setattr(a, name, getattr(other, name))
         assert getattr(a, name) == getattr(other, name)
+    if cls in BASE_CONSTRUCTED:
+        assert "__init__" not in vars(cls)
+        values = b._values()
+        for wrong in (values[:-1], values + (None,)):
+            with pytest.raises(TypeError, match=cls.__name__):
+                cls(*wrong)
 
 
 def test_certificate_equality_ignores_polynomial():
@@ -101,6 +108,14 @@ def test_certificate_equality_ignores_polynomial():
     assert a == b and hash(a) == hash(b)
     assert a == MembershipCertificate(False, violation=VIOLATION)
     assert "polynomial" not in repr(a)
+
+
+def test_restriction_table_is_shared_and_restricts():
+    basis = (0b110, 0b011)
+    table = restriction_table(basis)
+    assert restriction_table(basis) is table
+    for f in range(8):
+        assert (table[f],) == restrict((f,), basis)
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
