@@ -10,8 +10,8 @@ is even.  The same constraints, linearized over all faithful monomials,
 give the realizable space as a GF(2) nullspace.
 
 check_membership and build_constraint_system share one parity kernel,
-parity_profile, which gives each monomial's groups as (rho,
-multiplicity, class) triples and rests on four facts:
+parity_profile, which lists each monomial's (rho, multiplicity, odd
+witness codes) and rests on four facts:
 
 - Lucas's theorem: C(c, j) is odd iff j & ~c == 0.  So the s with an
   odd sub_multiset_multiplicity(m, s) are listed directly, by taking a
@@ -28,15 +28,10 @@ multiplicity, class) triples and rests on four facts:
   numeric order on codes is (len(s), s) order.
 
 parity_profile counts m's factors once; the count gives every
-multiplicity and, per rho, the odd rho-free codes below it.  A class is
-the sorted images of m's factors under kernel_tables(k), one lazy map
-per rank from rho to the restriction table of ker rho: no cache lookup
-per rho and no table of 2^k entries.  build_constraint_system asks
-instead for the class's count vector, the sum over m's factors f of
-1 << B*r, r being f restricted to ker rho and B = len(m).bit_length().
-No slot counts more than len(m) < 2^B factors, so no sum carries: the
-key is injective and needs no sort, but it is B * 2^(k-1) bits wide, so
-only the build, whose rank _ENUM_BOUNDS caps at 4, uses it.
+multiplicity and, per rho, the odd rho-free codes below it.  Its callers
+key the classes from kernel_tables(k), a map rho -> restriction table of
+ker rho that a shape table, a certificate or a build owns: no cache
+lookup per rho, no table of 2^k entries, and nothing outlives its owner.
 
 check_membership reads each monomial's (group, odd witness) pairs as
 one int with a bit per pair, from the table of its shape (n, k).  The
@@ -48,9 +43,9 @@ the set bits are peeled off from the top and decoded to their pairs,
 and the least of these is the reported violation: tuples compare field
 by field and every class of a polynomial has its degree as length, so
 tuple order is the certificate's (rho, multiplicity, class, (len(s), s))
-order, which bit order is not.  A verdict that starts with the tables
-full drops them all, then reads only the table it took, so no verdict
-mixes two numberings; a lock covers only the numbering of new pairs.
+order, which bit order is not.  A verdict that starts with _PROFILE_BOUND
+profile bits stored drops all tables, then reads only the one it took,
+so no verdict mixes numberings; a lock covers only new pairs' numbering.
 """
 
 from __future__ import annotations
@@ -66,11 +61,10 @@ from z2bord.gf2 import (
     Frozen, InputError, ResourceLimitError, from_bits, nullspace, rank_of, set_bits,
 )
 from z2bord.repalg import (
-    Lazy, Polynomial, is_faithful, render_monomial, restrict, restriction_table,
+    Lazy, Polynomial, fresh_restriction_table, is_faithful, render_monomial, restrict,
 )
 
 
-@lru_cache(maxsize=None)
 def kernel_basis(rho: int, k: int) -> tuple[int, ...]:
     """Canonical ordered basis of ker rho (the RREF basis rows)."""
     return nullspace([rho], k)
@@ -125,10 +119,11 @@ class MembershipCertificate(Frozen):
         p = self.polynomial
         if p is None:  # rejected
             return ()
+        tables = kernel_tables(p.k)
         members: defaultdict[tuple, list[tuple[int, ...]]] = defaultdict(list)
         for m in p.monomials:
-            for group, _ in parity_profile(m, p.k):
-                members[group].append(m)
+            for rho, c, _ in parity_profile(m, p.k):
+                members[rho, c, tuple(sorted(map(tables[rho].__getitem__, m)))].append(m)
         by_rho: defaultdict[int, list[Group]] = defaultdict(list)
         for (rho, mult, cls), ms in sorted(members.items()):
             by_rho[rho].append(Group(mult, cls, frozenset(ms)))
@@ -159,43 +154,28 @@ def submultiset(code: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(s))
 
 
-@lru_cache(maxsize=None)
 def kernel_tables(k: int) -> Lazy:
-    """Rank k's one map rho -> the table restricting a factor to ker rho,
-    each table and entry built on first read."""
-    return Lazy(lambda rho: restriction_table(kernel_basis(rho, k)))
+    """A new map rho -> (f -> f restricted to ker rho over rank k), built on first read."""
+    return Lazy(lambda rho: fresh_restriction_table(kernel_basis(rho, k)))
 
 
-@lru_cache(maxsize=None)
-def kernel_weights(k: int, width: int) -> Lazy:
-    """Rank k's one map rho -> (f -> 1 << width * r, r being f restricted to
-    ker rho), each table and entry built on first read; equal weights share an int."""
-    weights, tables = Lazy(lambda r: 1 << width * r), kernel_tables(k)
-    return Lazy(lambda rho: Lazy(lambda f: weights[tables[rho][f]]))
+def parity_profile(m: tuple[int, ...], k: int) -> tuple:
+    """(rho, multiplicity, codes) for each distinct factor rho of the
+    sorted rank-k monomial m, in factor order.
 
-
-def parity_profile(m: tuple[int, ...], k: int, counted: bool = False) -> tuple:
-    """((rho, multiplicity, class), codes) for each distinct factor rho of
-    the sorted rank-k monomial m, in factor order.
-
-    The group is m's for rho: the multiplicity c is m.count(rho) and the
-    class is m's restriction to ker rho, or with counted its count vector
-    (module docstring).  codes are the odd sub-multisets of m that avoid
-    rho and have size below c, in increasing order: m adds 1 to the
-    parity sum of exactly these rho-free witnesses in its group.  At c = 1
-    that is the empty multiset alone, code 1; at c = 2 it is also each
-    single factor of odd count; at c >= 3 it is a product of submasks,
-    one per other factor.  Every code is below 1 << k * c.
+    c is m.count(rho), and the caller keys m's class itself (module
+    docstring).  codes are the odd sub-multisets of m that avoid rho and
+    have size below c, in increasing order: m adds 1 to the parity sum of
+    exactly these rho-free witnesses in its group.  At c = 1 that is the
+    empty multiset alone, code 1; at c = 2 it is also each single factor
+    of odd count; at c >= 3 it is a product of submasks, one per other
+    factor.  Every code is below 1 << k * c.
     """
-    tables = kernel_weights(k, len(m).bit_length()) if counted else kernel_tables(k)
     counts: dict[int, int] = {}
     for f in m:
         counts[f] = counts.get(f, 0) + 1
     if len(counts) == len(m):  # every multiplicity is 1
-        if counted:
-            return tuple(((rho, 1, sum(map(tables[rho].__getitem__, m))), (1,)) for rho in m)
-        return tuple(((rho, 1, tuple(sorted(map(tables[rho].__getitem__, m)))), (1,))
-                     for rho in m)
+        return tuple((rho, 1, (1,)) for rho in m)
     singles = (1, *[1 << k | f for f, c in counts.items() if c & 1])
     profile = []
     for rho, c in counts.items():
@@ -215,34 +195,37 @@ def parity_profile(m: tuple[int, ...], k: int, counted: bool = False) -> tuple:
                 listed += [new for code in listed for shift, run in runs
                            if (new := code << shift | run) < below]
             codes = tuple(sorted(listed))
-        images = map(tables[rho].__getitem__, m)
-        profile.append(((rho, c, sum(images) if counted else tuple(sorted(images))), codes))
+        profile.append((rho, c, codes))
     return tuple(profile)
 
 
-_PROFILE_BOUND = 1 << 16  # profiles in all tables; the 26,740 of (6,4) fit
+_PROFILE_BOUND = 1 << 29  # bits of the profiles in all tables; (6,4) takes 4.3e8-5.0e8
+_profile_bits = 0  # since the last drop; updated unlocked, so a race only shifts a drop
 _numbering_lock = threading.Lock()
 
 
 class _Profiles(dict):
     """The table of one shape (n, k): entry m is the int with a bit set per
-    (rho, multiplicity, class, code) pair of parity_profile(m, k), or None
-    (not stored) when m is not faithful.  ids numbers the pairs in
-    first-seen order and pairs lists them by bit; a new pair is listed
-    before its bit is published, so every bit of a profile decodes."""
+    (rho, multiplicity, class, code) pair of parity_profile(m, k), classes
+    read from its own kernel tables, or None (not stored) when m is not
+    faithful.  ids numbers the pairs in first-seen order and pairs lists
+    them by bit; a new pair is listed before its bit is published, so
+    every bit of a profile decodes."""
 
-    def __init__(self, k: int):
-        super().__init__()
+    def __init__(self, k: int):  # an empty dict, as dict.__new__ made it
         self.k = k
+        self.tables = kernel_tables(k)
         self.ids: dict[tuple, int] = {}
         self.pairs: list[tuple] = []
 
     def __missing__(self, m: tuple[int, ...]) -> int | None:
+        global _profile_bits
         if not is_faithful(m, self.k):
             return None
-        ids, pairs = self.ids, self.pairs
+        ids, pairs, tables = self.ids, self.pairs, self.tables
         profile = 0
-        for group, codes in parity_profile(m, self.k):
+        for rho, c, codes in parity_profile(m, self.k):
+            group = (rho, c, tuple(sorted(map(tables[rho].__getitem__, m))))
             for code in codes:
                 pair = group + (code,)
                 bit = ids.get(pair)
@@ -254,6 +237,7 @@ class _Profiles(dict):
                             bit = ids[pair] = len(pairs) - 1
                 profile |= 1 << bit
         self[m] = profile
+        _profile_bits += profile.bit_length()
         return profile
 
 
@@ -273,10 +257,12 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
     docstring).  A None profile in the fold means a monomial that is not
     faithful, named by require_faithful.  The least decoded pair holds no
     rho in its witness; the lowest bit is only the first pair seen.  The
-    verdict first drops every table if together they hold _PROFILE_BOUND
-    profiles, then reads only its shape's table, whatever others drop."""
-    if sum(map(len, list(_profiles.values()))) >= _PROFILE_BOUND:
+    verdict first drops every table if their profiles hold _PROFILE_BOUND
+    bits, then reads only its shape's table, whatever others drop."""
+    global _profile_bits
+    if _profile_bits >= _PROFILE_BOUND:
         _profiles.clear()
+        _profile_bits = 0
     table = _profiles.get((p.n, p.k))
     if table is None:
         table = _profiles.setdefault((p.n, p.k), _Profiles(p.k))
@@ -403,20 +389,34 @@ class ConstraintSystem(Frozen):
                 for b in nullspace(map(from_bits, self.rows), len(monomials))]
 
 
+def count_vector_weights(tables: Lazy, n: int) -> Lazy:
+    """A new map rho -> (f -> 1 << B * r, r being f restricted to ker rho by
+    tables and B = n.bit_length()), built on first read; equal weights share an int."""
+    weights = Lazy(lambda r: 1 << n.bit_length() * r)
+    return Lazy(lambda rho: Lazy(lambda f: weights[tables[rho][f]]))
+
+
 def build_constraint_system(n: int, k: int) -> ConstraintSystem:
     """One row per (group, witness code) that some monomial meets: index j
     is in it when monomial j is in that group and the witness is one of
     its odd rho-free sub-multisets.  The monomials are visited last
     first, so each row lists its indices highest first as they are met,
     and no dense int is built.  A row is filed under one int: the group's
-    count-vector key, then rho in k bits, then the code in k * n bits.  A
-    faithful monomial has no factor 0, so the key's slot 0 counts rho's
+    key, then rho in k bits, then the code in k * n bits.  The key is the
+    class's count vector, m's count_vector_weights for rho summed: slot r
+    of B = n.bit_length() bits counts m's factors restricting to r.  No
+    slot counts more than n < 2^B, so no sum carries: the key is injective
+    and needs no sort.  It is B * 2^(k-1) bits wide, so only the build,
+    whose rank _ENUM_BOUNDS caps at 4, keys classes by it.  A faithful
+    monomial has no factor 0, so the key's slot 0 counts rho's
     multiplicity, which the int therefore leaves out."""
     monomials = tuple(enumerate_faithful_monomials(n, k))
+    weights = count_vector_weights(kernel_tables(k), n)
     rows: defaultdict[int, list[int]] = defaultdict(list)
     for j in range(len(monomials) - 1, -1, -1):
-        for (rho, _, key), codes in parity_profile(monomials[j], k, True):
-            group = (key << k | rho) << k * n
+        m = monomials[j]
+        for rho, _, codes in parity_profile(m, k):
+            group = (sum(map(weights[rho].__getitem__, m)) << k | rho) << k * n
             for code in codes:
                 rows[group | code].append(j)
     unique = set()

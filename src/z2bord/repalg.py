@@ -11,8 +11,8 @@ degree n over a common rank k, and it carries n and k once.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, partial
-from math import comb
+from functools import lru_cache
+from math import comb, prod
 
 from z2bord.gf2 import Frozen, InputError, parse_vec, rank_of, transpose, vec_str
 
@@ -53,18 +53,20 @@ class Lazy(dict):
         return self.setdefault(x, self.make(x))
 
 
-def _restricted(basis: tuple[int, ...], f: int) -> int:
-    """f restricted to the ordered basis: (f(b_1), ..., f(b_r)), f(b_1) the highest bit."""
-    image = 0
-    for b in basis:
-        image = image << 1 | (f & b).bit_count() & 1
-    return image
+def fresh_restriction_table(basis: tuple[int, ...]) -> Lazy:
+    """A new table f -> f restricted to the ordered basis, f(b_1) its highest bit."""
+    def restricted(f: int) -> int:
+        image = 0
+        for b in basis:
+            image = image << 1 | (f & b).bit_count() & 1
+        return image
+    return Lazy(restricted)
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
 def restriction_table(basis: tuple[int, ...]) -> Lazy:
-    """The one table f -> _restricted(basis, f), shared by every restriction to basis."""
-    return Lazy(partial(_restricted, basis))
+    """The one fresh_restriction_table(basis), shared by every restriction to basis."""
+    return fresh_restriction_table(basis)
 
 
 class Polynomial(Frozen):
@@ -159,21 +161,14 @@ def sub_multiset_multiplicity(t: tuple[int, ...], s) -> int:
     sub-multiset of t.
     """
     s = tuple(s)
-    out = 1
-    for gamma in set(s):
-        out *= comb(t.count(gamma), s.count(gamma))
-    return out
+    return prod(comb(t.count(gamma), s.count(gamma)) for gamma in set(s))
 
 
 def content_lines(text: str) -> list[tuple[int, str]]:
     """(line number from 1, stripped text) of every line that is not blank
     once its '#' comment is removed; shared by all input file formats."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
+    lines = enumerate(text.splitlines(), start=1)
+    return [(lineno, line) for lineno, raw in lines if (line := raw.split("#", 1)[0].strip())]
 
 
 def parse_polynomial(text: str) -> Polynomial:

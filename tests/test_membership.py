@@ -23,10 +23,12 @@ from z2bord.membership import (
     Violation,
     build_constraint_system,
     check_membership,
+    count_vector_weights,
     decompose_for_rho,
     enumerate_faithful_monomials,
     image_dimension,
     kernel_basis,
+    kernel_tables,
     parity_profile,
     restriction_class,
     submultiset,
@@ -455,6 +457,29 @@ def code_of(s, k):
     return code
 
 
+def table_pairs(m, k):
+    """The (rho, multiplicity, class, code) pairs of the faithful m, decoded
+    from its profile in a shape table of its own."""
+    table = membership._Profiles(k)
+    return {table.pairs[bit] for bit in set_bits(table[m])}
+
+
+def pair_count(p):
+    """The pairs of p's monomials, one per set bit of their profiles: no
+    table stores these profiles in fewer bits."""
+    return sum(len(codes) for m in p.monomials for _, _, codes in parity_profile(m, p.k))
+
+
+class CountingTables(dict):
+    """Shape tables that count how often a verdict drops them."""
+
+    drops = 0
+
+    def clear(self):
+        self.drops += 1
+        super().clear()
+
+
 def rho_free_odd(m, rho, c):
     """By definition: the sub-multisets s of m with |s| < c and rho not in
     s whose sub_multiset_multiplicity is odd, in (len(s), s) order."""
@@ -474,7 +499,7 @@ class TestParityKernel:
         pool = data.draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=4))
         factors = data.draw(st.lists(st.sampled_from(pool), max_size=8))
         m = tuple(sorted(factors))
-        for (rho, c, _), codes in parity_profile(m, k):
+        for rho, c, codes in parity_profile(m, k):
             listed = [submultiset(code, k) for code in codes]
             assert len(set(listed)) == len(listed)
             assert set(listed) == set(rho_free_odd(m, rho, c))
@@ -486,7 +511,7 @@ class TestParityKernel:
         # C(3, j) is odd for j = 0..3, C(1, j) for j = 0, 1; only sizes
         # below each rho's multiplicity are listed, and none holds rho.
         listed = {rho: [submultiset(c, 3) for c in codes]
-                  for (rho, _, _), codes in parity_profile(m, 3)}
+                  for rho, _, codes in parity_profile(m, 3)}
         assert listed == {1: [()], 2: [(), (1,)]}
         assert submultiset(1, 3) == ()
         assert submultiset(0b1_001_010, 3) == (1, 2)
@@ -503,13 +528,21 @@ class TestParityKernel:
                                   unique=True))
         m = tuple(sorted(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))))
         profile = parity_profile(m, k)
-        assert [group for group, _ in profile] == [
-            (rho, m.count(rho), restriction_class(m, rho, k)) for rho in dict.fromkeys(m)]
-        for (rho, c, _), codes in profile:
+        assert [(rho, c) for rho, c, _ in profile] == [
+            (rho, m.count(rho)) for rho in dict.fromkeys(m)]
+        for rho, c, codes in profile:
             assert type(codes) is tuple
             assert [submultiset(code, k) for code in codes] == rho_free_odd(m, rho, c)
-        assert parity_profile(m, k, True) == tuple(
-            ((rho, c, count_vector(cls, n)), codes) for (rho, c, cls), codes in profile)
+        # The classes, where the check path and the build make them.
+        tables = kernel_tables(k)
+        weights = count_vector_weights(tables, n)
+        for rho, c, _ in profile:
+            cls = restriction_class(m, rho, k)
+            assert tuple(sorted(map(tables[rho].__getitem__, m))) == cls
+            assert sum(map(weights[rho].__getitem__, m)) == count_vector(cls, n)
+        if is_faithful(m, k):
+            assert table_pairs(m, k) == {(rho, c, restriction_class(m, rho, k), code)
+                                         for rho, c, codes in profile for code in codes}
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -533,8 +566,9 @@ class TestParityKernel:
             twin = tuple(sorted(f ^ d if t else f for f, t in zip(m, moved)))
         else:
             twin = tuple(sorted(data.draw(draw_monomial)))
-        groups = [{rho: group for (rho, *group), _ in parity_profile(x, k, True)}
-                  for x in (m, twin)]
+        weights = count_vector_weights(kernel_tables(k), n)
+        groups = [{rho: (c, sum(map(weights[rho].__getitem__, x)))
+                   for rho, c, _ in parity_profile(x, k)} for x in (m, twin)]
         for rho in set(m) & set(twin):
             (c, key), (c2, key2) = groups[0][rho], groups[1][rho]
             cls, cls2 = restriction_class(m, rho, k), restriction_class(twin, rho, k)
@@ -549,22 +583,28 @@ class TestParityKernel:
         by_image = {restriction_class((f,), rho, 3): f for f in range(8)}
         m = tuple(sorted((rho, *[by_image[1,]] * 4, by_image[3,])))
         twin = tuple(sorted((rho, *[by_image[2,]] * 5)))
-        (key,) = [key for (r, _, key), _ in parity_profile(m, 3, True) if r == rho]
-        (key2,) = [key for (r, _, key), _ in parity_profile(twin, 3, True) if r == rho]
+        weights = count_vector_weights(kernel_tables(3), 6)[rho]
+        key, key2 = (sum(map(weights.__getitem__, x)) for x in (m, twin))
         assert key == 1 + (4 << 3) + (1 << 9) and key2 == 1 + (5 << 6)
 
     @pytest.mark.parametrize("n,k", [(5, 3), (4, 4), (8, 3), (5, 4)])
     def test_profile_keys_are_restriction_classes(self, n, k):
+        weights = count_vector_weights(kernel_tables(k), n)
         for m in enumerate_faithful_monomials(n, k):
             profile = parity_profile(m, k)
-            assert [rho for (rho, _, _), _ in profile] == list(dict.fromkeys(m))
-            for (rho, mult, cls), codes in profile:
-                assert cls == restriction_class(m, rho, k)
-                assert mult == m.count(rho) == cls.count(0)
+            assert [rho for rho, _, _ in profile] == list(dict.fromkeys(m))
+            for rho, mult, codes in profile:
+                assert mult == m.count(rho)
                 if mult == 1:
                     assert codes == (1,)
-            assert [group for group, _ in parity_profile(m, k, True)] == [
-                (rho, mult, count_vector(cls, n)) for (rho, mult, cls), _ in profile]
+            pairs = table_pairs(m, k)
+            for rho, mult, cls, _ in pairs:
+                assert cls == restriction_class(m, rho, k)
+                assert mult == m.count(rho) == cls.count(0)
+            assert {pair[:3] for pair in pairs} == {
+                (rho, mult, restriction_class(m, rho, k)) for rho, mult, _ in profile}
+            assert [sum(map(weights[rho].__getitem__, m)) for rho, _, _ in profile] == [
+                count_vector(restriction_class(m, rho, k), n) for rho, _, _ in profile]
 
 
 @settings(max_examples=200, deadline=None)
@@ -669,13 +709,14 @@ class TestAgainstReference:
         read_before = {p: check_membership(p).decompositions for p in accepted}
         unread = {p: check_membership(p) for p in accepted}
 
-        # A bound of a few polynomials, so a drop happens every few verdicts.
-        bound = 3 * max(map(len, interleaved))
+        # A bound of a few polynomials' profile bits, so a drop happens
+        # every few verdicts.
+        bound = 3 * max(map(pair_count, interleaved))
         monkeypatch.setattr(membership, "_PROFILE_BOUND", bound)
         tables = membership._profiles
         drops = 0
         for p in interleaved:
-            full = sum(map(len, tables.values())) >= bound
+            full = membership._profile_bits >= bound
             assert certificate(check_membership(p)) == reference_check(p)
             if full:  # the old numbering is gone: the table holds p's pairs alone
                 drops += 1
@@ -693,23 +734,18 @@ class TestAgainstReference:
             assert cert.decompositions == read_before[p] == reference_check(p)[2]
 
     def test_threads_share_the_numbering(self, monkeypatch):
-        # Three threads check polynomials of two shapes under a bound of a
-        # few polynomials, so verdicts drop the tables and renumber the
-        # pairs while other verdicts are under way.
+        # Three threads check polynomials of two shapes under a bound of one
+        # polynomial's profile bits, so verdicts drop the tables and
+        # renumber the pairs while other verdicts are under way.
         polys = [*GENERATORS, REJECTED_SINGLETON, RP2]
         polys += [Polynomial(p.monomials - {min(p.monomials)}, p.n, p.k) for p in GENERATORS]
         expected = [reference_check(p) for p in polys]
         errors = []
-
-        class Tables(dict):
-            drops = 0
-
-            def clear(self):
-                Tables.drops += 1
-                super().clear()
-
-        monkeypatch.setattr(membership, "_profiles", Tables())
-        monkeypatch.setattr(membership, "_PROFILE_BOUND", 2 * max(map(len, polys)))
+        tables = CountingTables()
+        monkeypatch.setattr(membership, "_profiles", tables)
+        # Every table's profiles together outgrow the bound whatever the
+        # numbering, so verdicts that profile afresh keep dropping tables.
+        monkeypatch.setattr(membership, "_PROFILE_BOUND", max(map(pair_count, polys)))
 
         def verdicts():
             try:
@@ -732,7 +768,7 @@ class TestAgainstReference:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in checkers)
         assert errors == []
-        assert Tables.drops >= 100
+        assert tables.drops >= 100
 
     def test_a_verdict_reads_the_table_it_took(self, monkeypatch):
         # The tables are dropped while the verdict computes its first
@@ -792,6 +828,53 @@ class TestAgainstReference:
         # Without 2^256 3^256, rho = 10 and rho = 11 each have a lone member.
         v = check_membership(Polynomial.make(ms[:2], 512, 2)).violation
         assert v == Violation(2, 256, restriction_class(ms[0], 2, 2), ())
+
+
+def rank_20_recipe(count):
+    """count polynomials of one degree-26 monomial over rank 20 each: the 20
+    unit vectors and 6 seeded functionals, so nearly every verdict meets
+    new rhos, new classes and new pairs."""
+    rng = random.Random(1)
+    units = [unit(i, 20) for i in range(1, 21)]
+    for _ in range(count):
+        m = tuple(sorted(units + [rng.randrange(1, 1 << 20) for _ in range(6)]))
+        yield Polynomial(frozenset([m]), 26, 20)
+
+
+class TestTableDrops:
+    """A drop frees what the check path built: its shape tables and the
+    kernel tables that only they reach."""
+
+    def test_a_drop_frees_the_tables(self, monkeypatch):
+        monkeypatch.setattr(membership, "_profiles", {})
+        check_membership(GEN_1)
+        table = membership._profiles[GEN_1.n, GEN_1.k]
+        assert table.tables  # the verdict read kernel tables
+        refs = [weakref.ref(table), weakref.ref(table.tables)]
+        del table
+        monkeypatch.setattr(membership, "_profile_bits", membership._PROFILE_BOUND)
+        check_membership(RP2)
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert list(membership._profiles) == [(RP2.n, RP2.k)]
+
+    def test_a_stream_of_new_rhos_stays_small(self, monkeypatch):
+        # Without the drops, 400 verdicts of the recipe hold some 12 MB.
+        tables = CountingTables()
+        monkeypatch.setattr(membership, "_profiles", tables)
+        monkeypatch.setattr(membership, "_profile_bits", 0)
+        monkeypatch.setattr(membership, "_PROFILE_BOUND", 1 << 18)
+        polys = list(rank_20_recipe(400))
+        sizes = []
+        tracemalloc.start()
+        try:
+            for p in polys:
+                assert not check_membership(p).accepted
+                sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert tables.drops >= 1
+        assert max(sizes) < 8 << 20
 
 
 BAD_INPUT = {
