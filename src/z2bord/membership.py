@@ -9,9 +9,9 @@ c functionals, the sum over members m of sub_multiset_multiplicity(m, s)
 is even.  The same constraints, linearized over all faithful monomials,
 give the realizable space as a GF(2) nullspace.
 
-check_membership and build_constraint_system share one parity kernel,
-parity_profile, which lists each monomial's (rho, multiplicity, odd
-witness codes) and rests on four facts:
+check_membership and build_constraint_system share one parity kernel:
+parity_profile lists each monomial's (rho, multiplicity, odd witness
+codes), and odd_codes lists one rho's codes.  It rests on four facts:
 
 - Lucas's theorem: C(c, j) is odd iff j & ~c == 0.  So the s with an
   odd sub_multiset_multiplicity(m, s) are listed directly, by taking a
@@ -28,7 +28,10 @@ witness codes) and rests on four facts:
   numeric order on codes is (len(s), s) order.
 
 parity_profile counts m's factors once; the count gives every
-multiplicity and, per rho, the odd rho-free codes below it.  Its callers
+multiplicity and, per rho, the odd rho-free codes below it.  The build
+files only rho = 1's rows, from odd_codes, and gets every other rho's
+rows as translates under a Singer cycle's index permutation (see
+build_constraint_system).  The callers
 key the classes from kernel_tables(k), a map rho -> restriction table of
 ker rho that a shape table, a certificate or a build owns: no cache
 lookup per rho, no table of 2^k entries, and nothing outlives its owner.
@@ -51,7 +54,8 @@ so no verdict mixes numberings; a lock covers only new pairs' numbering.
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from functools import cached_property, lru_cache, reduce
 from operator import xor
 from typing import NamedTuple
@@ -61,7 +65,8 @@ from z2bord.gf2 import (
     Frozen, InputError, ResourceLimitError, from_bits, nullspace, rank_of, set_bits,
 )
 from z2bord.repalg import (
-    Lazy, Polynomial, fresh_restriction_table, is_faithful, render_monomial, restrict,
+    Lazy, Polynomial, automorphism_columns, fresh_restriction_table, is_faithful,
+    render_monomial, restrict, restriction_table,
 )
 
 
@@ -164,12 +169,9 @@ def parity_profile(m: tuple[int, ...], k: int) -> tuple:
     sorted rank-k monomial m, in factor order.
 
     c is m.count(rho), and the caller keys m's class itself (module
-    docstring).  codes are the odd sub-multisets of m that avoid rho and
-    have size below c, in increasing order: m adds 1 to the parity sum of
-    exactly these rho-free witnesses in its group.  At c = 1 that is the
-    empty multiset alone, code 1; at c = 2 it is also each single factor
-    of odd count; at c >= 3 it is a product of submasks, one per other
-    factor.  Every code is below 1 << k * c.
+    docstring).  codes are odd_codes(counts, rho, k) for m's factor
+    counts: at c = 1 the empty multiset alone, code 1; at c = 2 also each
+    single factor of odd count; only at c >= 3 is odd_codes called.
     """
     counts: dict[int, int] = {}
     for f in m:
@@ -179,24 +181,30 @@ def parity_profile(m: tuple[int, ...], k: int) -> tuple:
     singles = (1, *[1 << k | f for f, c in counts.items() if c & 1])
     profile = []
     for rho, c in counts.items():
-        if c <= 2:
-            codes = (1,) if c == 1 else singles
-        else:
-            below = 1 << k * c  # the codes of s smaller than c
-            listed = [1]
-            for f, cf in counts.items():
-                if f == rho:
-                    continue
-                runs = []  # (shift, f repeated j times) for each nonzero submask j of cf
-                j = cf
-                while j:
-                    runs.append((j * k, f * ((1 << j * k) - 1) // ((1 << k) - 1)))
-                    j = (j - 1) & cf
-                listed += [new for code in listed for shift, run in runs
-                           if (new := code << shift | run) < below]
-            codes = tuple(sorted(listed))
+        codes = ((1,) if c == 1 else singles) if c <= 2 else odd_codes(counts, rho, k)
         profile.append((rho, c, codes))
     return tuple(profile)
+
+
+def odd_codes(counts: dict[int, int], rho: int, k: int) -> tuple[int, ...]:
+    """The odd sub-multisets of m that avoid rho and have size below
+    c = counts[rho], in increasing order, counts being m's factor counts:
+    m adds 1 to the parity sum of exactly these rho-free witnesses in its
+    group.  Each is a product of submasks, one per other factor, and every
+    code is below 1 << k * c."""
+    below = 1 << k * counts[rho]  # the codes of s smaller than c
+    listed = [1]
+    for f, cf in counts.items():
+        if f == rho:
+            continue
+        runs = []  # (shift, f repeated j times) for each nonzero submask j of cf
+        j = cf
+        while j:
+            runs.append((j * k, f * ((1 << j * k) - 1) // ((1 << k) - 1)))
+            j = (j - 1) & cf
+        listed += [new for code in listed for shift, run in runs
+                   if (new := code << shift | run) < below]
+    return tuple(sorted(listed))
 
 
 _PROFILE_BOUND = 1 << 29  # bits of the profiles in all tables; (6,4) takes 4.3e8-5.0e8
@@ -389,6 +397,28 @@ class ConstraintSystem(Frozen):
                 for b in nullspace(map(from_bits, self.rows), len(monomials))]
 
 
+# Primitive polynomials over GF(2) by degree k, bit i the coefficient of x^i.
+PRIMITIVE_POLYNOMIALS = {1: 0b11, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101,
+                         6: 0b1000011, 7: 0b10000011, 8: 0b100011101}
+
+
+def singer_cycle(k: int) -> tuple[int, ...]:
+    """Rows of the companion matrix of PRIMITIVE_POLYNOMIALS[k]: an
+    automorphism of order 2^k - 1 whose powers take a nonzero functional
+    to every other (J. Singer, Trans. AMS 43, 1938)."""
+    f = PRIMITIVE_POLYNOMIALS[k]
+    return tuple((i and 1 << k - i) | f >> i & 1 for i in range(k))
+
+
+def index_permutation(a: tuple[int, ...], monomials) -> list[int]:
+    """sigma with monomials[sigma[j]] the image of monomials[j] under the
+    automorphism with rows a, as repalg.apply_automorphism maps it; the
+    monomials are all faithful ones of a shape, so they hold every image."""
+    image = restriction_table(automorphism_columns(a, len(a))).__getitem__
+    index = {m: j for j, m in enumerate(monomials)}
+    return [index[tuple(sorted(map(image, m)))] for m in monomials]
+
+
 def count_vector_weights(tables: Lazy, n: int) -> Lazy:
     """A new map rho -> (f -> 1 << B * r, r being f restricted to ker rho by
     tables and B = n.bit_length()), built on first read; equal weights share an int."""
@@ -399,29 +429,47 @@ def count_vector_weights(tables: Lazy, n: int) -> Lazy:
 def build_constraint_system(n: int, k: int) -> ConstraintSystem:
     """One row per (group, witness code) that some monomial meets: index j
     is in it when monomial j is in that group and the witness is one of
-    its odd rho-free sub-multisets.  The monomials are visited last
-    first, so each row lists its indices highest first as they are met,
-    and no dense int is built.  A row is filed under one int: the group's
-    key, then rho in k bits, then the code in k * n bits.  The key is the
-    class's count vector, m's count_vector_weights for rho summed: slot r
-    of B = n.bit_length() bits counts m's factors restricting to r.  No
-    slot counts more than n < 2^B, so no sum carries: the key is injective
-    and needs no sort.  It is B * 2^(k-1) bits wide, so only the build,
-    whose rank _ENUM_BOUNDS caps at 4, keys classes by it.  A faithful
-    monomial has no factor 0, so the key's slot 0 counts rho's
-    multiplicity, which the int therefore leaves out."""
+    its odd rho-free sub-multisets.
+
+    Only rho = 1's rows are filed.  A faithful monomial has no factor 0
+    and 1 is the least nonzero functional, so the monomials holding rho = 1
+    are those with m[0] == 1, the first block of the list.  They are
+    visited last first, so each row lists its indices highest first as
+    they are met, and no dense int is built.  A row is filed under one int:
+    the group's key, then the code (odd_codes for rho = 1) in k * n bits.
+    The key is the class's count vector, m's count_vector_weights for
+    rho = 1 summed: slot r of B = n.bit_length() bits counts m's factors
+    restricting to r.  No slot counts more than n < 2^B, so no sum carries:
+    the key is injective and needs no sort.  It is B * 2^(k-1) bits wide,
+    so only the build, whose rank _ENUM_BOUNDS caps at 4, keys classes by
+    it.  Slot 0 counts the multiplicity, so the int leaves it out.
+
+    Every other rho's rows are translates.  An automorphism g of the
+    functionals preserves rho-multiplicities, maps the restriction classes
+    to ker rho one-to-one onto those to ker g(rho), and maps odd rho-free
+    witnesses onto odd g(rho)-free ones, so its index permutation maps the
+    row set of rho onto that of g(rho).  The powers of the Singer cycle
+    take 1 to every nonzero functional, so rho = 1's rows and their
+    h - 1 translates (h = 2^k - 1), each re-sorted highest first, are all
+    the rows."""
     monomials = tuple(enumerate_faithful_monomials(n, k))
-    weights = count_vector_weights(kernel_tables(k), n)
+    if not monomials:  # n = 0, or 0 < n < k at a rank PRIMITIVE_POLYNOMIALS may lack
+        return ConstraintSystem(n, k, (), ())
+    weights = count_vector_weights(kernel_tables(k), n)[1].__getitem__
     rows: defaultdict[int, list[int]] = defaultdict(list)
-    for j in range(len(monomials) - 1, -1, -1):
+    for j in range(bisect_left(monomials, (2,)) - 1, -1, -1):
         m = monomials[j]
-        for rho, _, codes in parity_profile(m, k):
-            group = (sum(map(weights[rho].__getitem__, m)) << k | rho) << k * n
-            for code in codes:
-                rows[group | code].append(j)
-    unique = set()
+        key = sum(map(weights, m)) << k * n
+        for code in (1,) if m.count(1) == 1 else odd_codes(Counter(m), 1, k):
+            rows[key | code].append(j)
+    moved = set()
     while rows:  # each list is dropped as its tuple is made
-        unique.add(tuple(rows.popitem()[1]))
+        moved.add(tuple(rows.popitem()[1]))
+    unique = set(moved)
+    step = index_permutation(singer_cycle(k), monomials).__getitem__
+    for _ in range(2 ** k - 2):
+        moved = [tuple(sorted(map(step, row), reverse=True)) for row in moved]
+        unique.update(moved)
     return ConstraintSystem(n, k, monomials, tuple(sorted(unique)))
 
 

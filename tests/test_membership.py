@@ -1,8 +1,10 @@
 """Realizability criterion: direct checker and linear constraint system."""
 
+import collections
 import functools
 import gc
 import itertools
+import operator
 import random
 import re
 import sys
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 from z2bord.catalog import (
     GEN_1, GENERATORS, REJECTED_SINGLETON, SMALL_COVER_1, SMALL_COVER_2, mono, poly,
 )
-from z2bord.gf2 import InputError, ResourceLimitError, rank_of, set_bits, unit
+from z2bord.gf2 import (
+    InputError, ResourceLimitError, enumerate_gl, from_bits, rank_of, set_bits, unit,
+)
 from z2bord import membership
 from z2bord.membership import (
     Violation,
@@ -27,13 +31,19 @@ from z2bord.membership import (
     decompose_for_rho,
     enumerate_faithful_monomials,
     image_dimension,
+    index_permutation,
     kernel_basis,
     kernel_tables,
+    odd_codes,
     parity_profile,
     restriction_class,
+    singer_cycle,
     submultiset,
 )
-from z2bord.repalg import Polynomial, is_faithful, sub_multiset_multiplicity
+from z2bord.repalg import (
+    Polynomial, apply_automorphism, automorphism_columns, is_faithful, restriction_table,
+    sub_multiset_multiplicity,
+)
 from z2bord.smallcover import CharacteristicFunction, fixed_polynomial
 from test_acceptance import closed_form_dimension
 
@@ -533,6 +543,8 @@ class TestParityKernel:
         for rho, c, codes in profile:
             assert type(codes) is tuple
             assert [submultiset(code, k) for code in codes] == rho_free_odd(m, rho, c)
+            # The build's one-rho lister, which it calls at every c >= 2.
+            assert odd_codes(collections.Counter(m), rho, k) == codes
         # The classes, where the check path and the build make them.
         tables = kernel_tables(k)
         weights = count_vector_weights(tables, n)
@@ -629,8 +641,11 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("n,k", [
         (2, 2), (3, 3), (5, 3), (6, 3), (7, 3), (8, 3), (4, 4), (5, 4),
+        (3, 1), (4, 2), (6, 2), (6, 4),
     ])
     def test_rows(self, n, k):
+        # (3,1) has no Singer translates, (4,2) and (6,2) two each, and
+        # (6,4) is the least rank-4 degree with a multiplicity of 3.
         sparse = tuple(tuple(set_bits(row)) for row in reference_rows(n, k))
         assert build_constraint_system(n, k).rows == sparse
 
@@ -828,6 +843,50 @@ class TestAgainstReference:
         # Without 2^256 3^256, rho = 10 and rho = 11 each have a lone member.
         v = check_membership(Polynomial.make(ms[:2], 512, 2)).violation
         assert v == Violation(2, 256, restriction_class(ms[0], 2, 2), ())
+
+
+def matrix_product(a, b):
+    """Rows of AB over GF(2), for square matrices given by their rows."""
+    k = len(a)
+    return tuple(functools.reduce(operator.xor, (b[j] for j in range(k) if row >> k - 1 - j & 1),
+                                  0) for row in a)
+
+
+def prime_factors(h):
+    return [p for p in range(2, h + 1) if h % p == 0 and all(p % q for q in range(2, p))]
+
+
+class TestSingerTranslates:
+    """The build files rho = 1's rows and moves them by a Singer cycle's
+    index permutation; test_rows compares the result with the definition."""
+
+    @pytest.mark.parametrize("k", sorted(membership.PRIMITIVE_POLYNOMIALS))
+    def test_the_pinned_cycle_has_order_2_to_the_k_minus_1(self, k):
+        g, h = singer_cycle(k), (1 << k) - 1
+        assert rank_of(g) == k
+        identity = tuple(unit(i, k) for i in range(1, k + 1))
+        powers = [identity]
+        for _ in range(h):
+            powers.append(matrix_product(powers[-1], g))
+        assert powers[h] == identity
+        assert all(powers[h // p] != identity for p in prime_factors(h))
+        image = restriction_table(automorphism_columns(g, k))
+        orbit = [1]
+        for _ in range(h - 1):
+            orbit.append(image[orbit[-1]])
+        assert sorted(orbit) == list(range(1, 1 << k))
+
+    @pytest.mark.parametrize("n,k", [(5, 3), (5, 4)])
+    def test_index_permutation_is_the_gl_action(self, n, k):
+        cs = build_constraint_system(n, k)
+        rng = random.Random(f"permutation/{n},{k}")
+        for a in (singer_cycle(k), *rng.sample(enumerate_gl(k), 4)):
+            sigma = index_permutation(a, cs.monomials)
+            assert sorted(sigma) == list(range(len(cs.monomials)))
+            for _ in range(20):
+                p = Polynomial(frozenset(rng.sample(cs.monomials, rng.randint(1, 40))), n, k)
+                moved = from_bits(sigma[j] for j in set_bits(cs.indicator(p)))
+                assert cs.indicator(apply_automorphism(p, a)) == moved
 
 
 def rank_20_recipe(count):
