@@ -12,8 +12,7 @@ whose highest set bit it is.
 A sparse vector is the tuple of its set-bit positions, highest first, as
 set_bits lists them; these tuples sort in the numeric order of their
 ints.  from_bits, the inverse of set_bits, makes the int of a sparse
-vector.  It ORs in one bit per position, highest first, so every
-intermediate already has the result's width and each is freed by the next.
+vector.
 """
 
 from __future__ import annotations
@@ -112,8 +111,9 @@ def set_bits(v: int) -> list[int]:
 
 
 def from_bits(bits) -> int:
-    """The int whose set bits are at the positions bits, listed highest
-    first: the inverse of set_bits."""
+    """The int whose set bits are at the positions bits, in any order: the
+    inverse of set_bits.  One bit is ORed in per position; listed highest
+    first, every intermediate already has the result's width."""
     v = 0
     for j in bits:
         v |= 1 << j
@@ -147,15 +147,34 @@ def pivot_table(rows) -> dict[int, int]:
     return table
 
 
+def spin(rows, step) -> list[tuple[int, ...]]:
+    """Independent sparse rows of the least span that holds the sparse rows
+    and is invariant under the index permutation j -> step(j).
+
+    Rows go through one pivot table, shortest first.  A row with a nonzero
+    remainder is kept and its translate (its positions' images, highest
+    first, so of its length) is filed next; a row with remainder 0 is
+    dropped with its translates.  The kept rows span the rows and their own
+    translates, and each is a translate of a row: the least such span, from
+    at most len(rows) + its dimension reductions (MeatAxe spinning, Parker 1984)."""
+    table: dict[int, int] = {}
+    kept = []
+    queue = sorted(rows, key=len, reverse=True)
+    while queue:
+        row = queue.pop()
+        if reduce_into(table, from_bits(row)):
+            kept.append(row)
+            queue.append(tuple(sorted(map(step, row), reverse=True)))
+    return kept
+
+
 def row_reduce(rows) -> list[int]:
     """Reduced row echelon form; returns nonzero rows, pivots high-bit first.
 
-    The rows are filed into one pivot table (see reduce_into), whose
-    invariant is that each key is the highest set bit of its row.  Each
-    table row is then cleared of the lower pivot bits, in increasing pivot
-    order, so the rows it is XORed with are already reduced.  The result is
-    the canonical RREF of the span: every pivot bit is set in its own row
-    only.
+    The rows are filed into one pivot table (see reduce_into).  Each table
+    row is then cleared of the lower pivot bits, in increasing pivot order,
+    so the rows it is XORed with are already reduced.  The result is the
+    canonical RREF of the span: every pivot bit is set in its own row only.
     """
     table = pivot_table(rows)
     lower = 0  # the pivot bits below the current one
@@ -169,11 +188,8 @@ def row_reduce(rows) -> list[int]:
 
 
 def rank_of(rows) -> int:
-    """Dimension of the span: the size of the rows' pivot table.
-
-    Each key of the table is the highest set bit of its row (see
-    reduce_into), so the rows are independent and span the input.
-    """
+    """Dimension of the span: the size of the rows' pivot table, whose rows
+    are independent (see reduce_into) and span the input."""
     return len(pivot_table(rows))
 
 
@@ -190,8 +206,7 @@ def reverse_bits(v: int, k: int) -> int:
 def nullspace(rows, k: int) -> tuple[int, ...]:
     """Canonical basis tuple of the right-nullspace of the rows' matrix.
 
-    The rows are reduced with their bit order reversed (see row_reduce: a
-    pivot table keyed by each row's highest set bit, then back-substitution),
+    The rows are reduced with their bit order reversed (see row_reduce),
     which gives the RREF whose pivots are the rows' lowest set bits.  The
     nullspace then has one basis vector per non-pivot bit g: bit g, plus the
     pivot bit q of every reduced row with bit g set.  Its highest bit is g

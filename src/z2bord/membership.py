@@ -29,12 +29,12 @@ codes), and odd_codes lists one rho's codes.  It rests on four facts:
 
 parity_profile counts m's factors once; the count gives every
 multiplicity and, per rho, the odd rho-free codes below it.  The build
-files only rho = 1's rows, from odd_codes, and gets every other rho's
-rows as translates under a Singer cycle's index permutation (see
-build_constraint_system).  The callers
-key the classes from kernel_tables(k), a map rho -> restriction table of
-ker rho that a shape table, a certificate or a build owns: no cache
-lookup per rho, no table of 2^k entries, and nothing outlives its owner.
+files only rho = 1's rows, the seeds; the other rows are their Singer
+translates, made only when read, and the rank spins the seeds instead
+(ConstraintSystem).  The callers key the classes from kernel_tables(k),
+a map rho -> restriction table of ker rho that a shape table, a
+certificate or a build owns: no cache lookup per rho, no table of 2^k
+entries, and nothing outlives its owner.
 
 check_membership reads each monomial's (group, odd witness) pairs as
 one int with a bit per pair, from the table of its shape (n, k).  The
@@ -61,9 +61,7 @@ from operator import xor
 from typing import NamedTuple
 
 from z2bord import gf2
-from z2bord.gf2 import (
-    Frozen, InputError, ResourceLimitError, from_bits, nullspace, rank_of, set_bits,
-)
+from z2bord.gf2 import Frozen, InputError, ResourceLimitError, from_bits, nullspace, set_bits
 from z2bord.repalg import (
     Lazy, Polynomial, automorphism_columns, fresh_restriction_table, is_faithful,
     render_monomial, restrict, restriction_table,
@@ -264,9 +262,7 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
     """Certificate-producing test for realizability of p (see the module
     docstring).  A None profile in the fold means a monomial that is not
     faithful, named by require_faithful.  The least decoded pair holds no
-    rho in its witness; the lowest bit is only the first pair seen.  The
-    verdict first drops every table if their profiles hold _PROFILE_BOUND
-    bits, then reads only its shape's table, whatever others drop."""
+    rho in its witness; the lowest bit is only the first pair seen."""
     global _profile_bits
     if _profile_bits >= _PROFILE_BOUND:
         _profiles.clear()
@@ -322,16 +318,20 @@ def enumerate_faithful_monomials(n: int, k: int) -> list[tuple[int, ...]]:
 class ConstraintSystem(Frozen):
     """Linearized parity constraints over the faithful-monomial basis.
 
-    Each row is the tuple of its monomial indices, highest first (the
-    set_bits of its dense int), and the rows are sorted.  Index j in a row
-    is the j-th faithful monomial, whose coefficient there is 1.  An
-    indicator vector of a support lies in the nullspace iff
-    check_membership accepts the corresponding polynomial.  Dense ints
-    are built only for elimination: a row as it is filed into the pivot
-    table, and the rows of the nullspace for as long as gf2.nullspace runs.
+    A row is the tuple of its monomial indices j, highest first, each the
+    j-th faithful monomial with coefficient 1.  The seeds are rho = 1's
+    rows, sorted; rows, made when first read, are the seeds and their
+    translates under a Singer cycle g's index permutation, sorted.  An
+    automorphism of the functionals keeps rho-multiplicities and maps the
+    classes to ker rho and the odd rho-free witnesses one-to-one onto those
+    of rho's image, so it maps rho's rows onto that image's, and the powers
+    of g take 1 to every nonzero rho.  So the rows span the least
+    g-invariant span holding the seeds: the rank, the nullspace and
+    in_nullspace read its independent rows, _spanning, from gf2.spin.  An
+    indicator lies in the nullspace iff check_membership accepts its support.
     """
 
-    _fields = ("n", "k", "monomials", "rows")
+    _fields = ("n", "k", "monomials", "seeds")
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
@@ -339,13 +339,11 @@ class ConstraintSystem(Frozen):
 
     @cached_property
     def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """Entry j is column j as a sparse vector: the numbers of the rows
-        that hold index j, highest first.  Each list of row numbers is
-        dropped as its tuple is made, so the two are never all held."""
+        """Entry j: the numbers of the _spanning rows that hold index j.  Each
+        list is dropped as its tuple is made, so the two are never all held."""
         columns: list = [[] for _ in self.monomials]
-        rows = self.rows
-        for r in range(len(rows) - 1, -1, -1):
-            for j in rows[r]:
+        for r, row in enumerate(self._spanning):
+            for j in row:
                 columns[j].append(r)
         for j, column in enumerate(columns):
             columns[j] = tuple(column)
@@ -363,9 +361,8 @@ class ConstraintSystem(Frozen):
         return bits
 
     def in_nullspace(self, bits: int) -> bool:
-        """Whether the indicator bits (see indicator) meet every row an
-        even number of times: whether the columns of its set bits XOR to 0,
-        each column taken as the set of its rows."""
+        """Whether the indicator bits meet every row an even number of times:
+        whether the columns of its set bits, as sets of rows, XOR to 0."""
         if bits < 0 or bits >> len(self.monomials):
             raise InputError(f"not an indicator over the {len(self.monomials)} faithful "
                              f"monomials of degree {self.n} rank {self.k}")
@@ -379,14 +376,27 @@ class ConstraintSystem(Frozen):
         return self.in_nullspace(self.indicator(p))
 
     @cached_property
-    def _nullity(self) -> int:
-        # Sparse rows first: they fill the pivot table with fewer bits.
-        rows = sorted(self.rows, key=len)
-        return len(self.monomials) - rank_of(map(from_bits, rows))
+    def _step(self):  # j -> sigma[j]; without monomials, no rows and no Singer cycle
+        ms = self.monomials
+        return (index_permutation(singer_cycle(self.k), ms) if ms else []).__getitem__
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The seeds and their h - 1 translates, h = 2^k - 1, de-duplicated."""
+        moved, step = self.seeds, self._step
+        unique = set(moved)
+        for _ in range(2 ** self.k - 2):
+            moved = [tuple(sorted(map(step, row), reverse=True)) for row in moved]
+            unique.update(moved)
+        return tuple(sorted(unique))
+
+    @cached_property
+    def _spanning(self) -> list[tuple[int, ...]]:
+        return gf2.spin(self.seeds, self._step)
 
     def nullspace_dimension(self) -> int:
         """Dimension of the nullspace, ranked once per system."""
-        return self._nullity
+        return len(self.monomials) - len(self._spanning)
 
     def nullspace_basis(self) -> list[Polynomial]:
         """Polynomials whose indicators form a basis of the nullspace.  The
@@ -394,7 +404,7 @@ class ConstraintSystem(Frozen):
         so they build each Polynomial as they are, without make."""
         monomials, n, k = self.monomials, self.n, self.k
         return [Polynomial(frozenset([monomials[j] for j in set_bits(b)]), n, k)
-                for b in nullspace(map(from_bits, self.rows), len(monomials))]
+                for b in nullspace(map(from_bits, self._spanning), len(monomials))]
 
 
 # Primitive polynomials over GF(2) by degree k, bit i the coefficient of x^i.
@@ -427,34 +437,21 @@ def count_vector_weights(tables: Lazy, n: int) -> Lazy:
 
 
 def build_constraint_system(n: int, k: int) -> ConstraintSystem:
-    """One row per (group, witness code) that some monomial meets: index j
-    is in it when monomial j is in that group and the witness is one of
-    its odd rho-free sub-multisets.
+    """The system with rho = 1's rows as its seeds: one row per (group,
+    witness code) that some monomial meets, index j in it when monomial j
+    is in that group and the witness is one of its odd 1-free sub-multisets.
 
-    Only rho = 1's rows are filed.  A faithful monomial has no factor 0
-    and 1 is the least nonzero functional, so the monomials holding rho = 1
-    are those with m[0] == 1, the first block of the list.  They are
-    visited last first, so each row lists its indices highest first as
-    they are met, and no dense int is built.  A row is filed under one int:
-    the group's key, then the code (odd_codes for rho = 1) in k * n bits.
-    The key is the class's count vector, m's count_vector_weights for
-    rho = 1 summed: slot r of B = n.bit_length() bits counts m's factors
-    restricting to r.  No slot counts more than n < 2^B, so no sum carries:
-    the key is injective and needs no sort.  It is B * 2^(k-1) bits wide,
-    so only the build, whose rank _ENUM_BOUNDS caps at 4, keys classes by
-    it.  Slot 0 counts the multiplicity, so the int leaves it out.
-
-    Every other rho's rows are translates.  An automorphism g of the
-    functionals preserves rho-multiplicities, maps the restriction classes
-    to ker rho one-to-one onto those to ker g(rho), and maps odd rho-free
-    witnesses onto odd g(rho)-free ones, so its index permutation maps the
-    row set of rho onto that of g(rho).  The powers of the Singer cycle
-    take 1 to every nonzero functional, so rho = 1's rows and their
-    h - 1 translates (h = 2^k - 1), each re-sorted highest first, are all
-    the rows."""
+    A faithful monomial has no factor 0, so those holding 1 are the first
+    block of the list, m[0] == 1.  They are visited last first, so each row
+    lists its indices highest first as they are met.  A row is filed under
+    one int: the group's key, then the code in k * n bits.  The key is the
+    class's count vector, m's count_vector_weights for 1 summed: slot r of
+    B = n.bit_length() bits counts m's factors restricting to r, and no
+    slot counts more than n < 2^B, so no sum carries and the key is
+    injective.  It is B * 2^(k-1) bits wide, so only the build, whose rank
+    _ENUM_BOUNDS caps at 4, keys classes by it.  Slot 0 counts the
+    multiplicity, so the int leaves it out."""
     monomials = tuple(enumerate_faithful_monomials(n, k))
-    if not monomials:  # n = 0, or 0 < n < k at a rank PRIMITIVE_POLYNOMIALS may lack
-        return ConstraintSystem(n, k, (), ())
     weights = count_vector_weights(kernel_tables(k), n)[1].__getitem__
     rows: defaultdict[int, list[int]] = defaultdict(list)
     for j in range(bisect_left(monomials, (2,)) - 1, -1, -1):
@@ -462,15 +459,10 @@ def build_constraint_system(n: int, k: int) -> ConstraintSystem:
         key = sum(map(weights, m)) << k * n
         for code in (1,) if m.count(1) == 1 else odd_codes(Counter(m), 1, k):
             rows[key | code].append(j)
-    moved = set()
+    seeds = set()
     while rows:  # each list is dropped as its tuple is made
-        moved.add(tuple(rows.popitem()[1]))
-    unique = set(moved)
-    step = index_permutation(singer_cycle(k), monomials).__getitem__
-    for _ in range(2 ** k - 2):
-        moved = [tuple(sorted(map(step, row), reverse=True)) for row in moved]
-        unique.update(moved)
-    return ConstraintSystem(n, k, monomials, tuple(sorted(unique)))
+        seeds.add(tuple(rows.popitem()[1]))
+    return ConstraintSystem(n, k, monomials, tuple(sorted(seeds)))
 
 
 def image_dimension(n: int, k: int) -> int:

@@ -20,7 +20,7 @@ from z2bord.catalog import (
     GEN_1, GENERATORS, REJECTED_SINGLETON, SMALL_COVER_1, SMALL_COVER_2, mono, poly,
 )
 from z2bord.gf2 import (
-    InputError, ResourceLimitError, enumerate_gl, from_bits, rank_of, set_bits, unit,
+    InputError, ResourceLimitError, enumerate_gl, from_bits, nullspace, rank_of, set_bits, unit,
 )
 from z2bord import membership
 from z2bord.membership import (
@@ -246,6 +246,20 @@ class TestConstraintSystem:
         assert image_dimension(8, 3) == 557
         assert image_dimension(5, 4) == 3177
 
+    def test_rows_are_made_only_when_read(self, monkeypatch):
+        # The rank, the basis and the checks read the spun seeds only.
+        built = []
+        build = membership.build_constraint_system
+        monkeypatch.setattr(membership, "build_constraint_system",
+                            lambda n, k: built.append(build(n, k)) or built[-1])
+        assert image_dimension(5, 4) == 3177
+        (cs,) = built
+        assert "rows" not in cs.__dict__
+        assert cs.accepts(cs.nullspace_basis()[0])
+        assert not cs.in_nullspace(1)
+        assert "rows" not in cs.__dict__
+        assert len(cs.rows) == 4725
+
     def test_dropped_system_is_freed(self):
         cs = build_constraint_system(2, 2)
         assert cs.accepts(RP2)
@@ -273,9 +287,15 @@ class TestConstraintSystem:
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             cs.accepts(poly(text, 3))
 
-    @pytest.mark.parametrize("n,k", [(0, 3), (2, 3)])
-    def test_system_without_rows(self, n, k):
-        # No faithful monomial, so no row: the nullspace is the zero space.
+    @pytest.mark.parametrize("n,k", [(0, 3), (2, 3), (1, 9)])
+    def test_system_without_rows(self, n, k, monkeypatch):
+        # No faithful monomial, so no row: the nullspace is the zero space,
+        # and no Singer cycle is read, also at a rank with none pinned.
+        def no_cycle(*args):
+            raise AssertionError("a Singer cycle was read")
+
+        monkeypatch.setattr(membership, "singer_cycle", no_cycle)
+        monkeypatch.setattr(membership, "index_permutation", no_cycle)
         cs = build_constraint_system(n, k)
         assert cs.monomials == () and cs.rows == ()
         assert cs.nullspace_dimension() == 0
@@ -635,19 +655,32 @@ def test_a_violation_holding_its_rho_has_a_rho_free_companion(p_and_realizable):
     assert first is None or first.rho not in first.witness
 
 
+REFERENCE_SHAPES = [
+    (2, 2), (3, 3), (5, 3), (6, 3), (7, 3), (8, 3), (4, 4), (5, 4),
+    (3, 1), (4, 2), (6, 2), (6, 4),
+]
+
+
 class TestAgainstReference:
     """check_membership and build_constraint_system share the parity
     kernel; these tests compare both with the criterion by definition."""
 
-    @pytest.mark.parametrize("n,k", [
-        (2, 2), (3, 3), (5, 3), (6, 3), (7, 3), (8, 3), (4, 4), (5, 4),
-        (3, 1), (4, 2), (6, 2), (6, 4),
-    ])
+    @pytest.mark.parametrize("n,k", REFERENCE_SHAPES)
     def test_rows(self, n, k):
         # (3,1) has no Singer translates, (4,2) and (6,2) two each, and
         # (6,4) is the least rank-4 degree with a multiplicity of 3.
         sparse = tuple(tuple(set_bits(row)) for row in reference_rows(n, k))
         assert build_constraint_system(n, k).rows == sparse
+
+    @pytest.mark.parametrize("n,k", REFERENCE_SHAPES)
+    def test_spun_seeds_span_every_row(self, n, k):
+        # The dimension and the basis come from the spun seeds; ranked and
+        # reduced over every row they must come out the same.
+        cs = build_constraint_system(n, k)
+        dense = [from_bits(row) for row in cs.rows]
+        width = len(cs.monomials)
+        assert cs.nullspace_dimension() == width - rank_of(dense)
+        assert [cs.indicator(p) for p in cs.nullspace_basis()] == list(nullspace(dense, width))
 
     def test_catalog_certificates(self):
         covers = [fixed_polynomial(CharacteristicFunction.from_matrix(

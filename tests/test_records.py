@@ -12,6 +12,7 @@ import z2bord
 from z2bord.graphs import LabeledGraph
 from z2bord.membership import (
     ConstraintSystem,
+    build_constraint_system,
     Group,
     MembershipCertificate,
     RhoDecomposition,
@@ -51,6 +52,7 @@ CASES = {
                 lambda: Violation(4, 2, (0, 0, 1), (4, 4)), True),
     MembershipCertificate: (lambda: MembershipCertificate(False, VIOLATION),
                             lambda: MembershipCertificate(True), True),
+    # (n, k, monomials, seeds): the full rows are not a field.
     ConstraintSystem: (lambda: ConstraintSystem(2, 2, ((1, 2),), ((0,),)),
                        lambda: ConstraintSystem(2, 2, ((1, 2),), ()), True),
     LabeledGraph: (lambda: LabeledGraph(1, (("a", "b", 1),)),
@@ -108,6 +110,13 @@ def test_certificate_equality_ignores_polynomial():
     assert a == b and hash(a) == hash(b)
     assert a == MembershipCertificate(False, violation=VIOLATION)
     assert "polynomial" not in repr(a)
+
+
+def test_constraint_systems_compare_without_making_their_rows():
+    a, b = build_constraint_system(5, 3), build_constraint_system(5, 3)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "rows" not in vars(a) and "rows" not in vars(b)
+    assert a.rows == b.rows and len(a.rows) == 490
 
 
 def test_restriction_table_is_shared_and_restricts():
