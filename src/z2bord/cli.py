@@ -83,7 +83,7 @@ def cmd_dim(args) -> int:
     cs = build_constraint_system(n, k)
     d = cs.nullspace_dimension()
     print(f"n={n} k={k} faithful={len(cs.monomials)}"
-          f" constraints={len(cs.rows)} dimension={d}")
+          f" constraints={cs.row_count()} dimension={d}")
     print(d)
     return 0
 

@@ -18,6 +18,7 @@ vector.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 
@@ -166,6 +167,99 @@ def spin(rows, step) -> list[tuple[int, ...]]:
             kept.append(row)
             queue.append(tuple(sorted(map(step, row), reverse=True)))
     return kept
+
+
+def _poly_divmod(a: int, f: int) -> tuple[int, int]:
+    """Quotient and remainder of the GF(2) polynomial a by f, bit i the
+    coefficient of x^i."""
+    quotient, width = 0, f.bit_length()
+    while a.bit_length() >= width:
+        shift = a.bit_length() - width
+        quotient |= 1 << shift
+        a ^= f << shift
+    return quotient, a
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_factors(h: int) -> tuple[int, ...]:
+    """The irreducible factors of x^h - 1 over GF(2), for odd h, in
+    increasing order, a polynomial being the int with bit i its coefficient
+    of x^i.  Found once per h.
+
+    For odd h, x^h - 1 is prime to its derivative x^(h-1), so squarefree.
+    Candidates, all with constant term 1, are tried by increasing degree
+    and each one that divides what is left is divided out; what is left
+    then has no factor of lower degree, so each found factor is irreducible."""
+    if h < 1 or not h & 1:
+        raise InputError(f"need an odd h >= 1, got {h}")
+    rest, factors, degree = 1 << h | 1, [], 1
+    while rest != 1:
+        for f in range(1 << degree | 1, 2 << degree, 2):
+            quotient, remainder = _poly_divmod(rest, f)
+            if not remainder:
+                factors.append(f)
+                rest = quotient
+        degree += 1
+    return tuple(factors)
+
+
+def block_rank(rows, perm) -> int:
+    """Dimension of the least span that holds the sparse rows and is
+    invariant under the index permutation j -> perm[j], of odd order h:
+    len(spin(rows, perm.__getitem__)), with narrower pivot tables.
+
+    With x acting by perm, the span is a module over GF(2)[x]/(x^h - 1).
+    For odd h that ring is the sum of the fields GF(2)[x]/(f), f running
+    over cyclotomic_factors(h), so the span is the sum of its projections
+    to these blocks and its dimension the sum of theirs.  An orbit of size
+    s, walked from its least index, is GF(2)[x]/(x^s - 1), its index at
+    position t being x^t.  It adds a slot of d = deg f bits to block f when
+    f divides x^s - 1, and a row's entry in the slot is the sum of x^t mod f
+    over the row's indices in the orbit; the other orbits' entries are
+    masked off.  Block by block, the rows' projections go into one pivot
+    table, shortest row first.  A nonzero remainder u spans a field line
+    that meets the table's span, a sum of such lines, only in 0, so u and
+    its d - 1 translates x^i u are all filed: x multiplies every slot at
+    once.  Only one block's table is held at a time."""
+    orbit: list = [None] * len(perm)  # orbit number of each index
+    position = [0] * len(perm)  # position t in its orbit
+    sizes: list[int] = []
+    for start in range(len(perm)):
+        if orbit[start] is None:
+            j, t = start, 0
+            while orbit[j] is None:
+                orbit[j], position[j] = len(sizes), t
+                j, t = perm[j], t + 1
+            sizes.append(t)
+    h = math.lcm(*sizes)
+    rows = sorted(rows, key=len)
+    rank = 0
+    for f in cyclotomic_factors(h):
+        d = f.bit_length() - 1
+        powers = [1]  # x^t mod f, t below the order of x mod f
+        while (p := powers[-1] << 1 ^ (f if powers[-1] >> d - 1 else 0)) != 1:
+            powers.append(p)
+        order = len(powers)
+        inside = [s % order == 0 for s in sizes]
+        width = d * sum(inside)
+        slots = [d * before if i else width  # each orbit's slot, or width when it has none
+                 for i, before in zip(inside, itertools.accumulate(inside, initial=0))]
+        value = list(map((powers * (h // order)).__getitem__, position))  # x^t mod f
+        shift = list(map(slots.__getitem__, orbit))
+        mask = (1 << width) - 1
+        top = mask // ((1 << d) - 1) << d - 1  # the top bit of every slot
+        low = f ^ 1 << d
+        table: dict[int, int] = {}
+        for row in rows:
+            u = 0
+            for j in row:
+                u ^= value[j] << shift[j]
+            u = reduce_into(table, u & mask)
+            for _ in range(d - 1) if u else ():
+                u = (u & ~top) << 1 ^ ((u & top) >> d - 1) * low
+                reduce_into(table, u)
+        rank += len(table)
+    return rank
 
 
 def row_reduce(rows) -> list[int]:

@@ -30,11 +30,13 @@ codes), and odd_codes lists one rho's codes.  It rests on four facts:
 parity_profile counts m's factors once; the count gives every
 multiplicity and, per rho, the odd rho-free codes below it.  The build
 files only rho = 1's rows, the seeds; the other rows are their Singer
-translates, made only when read, and the rank spins the seeds instead
-(ConstraintSystem).  The callers key the classes from kernel_tables(k),
-a map rho -> restriction table of ker rho that a shape table, a
-certificate or a build owns: no cache lookup per rho, no table of 2^k
-entries, and nothing outlives its owner.
+translates, made only when read.  The dimension sums the seeds' ranks in
+the Singer cycle's isotypic blocks (gf2.block_rank); the basis and
+in_nullspace still read the seeds spun by gf2.spin (ConstraintSystem).
+The callers key the classes from kernel_tables(k), a map rho ->
+restriction table of ker rho that a shape table, a certificate or a build
+owns: no cache lookup per rho, no table of 2^k entries, and nothing
+outlives its owner.
 
 check_membership reads each monomial's (group, odd witness) pairs as
 one int with a bit per pair, from the table of its shape (n, k).  The
@@ -53,6 +55,7 @@ so no verdict mixes numberings; a lock covers only new pairs' numbering.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from bisect import bisect_left
 from collections import Counter, defaultdict
@@ -326,9 +329,11 @@ class ConstraintSystem(Frozen):
     classes to ker rho and the odd rho-free witnesses one-to-one onto those
     of rho's image, so it maps rho's rows onto that image's, and the powers
     of g take 1 to every nonzero rho.  So the rows span the least
-    g-invariant span holding the seeds: the rank, the nullspace and
-    in_nullspace read its independent rows, _spanning, from gf2.spin.  An
-    indicator lies in the nullspace iff check_membership accepts its support.
+    g-invariant span holding the seeds.  nullspace_dimension ranks that span
+    block by block in narrow pivot tables (gf2.block_rank); nullspace_basis
+    and in_nullspace still read its independent rows, _spanning, from
+    gf2.spin.  row_count counts the rows one orbit at a time.  An indicator
+    lies in the nullspace iff check_membership accepts its support.
     """
 
     _fields = ("n", "k", "monomials", "seeds")
@@ -376,27 +381,47 @@ class ConstraintSystem(Frozen):
         return self.in_nullspace(self.indicator(p))
 
     @cached_property
-    def _step(self):  # j -> sigma[j]; without monomials, no rows and no Singer cycle
+    def _permutation(self) -> list[int]:  # without monomials, no rows and no Singer cycle
         ms = self.monomials
-        return (index_permutation(singer_cycle(self.k), ms) if ms else []).__getitem__
+        return index_permutation(singer_cycle(self.k), ms) if ms else []
+
+    def _row_orbits(self):
+        """Each orbit of the rows under g once, as the list of its distinct
+        rows from its least seed, one orbit held at a time.  Two orbits that
+        share a row are equal, so a walk that meets a lesser seed stops: that
+        seed's walk lists the orbit."""
+        seeds, step = set(self.seeds), self._permutation.__getitem__
+        for seed in self.seeds:
+            orbit, moved = [seed], tuple(sorted(map(step, seed), reverse=True))
+            while moved != seed:
+                if moved < seed and moved in seeds:
+                    break
+                orbit.append(moved)
+                moved = tuple(sorted(map(step, moved), reverse=True))
+            else:
+                yield orbit
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The seeds and their h - 1 translates, h = 2^k - 1, de-duplicated."""
-        moved, step = self.seeds, self._step
-        unique = set(moved)
-        for _ in range(2 ** self.k - 2):
-            moved = [tuple(sorted(map(step, row), reverse=True)) for row in moved]
-            unique.update(moved)
-        return tuple(sorted(unique))
+        return tuple(sorted(itertools.chain.from_iterable(self._row_orbits())))
+
+    def row_count(self) -> int:
+        """len(rows), counted one row orbit at a time without making rows."""
+        return sum(map(len, self._row_orbits()))
 
     @cached_property
     def _spanning(self) -> list[tuple[int, ...]]:
-        return gf2.spin(self.seeds, self._step)
+        return gf2.spin(self.seeds, self._permutation.__getitem__)
+
+    @cached_property
+    def _rank(self) -> int:
+        return gf2.block_rank(self.seeds, self._permutation)
 
     def nullspace_dimension(self) -> int:
-        """Dimension of the nullspace, ranked once per system."""
-        return len(self.monomials) - len(self._spanning)
+        """Dimension of the nullspace, ranked once per system by
+        gf2.block_rank; _spanning stays unmade."""
+        return len(self.monomials) - self._rank
 
     def nullspace_basis(self) -> list[Polynomial]:
         """Polynomials whose indicators form a basis of the nullspace.  The

@@ -14,6 +14,8 @@ from z2bord.catalog import SMALL_COVER_1, SMALL_COVER_2
 from z2bord.gf2 import (
     InputError,
     ResourceLimitError,
+    block_rank,
+    cyclotomic_factors,
     dot,
     enumerate_gl,
     enumerate_subspaces,
@@ -192,25 +194,31 @@ def rows_and_permutations(draw):
     return draw(st.lists(row, max_size=6)), perm
 
 
+def translates(rows, perm):
+    """Every row moved by every power of the permutation, as ints, each
+    row until it comes back."""
+    out = []
+    for row in rows:
+        moved = row
+        while True:
+            out.append(from_bits(moved))
+            moved = tuple(sorted((perm[j] for j in moved), reverse=True))
+            if moved == row:
+                break
+    return out
+
+
 class TestSpin:
     @settings(max_examples=300, deadline=None)
     @given(rows_and_permutations())
     def test_spins_the_span_of_every_translate(self, rows_and_perm):
-        # The oracle moves each row by every power of the permutation, until
-        # it comes back, and ranks all of those translates at once.
+        # The oracle ranks all translates of the rows at once.
         rows, perm = rows_and_perm
-        translates = []
-        for row in rows:
-            moved = row
-            while True:
-                translates.append(from_bits(moved))
-                moved = tuple(sorted((perm[j] for j in moved), reverse=True))
-                if moved == row:
-                    break
+        every = translates(rows, perm)
         spun = spin(rows, perm.__getitem__)
-        rank = rank_of(translates)
+        rank = rank_of(every)
         assert len(spun) == rank_of(map(from_bits, spun)) == rank
-        assert all(rank_of(translates + [from_bits(r)]) == rank for r in spun)
+        assert all(rank_of(every + [from_bits(r)]) == rank for r in spun)
         assert all(list(r) == sorted(r, reverse=True) for r in spun)
 
     def test_a_dependent_row_is_dropped_with_its_translates(self):
@@ -222,6 +230,85 @@ class TestSpin:
         assert spin([(3, 2), (3, 0)], step) == [(3, 0), (1, 0), (2, 1)]
         assert spin([(3, 2), (3,)], step) == [(3,), (0,), (1,), (2,)]
         assert spin([], step) == [] and spin([()], step) == []
+
+
+@st.composite
+def rows_and_odd_permutations(draw):
+    """Sparse rows and a permutation, as a list, whose cycle lengths all
+    divide an odd h drawn from 1, 3, 5, 7, 15 and 31."""
+    h = draw(st.sampled_from([1, 3, 5, 7, 15, 31]))
+    lengths = draw(st.lists(st.sampled_from([s for s in range(1, h + 1) if h % s == 0]),
+                            min_size=1, max_size=5))
+    order = draw(st.permutations(range(sum(lengths))))
+    perm = [0] * len(order)
+    start = 0
+    for s in lengths:
+        cycle = order[start:start + s]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a] = b
+        start += s
+    row = st.sets(st.integers(0, len(perm) - 1), max_size=6).map(
+        lambda r: tuple(sorted(r, reverse=True)))
+    return draw(st.lists(row, max_size=6)), perm
+
+
+def poly_mul(a, b):
+    """Carry-less product of two GF(2) polynomials, bit i the coefficient of x^i."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
+    return out
+
+
+def poly_mod(a, f):
+    """Remainder of the GF(2) polynomial a by f."""
+    while a.bit_length() >= f.bit_length():
+        a ^= f << a.bit_length() - f.bit_length()
+    return a
+
+
+class TestBlockRank:
+    @settings(max_examples=300, deadline=None)
+    @given(rows_and_odd_permutations())
+    def test_equals_the_rank_of_every_translate(self, rows_and_perm):
+        rows, perm = rows_and_perm
+        rank = rank_of(translates(rows, perm))
+        assert block_rank(rows, perm) == rank == len(spin(rows, perm.__getitem__))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_the_factors_of_x_to_the_2_to_the_k_minus_1(self, k):
+        # Each factor has degree dividing k, as the order of 2 mod 2^k - 1
+        # is k, and no polynomial of at most half its degree divides it.
+        h = 2**k - 1
+        factors = cyclotomic_factors(h)
+        assert list(factors) == sorted(set(factors))
+        assert functools.reduce(poly_mul, factors) == 1 << h | 1
+        for f in factors:
+            degree = f.bit_length() - 1
+            assert k % degree == 0
+            assert all(poly_mod(f, g) for g in range(2, 1 << degree // 2 + 1))
+
+    def test_examples(self):
+        # x^7 - 1 = (x + 1)(x^3 + x + 1)(x^3 + x^2 + 1).  Under the 3-cycle
+        # on 0, 1, 2 the row (1, 0) spans the 2-dimensional even part and
+        # (2, 1, 0) the invariant line; (3, 2, 1, 0), which the permutation
+        # fixes, adds one more line.
+        assert cyclotomic_factors(7) == (0b11, 0b1011, 0b1101)
+        perm = [1, 2, 0, 3]
+        assert block_rank([(1, 0)], perm) == 2
+        assert block_rank([(2, 1, 0)], perm) == 1
+        assert block_rank([(1, 0), (3, 2, 1, 0)], perm) == 3
+        assert block_rank([], perm) == 0 and block_rank([()], []) == 0
+
+    @pytest.mark.parametrize("h", [0, 2, 6, -3])
+    def test_refuses_an_even_order(self, h):
+        with pytest.raises(InputError, match="odd h"):
+            cyclotomic_factors(h)
+        if h > 0:
+            with pytest.raises(InputError, match="odd h"):
+                block_rank([(0,)], list(range(1, h)) + [0])
 
 
 class TestSubspace:

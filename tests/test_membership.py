@@ -260,6 +260,30 @@ class TestConstraintSystem:
         assert "rows" not in cs.__dict__
         assert len(cs.rows) == 4725
 
+    def test_seeds_of_one_row_orbit_list_it_once(self):
+        # The built shapes have free row orbits with one seed each, so this
+        # system is made by hand: a seed and its translate share one orbit.
+        cs = build_constraint_system(5, 3)
+        orbit = [cs.seeds[-1]]
+        for _ in range(6):
+            orbit.append(tuple(sorted((cs._permutation[j] for j in orbit[-1]), reverse=True)))
+        twin = membership.ConstraintSystem(5, 3, cs.monomials, tuple(sorted(orbit[:2])))
+        assert twin.row_count() == 7
+        assert twin.rows == tuple(sorted(orbit))
+
+    def test_the_dimension_leaves_the_spun_rows_unmade(self):
+        cs = build_constraint_system(5, 4)
+        assert cs.nullspace_dimension() == 3177
+        assert "_spanning" not in cs.__dict__ and "rows" not in cs.__dict__
+
+    def test_rank_five_at_full_degree(self, monkeypatch):
+        # The first rank-5 check, beyond _ENUM_BOUNDS: 83,328 faithful
+        # monomials, and n = k gives a closed form.
+        monkeypatch.setattr(membership, "_ENUM_BOUNDS", (5, 5))
+        cs = build_constraint_system(5, 5)
+        assert len(cs.monomials) == 83328
+        assert cs.nullspace_dimension() == closed_form_dimension(5) == 61193
+
     def test_dropped_system_is_freed(self):
         cs = build_constraint_system(2, 2)
         assert cs.accepts(RP2)
@@ -668,18 +692,26 @@ class TestAgainstReference:
     @pytest.mark.parametrize("n,k", REFERENCE_SHAPES)
     def test_rows(self, n, k):
         # (3,1) has no Singer translates, (4,2) and (6,2) two each, and
-        # (6,4) is the least rank-4 degree with a multiplicity of 3.
+        # (6,4) is the least rank-4 degree with a multiplicity of 3.  The
+        # count, which dim and reproduce-paper print, makes no rows.
         sparse = tuple(tuple(set_bits(row)) for row in reference_rows(n, k))
-        assert build_constraint_system(n, k).rows == sparse
+        cs = build_constraint_system(n, k)
+        assert cs.row_count() == len(sparse)
+        assert "rows" not in cs.__dict__
+        assert cs.rows == sparse
 
     @pytest.mark.parametrize("n,k", REFERENCE_SHAPES)
     def test_spun_seeds_span_every_row(self, n, k):
-        # The dimension and the basis come from the spun seeds; ranked and
-        # reduced over every row they must come out the same.
+        # The dimension comes from the seeds' block ranks and the basis from
+        # their spun rows; ranked and reduced over every row they must come
+        # out the same.  This is a second elimination over the same rows,
+        # not a second criterion: test_rows compares the rows with the
+        # definition.
         cs = build_constraint_system(n, k)
         dense = [from_bits(row) for row in cs.rows]
-        width = len(cs.monomials)
-        assert cs.nullspace_dimension() == width - rank_of(dense)
+        width, rank = len(cs.monomials), rank_of(dense)
+        assert cs.nullspace_dimension() == width - rank
+        assert len(cs._spanning) == rank
         assert [cs.indicator(p) for p in cs.nullspace_basis()] == list(nullspace(dense, width))
 
     def test_catalog_certificates(self):
