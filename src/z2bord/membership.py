@@ -30,9 +30,11 @@ codes), and odd_codes lists one rho's codes.  It rests on four facts:
 parity_profile counts m's factors once; the count gives every
 multiplicity and, per rho, the odd rho-free codes below it.  The build
 files only rho = 1's rows, the seeds; the other rows are their Singer
-translates, made only when read.  The dimension sums the seeds' ranks in
-the Singer cycle's isotypic blocks (gf2.block_rank); the basis and
-in_nullspace still read the seeds spun by gf2.spin (ConstraintSystem).
+translates, made only when read.  No translate repeats a row, so the
+rows number 2^k - 1 times the seeds (ConstraintSystem, with the proof).
+The dimension sums the seeds' ranks in the Singer cycle's isotypic
+blocks (gf2.block_rank); the basis and in_nullspace still read the seeds
+spun by gf2.spin.
 The callers key the classes from kernel_tables(k), a map rho ->
 restriction table of ker rho that a shape table, a certificate or a build
 owns: no cache lookup per rho, no table of 2^k entries, and nothing
@@ -55,7 +57,6 @@ so no verdict mixes numberings; a lock covers only new pairs' numbering.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from bisect import bisect_left
 from collections import Counter, defaultdict
@@ -332,8 +333,45 @@ class ConstraintSystem(Frozen):
     g-invariant span holding the seeds.  nullspace_dimension ranks that span
     block by block in narrow pivot tables (gf2.block_rank); nullspace_basis
     and in_nullspace still read its independent rows, _spanning, from
-    gf2.spin.  row_count counts the rows one orbit at a time.  An indicator
-    lies in the nullspace iff check_membership accepts its support.
+    gf2.spin.  An indicator lies in the nullspace iff check_membership
+    accepts its support.
+
+    The orbits are free: no set of indices is a row of two different rho.
+    For 0 < i < h = 2^k - 1, g^i takes 1 to some rho != 1 and so moves no
+    seed onto a seed.  So the seeds, each with its h - 1 translates, give
+    h * len(seeds) distinct rows, which row_count returns.
+
+    Proof.  Let R be the (c, cls, s) row of rho, s rho-free with
+    len(s) < c.  The group (c, cls) fixes, per coset {f, f + rho} other
+    than {0, rho}, the total N of the counts of f and f + rho, and each
+    split of each total gives a member: its factors span rho and a lift of
+    cls, so it is faithful.  C(m, s) is a product over the factors, so R is
+    a product over the cosets of the sets of counts allowed there.  For the
+    coset of rho' != rho, with A and B the counts of rho' and rho + rho' in
+    s, Lucas's theorem allows the counts x of rho' in
+    X(N) = {0 <= x <= N : A & ~x == 0 == B & ~(N - x)}.  Were R also the
+    (c', cls', s') row of rho', each member would hold rho' c' times, so
+    X(N) = {c'}, and H1 below gives c' <= A + B <= len(s) < c.  With rho
+    and rho' swapped, c < c'.
+
+    H1: min X(N) <= A + B when X(N) is not empty.  H2: min X(M) < A + B
+    when X(M) is not empty and X(M + 1) is.  Both go by induction on N,
+    X(-1) being empty and X(0) = {0} at A = B = 0, else empty.  Write
+    N = 2N' + n, A = 2A' + a, B = 2B' + b, x = 2x' + e, and X' for X over
+    A', B': x is in X(N) iff a <= e, b <= n ^ e and x' is in X'(N' - 1)
+    when e > n, else in X'(N').
+    H1, n = 1: e = a is allowed unless a = b = 1, when X(N) is empty, so
+    min X(N) <= 2(A' + B') + a.  n = 0, a = b = 0: e = 0 from X'(N'), or if
+    that is empty e = 1 from X'(N' - 1), whose least is below A' + B' by
+    H2; either way min X(N) <= 2(A' + B').  n = 0, a + b > 0: only e = 1,
+    from X'(N' - 1), so min X(N) <= 2(A' + B') + 1.
+    H2, M = 2M' + 1: X(M) takes x' from X'(M'), and so does e = 1 in
+    X(M + 1), so the premise fails.  M = 2M': X(M + 1) takes x' from
+    X'(M'), so it is empty iff a = b = 1 or X'(M') is.  If a = b = 1, X(M)
+    takes only e = 1, from X'(M' - 1), and min X(M) <= 2(A' + B') + 1 by
+    H1.  Otherwise X(M) takes e = 1 from X'(M' - 1) only, whose least is
+    below A' + B' by H2, so min X(M) < 2(A' + B').  Both are below A + B.
+    tests/test_membership.py checks H1 and H2 exhaustively for small N.
     """
 
     _fields = ("n", "k", "monomials", "seeds")
@@ -355,6 +393,9 @@ class ConstraintSystem(Frozen):
         return tuple(columns)
 
     def indicator(self, p: Polynomial) -> int:
+        if (p.n, p.k) != (self.n, self.k):
+            raise InputError(f"a polynomial of degree {p.n} rank {p.k} has no indicator "
+                             f"over the faithful monomials of degree {self.n} rank {self.k}")
         idx = self._index
         bits = 0
         for m in p.monomials:
@@ -385,30 +426,20 @@ class ConstraintSystem(Frozen):
         ms = self.monomials
         return index_permutation(singer_cycle(self.k), ms) if ms else []
 
-    def _row_orbits(self):
-        """Each orbit of the rows under g once, as the list of its distinct
-        rows from its least seed, one orbit held at a time.  Two orbits that
-        share a row are equal, so a walk that meets a lesser seed stops: that
-        seed's walk lists the orbit."""
-        seeds, step = set(self.seeds), self._permutation.__getitem__
-        for seed in self.seeds:
-            orbit, moved = [seed], tuple(sorted(map(step, seed), reverse=True))
-            while moved != seed:
-                if moved < seed and moved in seeds:
-                    break
-                orbit.append(moved)
-                moved = tuple(sorted(map(step, moved), reverse=True))
-            else:
-                yield orbit
-
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The seeds and their h - 1 translates, h = 2^k - 1, de-duplicated."""
-        return tuple(sorted(itertools.chain.from_iterable(self._row_orbits())))
+        """The seeds and their h - 1 translates, h = 2^k - 1, sorted; all
+        distinct, as the orbits are free."""
+        step = self._permutation.__getitem__
+        layer, rows = self.seeds, list(self.seeds)
+        for _ in range((1 << self.k) - 2):
+            layer = [tuple(sorted(map(step, row), reverse=True)) for row in layer]
+            rows += layer
+        return tuple(sorted(rows))
 
     def row_count(self) -> int:
-        """len(rows), counted one row orbit at a time without making rows."""
-        return sum(map(len, self._row_orbits()))
+        """len(rows), h * len(seeds) as the orbits are free, without making rows."""
+        return ((1 << self.k) - 1) * len(self.seeds)
 
     @cached_property
     def _spanning(self) -> list[tuple[int, ...]]:

@@ -22,7 +22,7 @@ from z2bord.catalog import (
 from z2bord.gf2 import (
     InputError, ResourceLimitError, enumerate_gl, from_bits, nullspace, rank_of, set_bits, unit,
 )
-from z2bord import membership
+from z2bord import gf2, membership
 from z2bord.membership import (
     Violation,
     build_constraint_system,
@@ -44,6 +44,7 @@ from z2bord.repalg import (
     Polynomial, apply_automorphism, automorphism_columns, is_faithful, restriction_table,
     sub_multiset_multiplicity,
 )
+from z2bord.report import run_reproduction
 from z2bord.smallcover import CharacteristicFunction, fixed_polynomial
 from test_acceptance import closed_form_dimension
 
@@ -260,21 +261,19 @@ class TestConstraintSystem:
         assert "rows" not in cs.__dict__
         assert len(cs.rows) == 4725
 
-    def test_seeds_of_one_row_orbit_list_it_once(self):
-        # The built shapes have free row orbits with one seed each, so this
-        # system is made by hand: a seed and its translate share one orbit.
-        cs = build_constraint_system(5, 3)
-        orbit = [cs.seeds[-1]]
-        for _ in range(6):
-            orbit.append(tuple(sorted((cs._permutation[j] for j in orbit[-1]), reverse=True)))
-        twin = membership.ConstraintSystem(5, 3, cs.monomials, tuple(sorted(orbit[:2])))
-        assert twin.row_count() == 7
-        assert twin.rows == tuple(sorted(orbit))
-
     def test_the_dimension_leaves_the_spun_rows_unmade(self):
         cs = build_constraint_system(5, 4)
         assert cs.nullspace_dimension() == 3177
         assert "_spanning" not in cs.__dict__ and "rows" not in cs.__dict__
+
+    def test_the_reproduction_spins_no_rows(self, monkeypatch):
+        # Its row count is a product and its generators' verdicts come from
+        # check_membership, so no rows are spun to repeat them.
+        def no_spin(*args):
+            raise AssertionError("gf2.spin was called")
+
+        monkeypatch.setattr(gf2, "spin", no_spin)
+        assert run_reproduction().ok
 
     def test_rank_five_at_full_degree(self, monkeypatch):
         # The first rank-5 check, beyond _ENUM_BOUNDS: 83,328 faithful
@@ -301,7 +300,8 @@ class TestConstraintSystem:
         assert not cs.in_nullspace(1 << (len(cs.monomials) - 1))
 
     @pytest.mark.parametrize("text,message", [
-        ("1 2 3 123", "monomial 001,010,100,111 is not a faithful monomial of degree 5 rank 3"),
+        ("1 2 3 123", "a polynomial of degree 4 rank 3 has no indicator over the faithful "
+                      "monomials of degree 5 rank 3"),
         ("1 1 2 2 12", "monomial 010,010,100,100,110 is not a faithful monomial of degree 5 rank 3"),
     ])
     def test_indicator_refuses_monomials_outside_the_basis(self, text, message):
@@ -941,6 +941,23 @@ class TestSingerTranslates:
             orbit.append(image[orbit[-1]])
         assert sorted(orbit) == list(range(1, 1 << k))
 
+    def test_a_count_set_is_least_near_its_witness_counts(self):
+        # H1 and H2 of the ConstraintSystem docstring's proof that the row
+        # orbits are free, for every N < 40.  X(N) is empty once A + B > N.
+        top, premises = 40, 0
+        for a in range(top):
+            for b in range(top - a):
+                least = [next((x for x in range(n + 1) if not a & ~x | b & ~(n - x)), None)
+                         for n in range(top)]
+                for n, low in enumerate(least):
+                    if low is None:
+                        continue
+                    assert low <= a + b
+                    if n + 1 < top and least[n + 1] is None:
+                        premises += 1
+                        assert low < a + b
+        assert premises
+
     @pytest.mark.parametrize("n,k", [(5, 3), (5, 4)])
     def test_index_permutation_is_the_gl_action(self, n, k):
         cs = build_constraint_system(n, k)
@@ -1006,6 +1023,10 @@ BAD_INPUT = {
     "dimension_negative_degree": (lambda: image_dimension(-1, 3), "need n >= 0 and k >= 1"),
     "dimension_negative_rank": (lambda: image_dimension(3, -1), "need n >= 0 and k >= 1"),
     "dimension_rank_zero": (lambda: image_dimension(3, 0), "need n >= 0 and k >= 1"),
+    "indicator_of_another_rank": (
+        lambda: build_constraint_system(5, 3).accepts(Polynomial(GEN_1.monomials, 5, 4)),
+        "a polynomial of degree 5 rank 4 has no indicator over the faithful monomials "
+        "of degree 5 rank 3"),
     "nullspace_negative_indicator": (
         lambda: build_constraint_system(5, 3).in_nullspace(-1),
         "not an indicator over the 329 faithful monomials of degree 5 rank 3"),

@@ -103,6 +103,14 @@ class TestGeneratingSet:
             pool.extend(orbit(g).elements)
         assert verify_generating_set(build_constraint_system(5, 3), pool)
 
+    def test_the_system_accepts_the_full_pool(self):
+        # verify_generating_set takes check_membership's verdicts alone;
+        # the constraint system must agree on each of the 105 elements.
+        cs = build_constraint_system(5, 3)
+        pool = [p for g in GENERATORS for p in orbit(g).elements]
+        assert len(pool) == 105
+        assert all(check_membership(p).accepted and cs.accepts(p) for p in pool)
+
     def test_first_orbit_alone_does_not(self):
         cs = build_constraint_system(5, 3)
         assert not verify_generating_set(cs, list(orbit(GENERATORS[0]).elements))
@@ -115,7 +123,8 @@ class TestGeneratingSet:
         # accepted by the membership criterion at degree 4, outside the degree-5 basis
         p = min(build_constraint_system(4, 3).nullspace_basis(), key=len)
         assert check_membership(p).accepted
-        with pytest.raises(InputError, match="^monomial .* is not a faithful monomial of degree 5 rank 3$"):
+        with pytest.raises(InputError, match="^a polynomial of degree 4 rank 3 has no indicator "
+                                             "over the faithful monomials of degree 5 rank 3$"):
             verify_generating_set(build_constraint_system(5, 3), [p])
 
     def test_rejected_generator_raises(self):
