@@ -14,7 +14,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from z2bord.gf2 import Frozen, InputError, parse_vec, rank_of, unit, vec_str
-from z2bord.repalg import Polynomial, content_lines
+from z2bord.repalg import Polynomial, content_lines, kernel_class
 
 
 class LabeledGraph(Frozen):
@@ -57,11 +57,6 @@ class LabeledGraph(Frozen):
         return sorted({len(labels) for labels in self.incidence.values()})
 
 
-def _mod_rho(labels, rho: int) -> tuple[int, ...]:
-    """Sorted multiset of label cosets mod rho; coset rep is min(l, l ^ rho)."""
-    return tuple(sorted(min(l, l ^ rho) for l in labels))
-
-
 def validate_graph(g: LabeledGraph) -> list[str]:
     """The violations of g, in order: zero labels, irregularity, labels not
     spanning the dual space at a vertex, the mod-rho congruence along every
@@ -73,14 +68,15 @@ def validate_graph(g: LabeledGraph) -> list[str]:
         violations.append(f"graph is not regular: valences {g.valences}")
     violations += [f"labels at vertex {x} do not span the rank-{g.k} dual space"
                    for x, labels in inc.items() if rank_of(labels) != g.k]
-    # Both endpoints carry the edge's own label, which is 0 mod rho, so
-    # comparing the full label multisets mod rho gives the same verdict as
-    # comparing them with the edge removed.
+    # Two label multisets agree mod rho iff their restrictions to ker rho
+    # do, as restriction has kernel {0, rho}.  Both endpoints carry the
+    # edge's own label, which is 0 mod rho, so comparing the full label
+    # multisets gives the same verdict as comparing them with the edge removed.
     violations += [
         f"edge {u}-{v} (label {vec_str(rho, g.k)}): endpoint label "
         "multisets disagree mod the edge label"
         for u, v, rho in g.edges
-        if rho and _mod_rho(inc[u], rho) != _mod_rho(inc[v], rho)
+        if rho and kernel_class(inc[u], rho) != kernel_class(inc[v], rho)
     ]
     return violations + _component_violations(g)
 
@@ -112,7 +108,7 @@ def _component_violations(g: LabeledGraph) -> list[str]:
                 violations.append(f"label {vec_str(rho, g.k)}: component {sorted(comp)} "
                                   "has nonconstant label multiplicity")
             elif m > 1:
-                key = (m, _mod_rho(g.incidence[start], rho))
+                key = (m, kernel_class(g.incidence[start], rho))
                 if key in classes:
                     violations.append(f"label {vec_str(rho, g.k)}: two valence-{m} "
                                       "components share a restriction class")

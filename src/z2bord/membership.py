@@ -23,6 +23,11 @@ codes), and odd_codes lists one rho's codes.  It rests on four facts:
 - The class is the restriction to ker rho: f -> f restricted to ker rho
   is linear with kernel {0, rho}, so a factor restricts to 0 exactly
   when it is rho, and the class's zeros count the rho-multiplicity.
+  The check path, certificates and the build key it by its closed form
+  over ker rho's canonical basis, repalg.kernel_class: with q the lowest
+  set bit of rho, f restricts to f + rho when bit q of f is set, else to
+  f, with bit q squeezed out.  It needs no rank, no table and no cache;
+  the reference restriction_class restricts over kernel_basis instead.
 - The code of s = (s_1 <= ... <= s_L) over rank k is a leading 1 followed
   by s_1, ..., s_L, k bits each.  Codes of longer s are larger, so
   numeric order on codes is (len(s), s) order.
@@ -35,10 +40,6 @@ rows number 2^k - 1 times the seeds (ConstraintSystem, with the proof).
 The dimension sums the seeds' ranks in the Singer cycle's isotypic
 blocks (gf2.block_rank); the basis and in_nullspace still read the seeds
 spun by gf2.spin.
-The callers key the classes from kernel_tables(k), a map rho ->
-restriction table of ker rho that a shape table, a certificate or a build
-owns: no cache lookup per rho, no table of 2^k entries, and nothing
-outlives its owner.
 
 check_membership reads each monomial's (group, odd witness) pairs as
 one int with a bit per pair, from the table of its shape (n, k).  The
@@ -67,8 +68,8 @@ from typing import NamedTuple
 from z2bord import gf2
 from z2bord.gf2 import Frozen, InputError, ResourceLimitError, from_bits, nullspace, set_bits
 from z2bord.repalg import (
-    Lazy, Polynomial, automorphism_columns, fresh_restriction_table, is_faithful,
-    render_monomial, restrict, restriction_table,
+    Polynomial, automorphism_columns, is_faithful, kernel_class, render_monomial, restrict,
+    restriction_table,
 )
 
 
@@ -126,11 +127,10 @@ class MembershipCertificate(Frozen):
         p = self.polynomial
         if p is None:  # rejected
             return ()
-        tables = kernel_tables(p.k)
         members: defaultdict[tuple, list[tuple[int, ...]]] = defaultdict(list)
         for m in p.monomials:
-            for rho, c, _ in parity_profile(m, p.k):
-                members[rho, c, tuple(sorted(map(tables[rho].__getitem__, m)))].append(m)
+            for rho, c in Counter(m).items():
+                members[rho, c, kernel_class(m, rho)].append(m)
         by_rho: defaultdict[int, list[Group]] = defaultdict(list)
         for (rho, mult, cls), ms in sorted(members.items()):
             by_rho[rho].append(Group(mult, cls, frozenset(ms)))
@@ -159,11 +159,6 @@ def submultiset(code: int, k: int) -> tuple[int, ...]:
         s.append(code & mask)
         code >>= k
     return tuple(reversed(s))
-
-
-def kernel_tables(k: int) -> Lazy:
-    """A new map rho -> (f -> f restricted to ker rho over rank k), built on first read."""
-    return Lazy(lambda rho: fresh_restriction_table(kernel_basis(rho, k)))
 
 
 def parity_profile(m: tuple[int, ...], k: int) -> tuple:
@@ -216,15 +211,13 @@ _numbering_lock = threading.Lock()
 
 class _Profiles(dict):
     """The table of one shape (n, k): entry m is the int with a bit set per
-    (rho, multiplicity, class, code) pair of parity_profile(m, k), classes
-    read from its own kernel tables, or None (not stored) when m is not
-    faithful.  ids numbers the pairs in first-seen order and pairs lists
-    them by bit; a new pair is listed before its bit is published, so
-    every bit of a profile decodes."""
+    (rho, multiplicity, class, code) pair of parity_profile(m, k), or None
+    (not stored) when m is not faithful.  ids numbers the pairs in
+    first-seen order and pairs lists them by bit; a new pair is listed
+    before its bit is published, so every bit of a profile decodes."""
 
     def __init__(self, k: int):  # an empty dict, as dict.__new__ made it
         self.k = k
-        self.tables = kernel_tables(k)
         self.ids: dict[tuple, int] = {}
         self.pairs: list[tuple] = []
 
@@ -232,10 +225,10 @@ class _Profiles(dict):
         global _profile_bits
         if not is_faithful(m, self.k):
             return None
-        ids, pairs, tables = self.ids, self.pairs, self.tables
+        ids, pairs = self.ids, self.pairs
         profile = 0
         for rho, c, codes in parity_profile(m, self.k):
-            group = (rho, c, tuple(sorted(map(tables[rho].__getitem__, m))))
+            group = (rho, c, kernel_class(m, rho))
             for code in codes:
                 pair = group + (code,)
                 bit = ids.get(pair)
@@ -485,13 +478,6 @@ def index_permutation(a: tuple[int, ...], monomials) -> list[int]:
     return [index[tuple(sorted(map(image, m)))] for m in monomials]
 
 
-def count_vector_weights(tables: Lazy, n: int) -> Lazy:
-    """A new map rho -> (f -> 1 << B * r, r being f restricted to ker rho by
-    tables and B = n.bit_length()), built on first read; equal weights share an int."""
-    weights = Lazy(lambda r: 1 << n.bit_length() * r)
-    return Lazy(lambda rho: Lazy(lambda f: weights[tables[rho][f]]))
-
-
 def build_constraint_system(n: int, k: int) -> ConstraintSystem:
     """The system with rho = 1's rows as its seeds: one row per (group,
     witness code) that some monomial meets, index j in it when monomial j
@@ -501,18 +487,20 @@ def build_constraint_system(n: int, k: int) -> ConstraintSystem:
     block of the list, m[0] == 1.  They are visited last first, so each row
     lists its indices highest first as they are met.  A row is filed under
     one int: the group's key, then the code in k * n bits.  The key is the
-    class's count vector, m's count_vector_weights for 1 summed: slot r of
+    class's count vector.  m's class mod 1 is its factors f >> 1
+    (repalg.kernel_class at rho = 1), so the key sums 1 << B * (f >> 1)
+    over m, read from a list over the 2^k functionals: slot r of
     B = n.bit_length() bits counts m's factors restricting to r, and no
     slot counts more than n < 2^B, so no sum carries and the key is
-    injective.  It is B * 2^(k-1) bits wide, so only the build, whose rank
-    _ENUM_BOUNDS caps at 4, keys classes by it.  Slot 0 counts the
+    injective.  It is B * 2^(k-1) bits wide, so only the build, whose
+    rank _ENUM_BOUNDS caps at 4, keys classes by it.  Slot 0 counts the
     multiplicity, so the int leaves it out."""
     monomials = tuple(enumerate_faithful_monomials(n, k))
-    weights = count_vector_weights(kernel_tables(k), n)[1].__getitem__
+    weight = [1 << n.bit_length() * (f >> 1) for f in range(1 << k)].__getitem__
     rows: defaultdict[int, list[int]] = defaultdict(list)
     for j in range(bisect_left(monomials, (2,)) - 1, -1, -1):
         m = monomials[j]
-        key = sum(map(weights, m)) << k * n
+        key = sum(map(weight, m)) << k * n
         for code in (1,) if m.count(1) == 1 else odd_codes(Counter(m), 1, k):
             rows[key | code].append(j)
     seeds = set()

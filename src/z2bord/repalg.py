@@ -53,8 +53,10 @@ class Lazy(dict):
         return self.setdefault(x, self.make(x))
 
 
-def fresh_restriction_table(basis: tuple[int, ...]) -> Lazy:
-    """A new table f -> f restricted to the ordered basis, f(b_1) its highest bit."""
+@lru_cache(maxsize=_TABLE_CACHE)
+def restriction_table(basis: tuple[int, ...]) -> Lazy:
+    """The table f -> f restricted to the ordered basis, f(b_1) its highest
+    bit, shared by every restriction to basis."""
     def restricted(f: int) -> int:
         image = 0
         for b in basis:
@@ -63,10 +65,14 @@ def fresh_restriction_table(basis: tuple[int, ...]) -> Lazy:
     return Lazy(restricted)
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def restriction_table(basis: tuple[int, ...]) -> Lazy:
-    """The one fresh_restriction_table(basis), shared by every restriction to basis."""
-    return fresh_restriction_table(basis)
+def kernel_class(m: tuple[int, ...], rho: int) -> tuple[int, ...]:
+    """The class of m under restriction to ker rho, rho nonzero, over the
+    canonical basis membership.kernel_basis: with q the lowest set bit of
+    rho, that basis is e_g + rho_g e_q for g != q, so f restricts to
+    f + rho when bit q of f is set, else to f, with bit q squeezed out.
+    The rank is not needed."""
+    low = rho & -rho
+    return tuple(sorted([(f ^ rho if f & low else f) >> 1 & -low | f & (low - 1) for f in m]))
 
 
 class Polynomial(Frozen):

@@ -27,13 +27,11 @@ from z2bord.membership import (
     Violation,
     build_constraint_system,
     check_membership,
-    count_vector_weights,
     decompose_for_rho,
     enumerate_faithful_monomials,
     image_dimension,
     index_permutation,
     kernel_basis,
-    kernel_tables,
     odd_codes,
     parity_profile,
     restriction_class,
@@ -41,8 +39,8 @@ from z2bord.membership import (
     submultiset,
 )
 from z2bord.repalg import (
-    Polynomial, apply_automorphism, automorphism_columns, is_faithful, restriction_table,
-    sub_multiset_multiplicity,
+    Polynomial, apply_automorphism, automorphism_columns, is_faithful, kernel_class,
+    restriction_table, sub_multiset_multiplicity,
 )
 from z2bord.report import run_reproduction
 from z2bord.smallcover import CharacteristicFunction, fixed_polynomial
@@ -495,10 +493,9 @@ def faithful_polynomials(draw):
     return Polynomial.make(monomials + extra, n, k), not extra
 
 
-def count_vector(cls, n):
-    """The key of a class of degree n by definition: slot r, of
-    n.bit_length() bits, holds cls.count(r)."""
-    width = n.bit_length()
+def count_vector(cls, width):
+    """The count vector of a class by definition: slot r, of width bits,
+    holds cls.count(r)."""
     return sum(cls.count(r) << width * r for r in set(cls))
 
 
@@ -560,6 +557,23 @@ class TestParityKernel:
             assert list(codes) == sorted(codes)
             assert listed == sorted(listed, key=lambda s: (len(s), s))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_kernel_class_is_the_restriction_class(self, data):
+        # The closed form against restrict over kernel_basis, for every
+        # nonzero rho, m drawn as in the test above up to rank 8.
+        k = data.draw(st.integers(1, 8))
+        pool = data.draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=4))
+        m = tuple(sorted(data.draw(st.lists(st.sampled_from(pool), max_size=8))))
+        for rho in range(1, 1 << k):
+            assert kernel_class(m, rho) == restriction_class(m, rho, k)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_kernel_class_of_every_factor(self, k):
+        for rho in range(1, 1 << k):
+            for f in range(1 << k):
+                assert kernel_class((f,), rho) == restriction_class((f,), rho, k)
+
     def test_codes(self):
         m = (0b001, 0b010, 0b010, 0b010)
         # C(3, j) is odd for j = 0..3, C(1, j) for j = 0, 1; only sizes
@@ -589,13 +603,6 @@ class TestParityKernel:
             assert [submultiset(code, k) for code in codes] == rho_free_odd(m, rho, c)
             # The build's one-rho lister, which it calls at every c >= 2.
             assert odd_codes(collections.Counter(m), rho, k) == codes
-        # The classes, where the check path and the build make them.
-        tables = kernel_tables(k)
-        weights = count_vector_weights(tables, n)
-        for rho, c, _ in profile:
-            cls = restriction_class(m, rho, k)
-            assert tuple(sorted(map(tables[rho].__getitem__, m))) == cls
-            assert sum(map(weights[rho].__getitem__, m)) == count_vector(cls, n)
         if is_faithful(m, k):
             assert table_pairs(m, k) == {(rho, c, restriction_class(m, rho, k), code)
                                          for rho, c, codes in profile for code in codes}
@@ -606,10 +613,11 @@ class TestParityKernel:
         # Two monomials of one degree, drawn as in the test above; the
         # second is often the first with some factors f moved to f + d for
         # a factor d, which restricts to ker d as f does.  Per rho in both,
-        # count-vector keys and classes are equal together, and so are
+        # kernel_class keys and classes are equal together, and so are
         # (multiplicity, key) and (multiplicity, class), also when a
-        # factor 0 stands in for rho.  A carry out of a full slot is too
-        # rare to draw; test_a_full_slot_does_not_carry pins one.
+        # factor 0 stands in for rho.  So are the multisets of label cosets
+        # mod rho, min(f, f + rho) per factor, as graph validation needs.
+        # At rho = 1 the key is the factors f >> 1, the build's slots.
         k = data.draw(st.integers(1, 6))
         n = data.draw(st.integers(0, 12))
         pool = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=n + 1,
@@ -622,30 +630,47 @@ class TestParityKernel:
             twin = tuple(sorted(f ^ d if t else f for f, t in zip(m, moved)))
         else:
             twin = tuple(sorted(data.draw(draw_monomial)))
-        weights = count_vector_weights(kernel_tables(k), n)
-        groups = [{rho: (c, sum(map(weights[rho].__getitem__, x)))
-                   for rho, c, _ in parity_profile(x, k)} for x in (m, twin)]
+        groups = [{rho: (c, kernel_class(x, rho)) for rho, c, _ in parity_profile(x, k)}
+                  for x in (m, twin)]
         for rho in set(m) & set(twin):
             (c, key), (c2, key2) = groups[0][rho], groups[1][rho]
             cls, cls2 = restriction_class(m, rho, k), restriction_class(twin, rho, k)
-            assert (key == key2) == (cls == cls2)
+            cosets, cosets2 = (sorted(min(f, f ^ rho) for f in x) for x in (m, twin))
+            assert (key == key2) == (cls == cls2) == (cosets == cosets2)
             assert ((c, key) == (c2, key2)) == ((m.count(rho), cls) == (twin.count(rho), cls2))
+        for x in (m, twin):
+            assert kernel_class(x, 1) == tuple(sorted(f >> 1 for f in x))
 
     @pytest.mark.parametrize("rho", range(1, 8))
     def test_a_full_slot_does_not_carry(self, rho):
-        # Degree 6, so 3-bit slots.  Four factors in slot 1 and one in
-        # slot 3 sum, in 2-bit slots, to five in slot 2: a slot one bit
-        # too narrow carries, and the two classes would share a key.
-        by_image = {restriction_class((f,), rho, 3): f for f in range(8)}
-        m = tuple(sorted((rho, *[by_image[1,]] * 4, by_image[3,])))
-        twin = tuple(sorted((rho, *[by_image[2,]] * 5)))
-        weights = count_vector_weights(kernel_tables(3), 6)[rho]
-        key, key2 = (sum(map(weights.__getitem__, x)) for x in (m, twin))
-        assert key == 1 + (4 << 3) + (1 << 9) and key2 == 1 + (5 << 6)
+        # The build keys rho = 1's groups by count vectors in slots of
+        # B = n.bit_length() bits.  At degree 7, so 3-bit slots, five
+        # factors in slot 1 and one in slot 3 sum, in 2-bit slots, to the
+        # int of one in slot 1 and five in slot 2: a slot one bit too
+        # narrow carries, and the two groups would share a seed.  Each
+        # rho's rows are translates of the seeds, so the pair moved by the
+        # Singer power taking 1 to rho must keep two rows of rho.  With the
+        # narrower slots, TestAgainstReference::test_rows[7-3] fails too.
+        m, twin = (1, 2, 2, 2, 2, 2, 6), (1, 2, 4, 4, 4, 4, 4)
+        classes = [restriction_class(x, 1, 3) for x in (m, twin)]
+        assert classes[0] != classes[1]
+        assert count_vector(classes[0], 2) == count_vector(classes[1], 2)
+        image = restriction_table(automorphism_columns(singer_cycle(3), 3)).__getitem__
+        one = 1
+        while one != rho:
+            one = image(one)
+            m, twin = (tuple(sorted(map(image, x))) for x in (m, twin))
+        cs = build_constraint_system(7, 3)
+        rows = set(cs.rows)
+        for x in (m, twin):
+            cls = restriction_class(x, rho, 3)
+            row = tuple(j for j in reversed(range(len(cs.monomials)))
+                        if cs.monomials[j].count(rho) == 1
+                        and restriction_class(cs.monomials[j], rho, 3) == cls)
+            assert x.count(rho) == 1 and row in rows
 
     @pytest.mark.parametrize("n,k", [(5, 3), (4, 4), (8, 3), (5, 4)])
     def test_profile_keys_are_restriction_classes(self, n, k):
-        weights = count_vector_weights(kernel_tables(k), n)
         for m in enumerate_faithful_monomials(n, k):
             profile = parity_profile(m, k)
             assert [rho for rho, _, _ in profile] == list(dict.fromkeys(m))
@@ -659,8 +684,6 @@ class TestParityKernel:
                 assert mult == m.count(rho) == cls.count(0)
             assert {pair[:3] for pair in pairs} == {
                 (rho, mult, restriction_class(m, rho, k)) for rho, mult, _ in profile}
-            assert [sum(map(weights[rho].__getitem__, m)) for rho, _, _ in profile] == [
-                count_vector(restriction_class(m, rho, k), n) for rho, _, _ in profile]
 
 
 @settings(max_examples=200, deadline=None)
@@ -983,24 +1006,20 @@ def rank_20_recipe(count):
 
 
 class TestTableDrops:
-    """A drop frees what the check path built: its shape tables and the
-    kernel tables that only they reach."""
+    """A drop frees what the check path built: its shape tables."""
 
     def test_a_drop_frees_the_tables(self, monkeypatch):
         monkeypatch.setattr(membership, "_profiles", {})
         check_membership(GEN_1)
-        table = membership._profiles[GEN_1.n, GEN_1.k]
-        assert table.tables  # the verdict read kernel tables
-        refs = [weakref.ref(table), weakref.ref(table.tables)]
-        del table
+        ref = weakref.ref(membership._profiles[GEN_1.n, GEN_1.k])
         monkeypatch.setattr(membership, "_profile_bits", membership._PROFILE_BOUND)
         check_membership(RP2)
         gc.collect()
-        assert [ref() for ref in refs] == [None, None]
+        assert ref() is None
         assert list(membership._profiles) == [(RP2.n, RP2.k)]
 
     def test_a_stream_of_new_rhos_stays_small(self, monkeypatch):
-        # Without the drops, 400 verdicts of the recipe hold some 12 MB.
+        # Without the drops, 400 verdicts of the recipe hold some 9 MB.
         tables = CountingTables()
         monkeypatch.setattr(membership, "_profiles", tables)
         monkeypatch.setattr(membership, "_profile_bits", 0)
