@@ -9,9 +9,11 @@ c functionals, the sum over members m of sub_multiset_multiplicity(m, s)
 is even.  The same constraints, linearized over all faithful monomials,
 give the realizable space as a GF(2) nullspace.
 
-check_membership and build_constraint_system share one parity kernel:
-parity_profile lists each monomial's (rho, multiplicity, odd witness
-codes), and odd_codes lists one rho's codes.  It rests on four facts:
+check_membership and build_constraint_system share one parity kernel,
+odd_codes(factor_counts(m), rho, k): the codes of the odd witnesses of
+m's group under rho, those that avoid rho and are smaller than m's
+rho-multiplicity.  parity_profile lists them for each factor rho of m;
+the build reads rho = 1's alone.  It rests on four facts:
 
 - Lucas's theorem: C(c, j) is odd iff j & ~c == 0.  So the s with an
   odd sub_multiset_multiplicity(m, s) are listed directly, by taking a
@@ -23,20 +25,19 @@ codes), and odd_codes lists one rho's codes.  It rests on four facts:
 - The class is the restriction to ker rho: f -> f restricted to ker rho
   is linear with kernel {0, rho}, so a factor restricts to 0 exactly
   when it is rho, and the class's zeros count the rho-multiplicity.
-  The check path, certificates and the build key it by its closed form
-  over ker rho's canonical basis, repalg.kernel_class: with q the lowest
-  set bit of rho, f restricts to f + rho when bit q of f is set, else to
-  f, with bit q squeezed out.  It needs no rank, no table and no cache;
-  the reference restriction_class restricts over kernel_basis instead.
+  Every caller keys it by its closed form over ker rho's canonical
+  basis, repalg.kernel_class: with q the lowest set bit of rho, f
+  restricts to f + rho when bit q of f is set, else to f, with bit q
+  squeezed out (f >> 1 at rho = 1).  It needs no rank, no table and no
+  cache; the reference restriction_class restricts over kernel_basis.
 - The code of s = (s_1 <= ... <= s_L) over rank k is a leading 1 followed
   by s_1, ..., s_L, k bits each.  Codes of longer s are larger, so
   numeric order on codes is (len(s), s) order.
 
-parity_profile counts m's factors once; the count gives every
-multiplicity and, per rho, the odd rho-free codes below it.  The build
-files only rho = 1's rows, the seeds; the other rows are their Singer
-translates, made only when read.  No translate repeats a row, so the
-rows number 2^k - 1 times the seeds (ConstraintSystem, with the proof).
+The build files only rho = 1's rows, the seeds; the other rows are
+their Singer translates, made only when read.  No translate repeats a
+row, so the rows number 2^k - 1 times the seeds (ConstraintSystem, with
+the proof).
 The dimension sums the seeds' ranks in the Singer cycle's isotypic
 blocks (gf2.block_rank); the basis and in_nullspace still read the seeds
 spun by gf2.spin.
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import cached_property, lru_cache, reduce
 from operator import xor
 from typing import NamedTuple
@@ -129,7 +130,7 @@ class MembershipCertificate(Frozen):
             return ()
         members: defaultdict[tuple, list[tuple[int, ...]]] = defaultdict(list)
         for m in p.monomials:
-            for rho, c in Counter(m).items():
+            for rho, c in factor_counts(m).items():
                 members[rho, c, kernel_class(m, rho)].append(m)
         by_rho: defaultdict[int, list[Group]] = defaultdict(list)
         for (rho, mult, cls), ms in sorted(members.items()):
@@ -161,35 +162,36 @@ def submultiset(code: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(s))
 
 
-def parity_profile(m: tuple[int, ...], k: int) -> tuple:
-    """(rho, multiplicity, codes) for each distinct factor rho of the
-    sorted rank-k monomial m, in factor order.
-
-    c is m.count(rho), and the caller keys m's class itself (module
-    docstring).  codes are odd_codes(counts, rho, k) for m's factor
-    counts: at c = 1 the empty multiset alone, code 1; at c = 2 also each
-    single factor of odd count; only at c >= 3 is odd_codes called.
-    """
+def factor_counts(m: tuple[int, ...]) -> dict[int, int]:
+    """Each distinct factor of m with its count, in factor order."""
     counts: dict[int, int] = {}
     for f in m:
         counts[f] = counts.get(f, 0) + 1
-    if len(counts) == len(m):  # every multiplicity is 1
-        return tuple((rho, 1, (1,)) for rho in m)
-    singles = (1, *[1 << k | f for f, c in counts.items() if c & 1])
-    profile = []
-    for rho, c in counts.items():
-        codes = ((1,) if c == 1 else singles) if c <= 2 else odd_codes(counts, rho, k)
-        profile.append((rho, c, codes))
-    return tuple(profile)
+    return counts
+
+
+def parity_profile(m: tuple[int, ...], k: int) -> tuple:
+    """(rho, multiplicity, codes) for each distinct factor rho of the
+    sorted rank-k monomial m, in factor order: codes are
+    odd_codes(factor_counts(m), rho, k).  The caller keys m's class itself
+    (module docstring)."""
+    counts = factor_counts(m)
+    return tuple([(rho, c, odd_codes(counts, rho, k)) for rho, c in counts.items()])
 
 
 def odd_codes(counts: dict[int, int], rho: int, k: int) -> tuple[int, ...]:
     """The odd sub-multisets of m that avoid rho and have size below
-    c = counts[rho], in increasing order, counts being m's factor counts:
-    m adds 1 to the parity sum of exactly these rho-free witnesses in its
-    group.  Each is a product of submasks, one per other factor, and every
-    code is below 1 << k * c."""
-    below = 1 << k * counts[rho]  # the codes of s smaller than c
+    c = counts[rho], in increasing order, counts being m's factor counts
+    in factor order: m adds 1 to the parity sum of exactly these rho-free
+    witnesses in its group.  At c = 1 that is the empty multiset alone, at
+    c = 2 also each other factor of odd count; otherwise each is a product
+    of submasks, one per other factor, and every code is below 1 << k * c."""
+    c = counts[rho]
+    if c == 1:
+        return (1,)
+    if c == 2:  # rho's own count is even, so it lists no rho
+        return (1, *[1 << k | f for f, cf in counts.items() if cf & 1])
+    below = 1 << k * c  # the codes of s smaller than c
     listed = [1]
     for f, cf in counts.items():
         if f == rho:
@@ -486,23 +488,16 @@ def build_constraint_system(n: int, k: int) -> ConstraintSystem:
     A faithful monomial has no factor 0, so those holding 1 are the first
     block of the list, m[0] == 1.  They are visited last first, so each row
     lists its indices highest first as they are met.  A row is filed under
-    one int: the group's key, then the code in k * n bits.  The key is the
-    class's count vector.  m's class mod 1 is its factors f >> 1
-    (repalg.kernel_class at rho = 1), so the key sums 1 << B * (f >> 1)
-    over m, read from a list over the 2^k functionals: slot r of
-    B = n.bit_length() bits counts m's factors restricting to r, and no
-    slot counts more than n < 2^B, so no sum carries and the key is
-    injective.  It is B * 2^(k-1) bits wide, so only the build, whose
-    rank _ENUM_BOUNDS caps at 4, keys classes by it.  Slot 0 counts the
-    multiplicity, so the int leaves it out."""
+    (class, code), the class being m's factors f >> 1: repalg.kernel_class
+    at rho = 1, already sorted as m is.  Its zeros count the multiplicity,
+    so the class alone names the group."""
     monomials = tuple(enumerate_faithful_monomials(n, k))
-    weight = [1 << n.bit_length() * (f >> 1) for f in range(1 << k)].__getitem__
-    rows: defaultdict[int, list[int]] = defaultdict(list)
+    rows: defaultdict[tuple, list[int]] = defaultdict(list)
     for j in range(bisect_left(monomials, (2,)) - 1, -1, -1):
         m = monomials[j]
-        key = sum(map(weight, m)) << k * n
-        for code in (1,) if m.count(1) == 1 else odd_codes(Counter(m), 1, k):
-            rows[key | code].append(j)
+        cls = tuple([f >> 1 for f in m])
+        for code in odd_codes(factor_counts(m), 1, k):
+            rows[cls, code].append(j)
     seeds = set()
     while rows:  # each list is dropped as its tuple is made
         seeds.add(tuple(rows.popitem()[1]))

@@ -93,19 +93,12 @@ def milnor_fixed_polynomial(m: int, n: int, family: SubsetFamily) -> Polynomial:
 
 
 class SearchReport(Record):
-    _fields = ("families_tried", "skipped_non_isolated", "produced", "hits", "unreached")
+    """produced: the distinct polynomials; hits: per target, the families
+    that reach it; unreached: the indices of targets never hit."""
 
-    # Its own constructor, for the defaults: callers pass only some fields.
-    def __init__(self, families_tried: int = 0, skipped_non_isolated: int = 0,
-                 produced: set | None = None, hits: list | None = None,
-                 unreached: list | None = None):
-        self.families_tried = families_tried
-        # Always 0: a validated family has isolated fixed points only.  Kept
-        # because milnor-search prints it.
-        self.skipped_non_isolated = skipped_non_isolated
-        self.produced = set() if produced is None else produced  # distinct polynomials
-        self.hits = [] if hits is None else hits  # per target: list of families
-        self.unreached = [] if unreached is None else unreached  # target indices never hit
+    # skipped_non_isolated is always 0: a validated family has isolated
+    # fixed points only.  Kept because milnor-search prints it.
+    _fields = ("families_tried", "skipped_non_isolated", "produced", "hits", "unreached")
 
     def distinct_polynomials(self) -> int:
         return len(self.produced)
@@ -128,24 +121,26 @@ def search_orbit_hits(m: int, n: int, r: int, targets) -> SearchReport:
             f"no family of {n} distinct nonempty subsets of 1..{r}")
     _check_sizes(m, n)
     targets = list(targets)
-    report = SearchReport(hits=[[] for _ in targets])
+    families_tried = 0
+    produced: set[Polynomial] = set()
+    hits: list[list[SubsetFamily]] = [[] for _ in targets]
     subsets = [frozenset(s) for size in range(1, r + 1)
                for s in itertools.combinations(range(1, r + 1), size)]
     hit_by_class: dict[tuple[frozenset, frozenset], list[int]] = {}
     for sets in itertools.permutations(subsets, n):
         family = SubsetFamily(r, sets)
-        report.families_tried += 1
+        families_tried += 1
         relabeling_class = (frozenset(sets[:m]), frozenset(sets[m:]))
         hit = hit_by_class.get(relabeling_class)
         if hit is None:
             p = milnor_fixed_polynomial(m, n, family)
-            report.produced.add(p)
+            produced.add(p)
             hit = hit_by_class[relabeling_class] = [
                 t_i for t_i, t in enumerate(targets) if p in t.elements]
         for t_i in hit:
-            report.hits[t_i].append(family)
-    report.unreached = [i for i, fams in enumerate(report.hits) if not fams]
-    return report
+            hits[t_i].append(family)
+    unreached = [i for i, fams in enumerate(hits) if not fams]
+    return SearchReport(families_tried, 0, produced, hits, unreached)
 
 
 def family_label(family: SubsetFamily) -> str:

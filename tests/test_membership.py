@@ -588,8 +588,8 @@ class TestParityKernel:
     @given(st.data())
     def test_profile_equals_the_definition(self, data):
         # Sorted monomials, faithful or not, with repeats up to the
-        # degree: every fast path of the kernel (all factors distinct,
-        # multiplicity 2, multiplicity 3 and more) against the criterion.
+        # degree: every branch of odd_codes (multiplicity 1, multiplicity
+        # 2, multiplicity 3 and more) against the criterion.
         k = data.draw(st.integers(1, 6))
         n = data.draw(st.integers(0, 12))
         pool = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=n + 1,
@@ -601,7 +601,7 @@ class TestParityKernel:
         for rho, c, codes in profile:
             assert type(codes) is tuple
             assert [submultiset(code, k) for code in codes] == rho_free_odd(m, rho, c)
-            # The build's one-rho lister, which it calls at every c >= 2.
+            # The lister itself, on counts made apart from factor_counts.
             assert odd_codes(collections.Counter(m), rho, k) == codes
         if is_faithful(m, k):
             assert table_pairs(m, k) == {(rho, c, restriction_class(m, rho, k), code)
@@ -617,7 +617,7 @@ class TestParityKernel:
         # (multiplicity, key) and (multiplicity, class), also when a
         # factor 0 stands in for rho.  So are the multisets of label cosets
         # mod rho, min(f, f + rho) per factor, as graph validation needs.
-        # At rho = 1 the key is the factors f >> 1, the build's slots.
+        # At rho = 1 the key is the factors f >> 1, the build's row key.
         k = data.draw(st.integers(1, 6))
         n = data.draw(st.integers(0, 12))
         pool = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=n + 1,
@@ -643,14 +643,13 @@ class TestParityKernel:
 
     @pytest.mark.parametrize("rho", range(1, 8))
     def test_a_full_slot_does_not_carry(self, rho):
-        # The build keys rho = 1's groups by count vectors in slots of
-        # B = n.bit_length() bits.  At degree 7, so 3-bit slots, five
-        # factors in slot 1 and one in slot 3 sum, in 2-bit slots, to the
-        # int of one in slot 1 and five in slot 2: a slot one bit too
-        # narrow carries, and the two groups would share a seed.  Each
-        # rho's rows are translates of the seeds, so the pair moved by the
-        # Singer power taking 1 to rho must keep two rows of rho.  With the
-        # narrower slots, TestAgainstReference::test_rows[7-3] fails too.
+        # Two degree-7 classes that a packed count vector would merge if
+        # its slots were 2 bits wide: five factors restricting to 1 and one
+        # to 3 sum to the int of one restricting to 1 and five to 2, as a
+        # full slot carries into the next.  The build keys rho = 1's groups
+        # by the class tuple, so the two stay two groups with two seeds.
+        # Each rho's rows are translates of the seeds, so the pair moved by
+        # the Singer power taking 1 to rho must keep two rows of rho.
         m, twin = (1, 2, 2, 2, 2, 2, 6), (1, 2, 4, 4, 4, 4, 4)
         classes = [restriction_class(x, 1, 3) for x in (m, twin)]
         assert classes[0] != classes[1]

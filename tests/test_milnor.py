@@ -42,16 +42,18 @@ ADMISSIBLE = [(m, n, r) for r in (1, 2, 3) for n in range(1, min(5, (1 << r) - 1
 
 def search_by_definition(m, n, r, targets):
     """search_orbit_hits's report, with every family's polynomial evaluated."""
-    report = SearchReport(hits=[[] for _ in targets])
+    families_tried = 0
+    produced = set()
+    hits = [[] for _ in targets]
     for f in all_families(n, r):
-        report.families_tried += 1
+        families_tried += 1
         p = milnor_fixed_polynomial(m, n, f)
-        report.produced.add(p)
+        produced.add(p)
         for t_i, t in enumerate(targets):
             if p in t:
-                report.hits[t_i].append(f)
-    report.unreached = [i for i, fams in enumerate(report.hits) if not fams]
-    return report
+                hits[t_i].append(f)
+    unreached = [i for i, fams in enumerate(hits) if not fams]
+    return SearchReport(families_tried, 0, produced, hits, unreached)
 
 
 @st.composite
