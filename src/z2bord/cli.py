@@ -110,9 +110,6 @@ def cmd_span(args) -> int:
     ps = [_read_faithful(path) for path in args.polynomials]
     ps = [p for p in ps if not p.is_zero]
     require_common_shape(ps)  # before any orbit is expanded
-    if not ps:
-        print("span_dimension=0")
-        return 0
     if args.expand_orbits:
         from z2bord.orbits import orbit
 

@@ -4,10 +4,10 @@ A length-k vector is an int whose bit (k - i) holds coordinate i, so the
 bit-string "110" is the vector (1, 1, 0) and numeric order on ints equals
 lexicographic order on bit-strings.  All operations are pure.  A subspace
 is the tuple of its canonical RREF basis rows, highest first, and a matrix
-is the tuple of its bit-packed rows; a matrix acts on a vector through
-repalg.restriction_table of its rows.  Every elimination goes through one
-step, reduce_into, on a pivot table: a dict from a pivot bit to the one row
-whose highest set bit it is.
+is the tuple of its bit-packed rows; repalg.restriction_table(rows, k)
+lists its products with all 2^k vectors of width k.  Every elimination
+goes through one step, reduce_into, on a pivot table: a dict from a
+pivot bit to the one row whose highest set bit it is.
 
 A sparse vector is the tuple of its set-bit positions, highest first, as
 set_bits lists them; these tuples sort in the numeric order of their
@@ -27,7 +27,7 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(ValueError):
-    """Enumeration request beyond the supported desk-scale bounds."""
+    """A request beyond the supported desk-scale bounds: an enumeration or a table."""
 
 
 class Record:

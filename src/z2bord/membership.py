@@ -39,8 +39,8 @@ their Singer translates, made only when read.  No translate repeats a
 row, so the rows number 2^k - 1 times the seeds (ConstraintSystem, with
 the proof).
 The dimension sums the seeds' ranks in the Singer cycle's isotypic
-blocks (gf2.block_rank); the basis and in_nullspace still read the seeds
-spun by gf2.spin.
+blocks (gf2.block_rank); the basis and in_nullspace read the independent
+rows that gf2.spin makes from the seeds.
 
 check_membership reads each monomial's (group, odd witness) pairs as
 one int with a bit per pair, from the table of its shape (n, k).  The
@@ -69,8 +69,7 @@ from typing import NamedTuple
 from z2bord import gf2
 from z2bord.gf2 import Frozen, InputError, ResourceLimitError, from_bits, nullspace, set_bits
 from z2bord.repalg import (
-    Polynomial, automorphism_columns, is_faithful, kernel_class, render_monomial, restrict,
-    restriction_table,
+    Polynomial, automorphism_table, is_faithful, kernel_class, render_monomial, restrict,
 )
 
 
@@ -82,7 +81,7 @@ def kernel_basis(rho: int, k: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def restriction_class(m: tuple[int, ...], rho: int, k: int) -> tuple[int, ...]:
     """Restriction of the rank-k monomial m to ker rho, over rank k-1."""
-    return restrict(m, kernel_basis(rho, k))
+    return restrict(m, kernel_basis(rho, k), k)
 
 
 class Group(NamedTuple):
@@ -327,7 +326,7 @@ class ConstraintSystem(Frozen):
     of g take 1 to every nonzero rho.  So the rows span the least
     g-invariant span holding the seeds.  nullspace_dimension ranks that span
     block by block in narrow pivot tables (gf2.block_rank); nullspace_basis
-    and in_nullspace still read its independent rows, _spanning, from
+    and in_nullspace read its independent rows, _spanning, from
     gf2.spin.  An indicator lies in the nullspace iff check_membership
     accepts its support.
 
@@ -475,7 +474,7 @@ def index_permutation(a: tuple[int, ...], monomials) -> list[int]:
     """sigma with monomials[sigma[j]] the image of monomials[j] under the
     automorphism with rows a, as repalg.apply_automorphism maps it; the
     monomials are all faithful ones of a shape, so they hold every image."""
-    image = restriction_table(automorphism_columns(a, len(a))).__getitem__
+    image = automorphism_table(a, len(a)).__getitem__
     index = {m: j for j, m in enumerate(monomials)}
     return [index[tuple(sorted(map(image, m)))] for m in monomials]
 

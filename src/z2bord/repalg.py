@@ -14,7 +14,9 @@ from collections import Counter
 from functools import lru_cache
 from math import comb, prod
 
-from z2bord.gf2 import Frozen, InputError, parse_vec, rank_of, transpose, vec_str
+from z2bord.gf2 import (
+    Frozen, InputError, ResourceLimitError, parse_vec, rank_of, transpose, vec_str,
+)
 
 
 class NonIsolatedError(ValueError):
@@ -26,11 +28,11 @@ def is_faithful(m: tuple[int, ...], k: int) -> bool:
     return 0 not in m and rank_of(m) == k
 
 
-def restrict(m: tuple[int, ...], basis) -> tuple[int, ...]:
-    """The monomial m restricted to the subgroup with the ordered basis:
-    factor f becomes the vector (f(b_1), ..., f(b_r)), read from
+def restrict(m: tuple[int, ...], basis, k: int) -> tuple[int, ...]:
+    """The rank-k monomial m restricted to the subgroup with the ordered
+    basis: factor f becomes the vector (f(b_1), ..., f(b_r)), read from
     restriction_table.  The basis is not validated."""
-    return tuple(sorted(map(restriction_table(tuple(basis)).__getitem__, m)))
+    return tuple(sorted(map(restriction_table(tuple(basis), k).__getitem__, m)))
 
 
 def render_monomial(m: tuple[int, ...], k: int) -> str:
@@ -38,31 +40,24 @@ def render_monomial(m: tuple[int, ...], k: int) -> str:
     return ",".join(vec_str(f, k) for f in m)
 
 
-# Bound on the table caches below: all of GL(4,2) (20,160 matrices) fits.
+# Bound on each table cache below, in lists: all of GL(4,2) (20,160 matrices) fits.
 _TABLE_CACHE = 1 << 15
-
-
-class Lazy(dict):
-    """A dict that builds entry x as make(x) on its first read, so it holds
-    only the entries read, however large the domain."""
-
-    def __init__(self, make):  # an empty dict, as dict.__new__ made it
-        self.make = make
-
-    def __missing__(self, x):
-        return self.setdefault(x, self.make(x))
+# Highest rank with a table: a list of 2^20 entries holds 8 MiB of slots.
+_TABLE_RANK = 20
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
-def restriction_table(basis: tuple[int, ...]) -> Lazy:
-    """The table f -> f restricted to the ordered basis, f(b_1) its highest
-    bit, shared by every restriction to basis."""
-    def restricted(f: int) -> int:
-        image = 0
-        for b in basis:
-            image = image << 1 | (f & b).bit_count() & 1
-        return image
-    return Lazy(restricted)
+def restriction_table(basis: tuple[int, ...], k: int) -> list[int]:
+    """Entry f of this 2^k list is f restricted to the ordered basis, f(b_1)
+    its highest bit.  Restriction is linear, so the list is built by
+    doubling: bit j of f adds its image, column k - j of the basis rows.  A
+    list maps faster than a tuple.  ResourceLimitError above _TABLE_RANK."""
+    if k > _TABLE_RANK:
+        raise ResourceLimitError(f"restriction tables need rank <= {_TABLE_RANK}, got {k}")
+    table = [0]
+    for image in reversed(transpose(basis, k)):
+        table += [x ^ image for x in table]
+    return table
 
 
 def kernel_class(m: tuple[int, ...], rho: int) -> tuple[int, ...]:
@@ -142,19 +137,18 @@ class Polynomial(Frozen):
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
-def automorphism_columns(a: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """The columns A e_1, ..., A e_k of an automorphism of (Z/2)^k given by
-    its rows, checked once per matrix: f composed with g -> Ag is f
-    restricted to this ordered basis."""
+def automorphism_table(a: tuple[int, ...], k: int) -> list[int]:
+    """Entry f is f composed with g -> Ag, the rows a checked once per
+    matrix: f restricted to the columns A e_1, ..., A e_k."""
     if len(a) != k or any(r >> k for r in a) or rank_of(a) != k:
         raise InputError("matrix is singular or of the wrong size")
-    return transpose(a, k)
+    return restriction_table(transpose(a, k), k)
 
 
 def apply_automorphism(p: Polynomial, a: tuple[int, ...]) -> Polynomial:
-    """Precompose every factor functional with the automorphism g -> Ag:
-    restrict each monomial to its columns, through one table lookup."""
-    image = restriction_table(automorphism_columns(a, p.k)).__getitem__
+    """Precompose every factor functional with the automorphism g -> Ag,
+    one automorphism_table lookup per factor."""
+    image = automorphism_table(a, p.k).__getitem__
     monos = {tuple(sorted(map(image, m))) for m in p.monomials}
     return Polynomial(frozenset(monos), p.n, p.k)
 

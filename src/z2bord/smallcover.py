@@ -5,9 +5,15 @@ each facet with a nonzero vector of (Z/2)^n such that the labels at every
 vertex form a basis.  It inverts each vertex label matrix once: the rows,
 the dual basis of those labels, are the tangent monomial at that isolated
 fixed point, and the row dual to facet F labels the skeleton edge leaving
-F.  A subgroup is admissible when no tangent factor restricts to the trivial
-representation on it; restricting to one keeps the fixed points isolated
-and gives fixed-point data for lower-rank actions.
+F.  A subgroup H is admissible when no tangent factor restricts to the
+trivial representation on it.  The factor along an edge e vanishes exactly
+on the span of the labels of the facets that contain e, so H lies inside
+no edge's span, and then H fixes only the vertices: a point over the
+interior of a face F has as isotropy the span of the labels of the facets
+that contain F, and a face of positive dimension contains an edge e, each
+such facet containing e, so that span lies inside e's.  So restricting to
+H keeps the fixed points isolated and gives fixed-point data for
+lower-rank actions.
 """
 
 from __future__ import annotations
@@ -160,23 +166,19 @@ def skeleton_graph(cf: CharacteristicFunction) -> LabeledGraph:
     return LabeledGraph.make(p.dim, edges)
 
 
-def _trivial_factor(reps: dict[Vertex, tuple[int, ...]], basis):
+def _trivial_factor(reps: dict[Vertex, tuple[int, ...]], basis, k: int):
     """The first (vertex, factor), in reps order and sorted factor order,
     that restricts to the trivial representation on the ordered basis, or None."""
-    table = restriction_table(tuple(basis))
+    table = restriction_table(tuple(basis), k)
     trivial = ((v, f) for v, m in reps.items() for f in m if not table[f])
     return next(trivial, None)
 
 
 def admissible_subgroups(cf: CharacteristicFunction, r: int) -> list[tuple[int, ...]]:
-    """Canonical basis tuples of the rank-r subgroups on which no tangent
-    factor restricts to the trivial representation, so the restricted action
-    keeps the fixed points isolated: the factor along an edge vanishes
-    exactly on the edge's facet-label span, so no such span contains h.
-    Raises InputError for an invalid cf, as tangent_reps does."""
-    reps = tangent_reps(cf)
-    return [h for h in enumerate_subspaces(cf.polytope.dim, r)
-            if _trivial_factor(reps, h) is None]
+    """Canonical basis tuples of the admissible rank-r subgroups (module
+    docstring).  Raises InputError for an invalid cf, as tangent_reps does."""
+    reps, dim = tangent_reps(cf), cf.polytope.dim
+    return [h for h in enumerate_subspaces(dim, r) if _trivial_factor(reps, h, dim) is None]
 
 
 def restricted_polynomial(cf: CharacteristicFunction, basis) -> Polynomial:
@@ -189,12 +191,12 @@ def restricted_polynomial(cf: CharacteristicFunction, basis) -> Polynomial:
     if rank_of(basis) != len(basis):
         raise InputError("basis rows are not independent")
     reps = tangent_reps(cf)
-    trivial = _trivial_factor(reps, basis)
+    trivial = _trivial_factor(reps, basis, dim)
     if trivial is not None:
         v, f = trivial
         raise NonIsolatedError(f"factor {vec_str(f, dim)} at vertex {v} restricts "
                                "to the trivial representation")
-    return Polynomial.make((restrict(m, basis) for m in reps.values()), dim, len(basis))
+    return Polynomial.make((restrict(m, basis, dim) for m in reps.values()), dim, len(basis))
 
 
 def parse_characteristic(text: str, factor_dims=None) -> CharacteristicFunction:

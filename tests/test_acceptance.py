@@ -198,7 +198,7 @@ class TestAcceptance:
                     rows = tuple(rng.randrange(1, 2**k) for _ in range(k))
                     if rank_of(rows) == k:
                         break
-                table = restriction_table(rows)
+                table = restriction_table(rows, k)
                 cf = CharacteristicFunction(
                     cf0.polytope, tuple(table[l] for l in cf0.labels)
                 )

@@ -183,6 +183,14 @@ class TestOrbitAndSpan:
         assert main(["span", gen1_file, gen1_file]) == 0
         assert "span_dimension=1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("expand", [[], ["--expand-orbits"]])
+    def test_span_of_zero(self, expand, tmp_path, capsys):
+        # The repeated monomial cancels mod 2; a zero span has both lines.
+        path = tmp_path / "zero.poly"
+        path.write_text("001,010,100\n001,010,100\n")
+        assert main(["span", *expand, str(path)]) == 0
+        assert capsys.readouterr() == ("span_dimension=0\nbasis_size=0\n", "")
+
     @pytest.mark.parametrize("monomial", ["100,100,010", "000,100,010,001"])
     @pytest.mark.parametrize("command", ["orbit", "span"])
     def test_non_faithful_input(self, command, monomial, tmp_path, capsys):

@@ -20,6 +20,8 @@ from z2bord.graphs import parse_graph
 from z2bord.repalg import parse_polynomial
 from z2bord.smallcover import parse_characteristic
 
+pytestmark = pytest.mark.fixed_seed
+
 BITS = [format(v, f"0{w}b") for w in (1, 2, 3) for v in range(2**w)]
 PIECES = BITS + [",", ", ", " ", "\t", "\n", "\n", "#", "2", "-1", "a", "x"]
 FILE_TEXT = st.lists(st.sampled_from(PIECES), max_size=30).map("".join)

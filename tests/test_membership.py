@@ -39,8 +39,8 @@ from z2bord.membership import (
     submultiset,
 )
 from z2bord.repalg import (
-    Polynomial, apply_automorphism, automorphism_columns, is_faithful, kernel_class,
-    restriction_table, sub_multiset_multiplicity,
+    Polynomial, apply_automorphism, automorphism_table, is_faithful, kernel_class,
+    sub_multiset_multiplicity,
 )
 from z2bord.report import run_reproduction
 from z2bord.smallcover import CharacteristicFunction, fixed_polynomial
@@ -543,6 +543,7 @@ class TestParityKernel:
     """The per-rho listing of rho-free odd witnesses behind check_membership
     and the build, against the criterion by definition."""
 
+    @pytest.mark.fixed_seed
     @settings(max_examples=300)
     @given(st.data())
     def test_lists_exactly_the_odd_sub_multisets(self, data):
@@ -557,6 +558,7 @@ class TestParityKernel:
             assert list(codes) == sorted(codes)
             assert listed == sorted(listed, key=lambda s: (len(s), s))
 
+    @pytest.mark.fixed_seed
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_kernel_class_is_the_restriction_class(self, data):
@@ -584,6 +586,7 @@ class TestParityKernel:
         assert submultiset(1, 3) == ()
         assert submultiset(0b1_001_010, 3) == (1, 2)
 
+    @pytest.mark.fixed_seed
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_profile_equals_the_definition(self, data):
@@ -607,6 +610,7 @@ class TestParityKernel:
             assert table_pairs(m, k) == {(rho, c, restriction_class(m, rho, k), code)
                                          for rho, c, codes in profile for code in codes}
 
+    @pytest.mark.fixed_seed
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_keys_are_equal_iff_the_classes_are(self, data):
@@ -654,7 +658,7 @@ class TestParityKernel:
         classes = [restriction_class(x, 1, 3) for x in (m, twin)]
         assert classes[0] != classes[1]
         assert count_vector(classes[0], 2) == count_vector(classes[1], 2)
-        image = restriction_table(automorphism_columns(singer_cycle(3), 3)).__getitem__
+        image = automorphism_table(singer_cycle(3), 3).__getitem__
         one = 1
         while one != rho:
             one = image(one)
@@ -685,6 +689,7 @@ class TestParityKernel:
                 (rho, mult, restriction_class(m, rho, k)) for rho, mult, _ in profile}
 
 
+@pytest.mark.fixed_seed
 @settings(max_examples=200, deadline=None)
 @given(faithful_polynomials())
 def test_a_violation_holding_its_rho_has_a_rho_free_companion(p_and_realizable):
@@ -759,6 +764,7 @@ class TestAgainstReference:
         assert certificate(check_membership(twin)) == reference_check(twin)
         assert check_membership(p).accepted and not check_membership(twin).accepted
 
+    @pytest.mark.fixed_seed
     @settings(max_examples=200, deadline=None)
     @given(faithful_polynomials())
     def test_random_certificates(self, p_and_realizable):
@@ -957,7 +963,7 @@ class TestSingerTranslates:
             powers.append(matrix_product(powers[-1], g))
         assert powers[h] == identity
         assert all(powers[h // p] != identity for p in prime_factors(h))
-        image = restriction_table(automorphism_columns(g, k))
+        image = automorphism_table(g, k)
         orbit = [1]
         for _ in range(h - 1):
             orbit.append(image[orbit[-1]])

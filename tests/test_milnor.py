@@ -155,6 +155,7 @@ class TestFixedPolynomial:
             )
             assert milnor_fixed_polynomial(2, 4, relabeled) in o
 
+    @pytest.mark.fixed_seed
     @settings(max_examples=200, deadline=None)
     @given(block_relabelings())
     def test_block_permutation_invariance(self, case):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2bord.catalog import GEN_1, GEN_2, GEN_3, GENERATORS, mono, poly
-from z2bord.gf2 import InputError, dot, enumerate_gl, reduce_into
+from z2bord.gf2 import InputError, ResourceLimitError, dot, enumerate_gl, reduce_into
 from z2bord.repalg import (
     Polynomial,
     apply_automorphism,
@@ -20,6 +20,7 @@ from z2bord.repalg import (
     render_monomial,
     render_polynomial,
     restrict,
+    restriction_table,
     sub_multiset_multiplicity,
 )
 from test_gf2 import IDENTITY_3, matmul
@@ -44,11 +45,11 @@ class TestMonomial:
 
     def test_restrict_to_the_identity_basis(self):
         m = mono("1 1 2 3 23", 3)
-        assert restrict(m, (0b100, 0b010, 0b001)) == m
+        assert restrict(m, (0b100, 0b010, 0b001), 3) == m
 
     def test_restrict_sorts_the_images(self):
         # Over the reversed basis f becomes f with its bits reversed.
-        assert restrict((0b001, 0b110), [0b001, 0b010, 0b100]) == (0b011, 0b100)
+        assert restrict((0b001, 0b110), [0b001, 0b010, 0b100], 3) == (0b011, 0b100)
 
     def test_str(self):
         assert render_monomial(mono("1 2 123", 3), 3) == "010,100,111"
@@ -138,12 +139,19 @@ class TestRestriction:
             sum(dot(f, b) << (len(basis) - 1 - i) for i, b in enumerate(basis))
             for f in m
         )
-        assert list(restrict(m, basis)) == expect
+        assert list(restrict(m, basis, 5)) == expect
 
+    def test_a_table_above_rank_20_is_refused(self):
+        # A rank-20 table is 2^20 entries; one more bit doubles it.
+        with pytest.raises(ResourceLimitError, match="rank <= 20, got 21"):
+            restrict((1,), (1,), 21)
+        assert len(restriction_table((1 << 19,), 20)) == 1 << 20
+
+    @pytest.mark.fixed_seed
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_restrict_matches_dot_formula(self, data):
-        k = data.draw(st.integers(1, 6), label="k")
+        k = data.draw(st.integers(1, 8), label="k")
         vec = st.integers(1, 2**k - 1)
         basis, table = [], {}
         for v in data.draw(st.lists(vec, min_size=1, max_size=k), label="vectors"):
@@ -155,7 +163,7 @@ class TestRestriction:
             sum(dot(f, b) << (r - 1 - j) for j, b in enumerate(basis))
             for f in m
         )
-        restricted = restrict(m, tuple(basis))
+        restricted = restrict(m, tuple(basis), k)
         assert list(restricted) == expect
         assert all(f < 1 << r for f in restricted)
 

@@ -53,7 +53,7 @@ def randomized_valid_cf(data, rng):
     by relabeling with a random change of basis."""
     a = random_invertible(len(data["matrix"]), rng)
     cf = CharacteristicFunction.from_matrix(data["factor_dims"], data["matrix"])
-    table = restriction_table(a)
+    table = restriction_table(a, len(a))
     return CharacteristicFunction(cf.polytope, tuple(table[l] for l in cf.labels))
 
 
@@ -182,7 +182,7 @@ class TestConstructions:
         basis = data["subgroup_basis"]
         pairs = zip(data["tangent_monomials"], data["restricted_cosets"], strict=True)
         for tangent, cosets in pairs:
-            assert restrict(tangent, basis) == restrict(cosets, basis)
+            assert restrict(tangent, basis, 5) == restrict(cosets, basis, 5)
 
     def test_different_basis_same_orbit(self):
         data = SMALL_COVER_1
