@@ -326,9 +326,10 @@ class ConstraintSystem(Frozen):
     of g take 1 to every nonzero rho.  So the rows span the least
     g-invariant span holding the seeds.  nullspace_dimension ranks that span
     block by block in narrow pivot tables (gf2.block_rank); nullspace_basis
-    and in_nullspace read its independent rows, _spanning, from
-    gf2.spin.  An indicator lies in the nullspace iff check_membership
-    accepts its support.
+    and in_nullspace read its independent rows, _spanning, made once by
+    gf2.spin and kept as ints.  An indicator lies in the nullspace iff its
+    dot product with each of them is 0, iff check_membership accepts its
+    support.
 
     The orbits are free: no set of indices is a row of two different rho.
     For 0 < i < h = 2^k - 1, g^i takes 1 to some rho != 1 and so moves no
@@ -374,18 +375,6 @@ class ConstraintSystem(Frozen):
     def _index(self) -> dict[tuple[int, ...], int]:
         return {m: j for j, m in enumerate(self.monomials)}
 
-    @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """Entry j: the numbers of the _spanning rows that hold index j.  Each
-        list is dropped as its tuple is made, so the two are never all held."""
-        columns: list = [[] for _ in self.monomials]
-        for r, row in enumerate(self._spanning):
-            for j in row:
-                columns[j].append(r)
-        for j, column in enumerate(columns):
-            columns[j] = tuple(column)
-        return tuple(columns)
-
     def indicator(self, p: Polynomial) -> int:
         if (p.n, p.k) != (self.n, self.k):
             raise InputError(f"a polynomial of degree {p.n} rank {p.k} has no indicator "
@@ -402,15 +391,11 @@ class ConstraintSystem(Frozen):
 
     def in_nullspace(self, bits: int) -> bool:
         """Whether the indicator bits meet every row an even number of times:
-        whether the columns of its set bits, as sets of rows, XOR to 0."""
+        whether they meet every spun row, which span the rows, evenly."""
         if bits < 0 or bits >> len(self.monomials):
             raise InputError(f"not an indicator over the {len(self.monomials)} faithful "
                              f"monomials of degree {self.n} rank {self.k}")
-        columns = self._columns
-        odd: set[int] = set()
-        for j in set_bits(bits):
-            odd.symmetric_difference_update(columns[j])
-        return not odd
+        return not any((bits & row).bit_count() & 1 for row in self._spanning)
 
     def accepts(self, p: Polynomial) -> bool:
         return self.in_nullspace(self.indicator(p))
@@ -436,8 +421,9 @@ class ConstraintSystem(Frozen):
         return ((1 << self.k) - 1) * len(self.seeds)
 
     @cached_property
-    def _spanning(self) -> list[tuple[int, ...]]:
-        return gf2.spin(self.seeds, self._permutation.__getitem__)
+    def _spanning(self) -> list[int]:
+        """The independent rows of gf2.spin, each as its int."""
+        return list(map(from_bits, gf2.spin(self.seeds, self._permutation.__getitem__)))
 
     @cached_property
     def _rank(self) -> int:
@@ -454,7 +440,7 @@ class ConstraintSystem(Frozen):
         so they build each Polynomial as they are, without make."""
         monomials, n, k = self.monomials, self.n, self.k
         return [Polynomial(frozenset([monomials[j] for j in set_bits(b)]), n, k)
-                for b in nullspace(map(from_bits, self._spanning), len(monomials))]
+                for b in nullspace(self._spanning, len(monomials))]
 
 
 # Primitive polynomials over GF(2) by degree k, bit i the coefficient of x^i.

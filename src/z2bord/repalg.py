@@ -30,8 +30,8 @@ def is_faithful(m: tuple[int, ...], k: int) -> bool:
 
 def restrict(m: tuple[int, ...], basis, k: int) -> tuple[int, ...]:
     """The rank-k monomial m restricted to the subgroup with the ordered
-    basis: factor f becomes the vector (f(b_1), ..., f(b_r)), read from
-    restriction_table.  The basis is not validated."""
+    basis: factor f becomes the vector (f(b_1), ..., f(b_r)), read from a
+    restriction_table built for this call.  The basis is not validated."""
     return tuple(sorted(map(restriction_table(tuple(basis), k).__getitem__, m)))
 
 
@@ -40,18 +40,19 @@ def render_monomial(m: tuple[int, ...], k: int) -> str:
     return ",".join(vec_str(f, k) for f in m)
 
 
-# Bound on each table cache below, in lists: all of GL(4,2) (20,160 matrices) fits.
+# Bound on automorphism_table's cache, the one table cache, in lists: all of
+# GL(4,2) (20,160 matrices) fits.
 _TABLE_CACHE = 1 << 15
 # Highest rank with a table: a list of 2^20 entries holds 8 MiB of slots.
 _TABLE_RANK = 20
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
 def restriction_table(basis: tuple[int, ...], k: int) -> list[int]:
     """Entry f of this 2^k list is f restricted to the ordered basis, f(b_1)
     its highest bit.  Restriction is linear, so the list is built by
     doubling: bit j of f adds its image, column k - j of the basis rows.  A
-    list maps faster than a tuple.  ResourceLimitError above _TABLE_RANK."""
+    list maps faster than a tuple.  Each call builds a new list, so a caller
+    that reads it twice keeps it.  ResourceLimitError above _TABLE_RANK."""
     if k > _TABLE_RANK:
         raise ResourceLimitError(f"restriction tables need rank <= {_TABLE_RANK}, got {k}")
     table = [0]
@@ -139,7 +140,8 @@ class Polynomial(Frozen):
 @lru_cache(maxsize=_TABLE_CACHE)
 def automorphism_table(a: tuple[int, ...], k: int) -> list[int]:
     """Entry f is f composed with g -> Ag, the rows a checked once per
-    matrix: f restricted to the columns A e_1, ..., A e_k."""
+    matrix: f restricted to the columns A e_1, ..., A e_k.  Cached, as the
+    GL(k,2) orbit walk and the Singer permutation read a matrix again."""
     if len(a) != k or any(r >> k for r in a) or rank_of(a) != k:
         raise InputError("matrix is singular or of the wrong size")
     return restriction_table(transpose(a, k), k)

@@ -32,7 +32,7 @@ from z2bord.gf2 import (
     vec_str,
 )
 from z2bord.graphs import LabeledGraph
-from z2bord.repalg import NonIsolatedError, Polynomial, content_lines, restrict, restriction_table
+from z2bord.repalg import NonIsolatedError, Polynomial, content_lines, restriction_table
 
 Facet = tuple[int, int]  # (factor index, facet index within the factor)
 Vertex = tuple[int, ...]
@@ -166,10 +166,10 @@ def skeleton_graph(cf: CharacteristicFunction) -> LabeledGraph:
     return LabeledGraph.make(p.dim, edges)
 
 
-def _trivial_factor(reps: dict[Vertex, tuple[int, ...]], basis, k: int):
+def _trivial_factor(reps: dict[Vertex, tuple[int, ...]], table: list[int]):
     """The first (vertex, factor), in reps order and sorted factor order,
-    that restricts to the trivial representation on the ordered basis, or None."""
-    table = restriction_table(tuple(basis), k)
+    that the subgroup's restriction_table maps to 0, the trivial
+    representation, or None."""
     trivial = ((v, f) for v, m in reps.items() for f in m if not table[f])
     return next(trivial, None)
 
@@ -178,7 +178,8 @@ def admissible_subgroups(cf: CharacteristicFunction, r: int) -> list[tuple[int, 
     """Canonical basis tuples of the admissible rank-r subgroups (module
     docstring).  Raises InputError for an invalid cf, as tangent_reps does."""
     reps, dim = tangent_reps(cf), cf.polytope.dim
-    return [h for h in enumerate_subspaces(dim, r) if _trivial_factor(reps, h, dim) is None]
+    return [h for h in enumerate_subspaces(dim, r)
+            if _trivial_factor(reps, restriction_table(h, dim)) is None]
 
 
 def restricted_polynomial(cf: CharacteristicFunction, basis) -> Polynomial:
@@ -190,13 +191,14 @@ def restricted_polynomial(cf: CharacteristicFunction, basis) -> Polynomial:
         raise InputError(f"basis vector {wide[0]} is outside (Z/2)^{dim}")
     if rank_of(basis) != len(basis):
         raise InputError("basis rows are not independent")
-    reps = tangent_reps(cf)
-    trivial = _trivial_factor(reps, basis, dim)
+    reps, table = tangent_reps(cf), restriction_table(basis, dim)
+    trivial = _trivial_factor(reps, table)
     if trivial is not None:
         v, f = trivial
         raise NonIsolatedError(f"factor {vec_str(f, dim)} at vertex {v} restricts "
                                "to the trivial representation")
-    return Polynomial.make((restrict(m, basis, dim) for m in reps.values()), dim, len(basis))
+    image = table.__getitem__
+    return Polynomial.make((map(image, m) for m in reps.values()), dim, len(basis))
 
 
 def parse_characteristic(text: str, factor_dims=None) -> CharacteristicFunction:

@@ -733,13 +733,16 @@ class TestAgainstReference:
         # their spun rows; ranked and reduced over every row they must come
         # out the same.  This is a second elimination over the same rows,
         # not a second criterion: test_rows compares the rows with the
-        # definition.
+        # definition.  The rank is the width less the nullity, as
+        # tests/test_gf2.py checks.
         cs = build_constraint_system(n, k)
         dense = [from_bits(row) for row in cs.rows]
-        width, rank = len(cs.monomials), rank_of(dense)
+        width = len(cs.monomials)
+        kernel = nullspace(dense, width)
+        rank = width - len(kernel)
         assert cs.nullspace_dimension() == width - rank
         assert len(cs._spanning) == rank
-        assert [cs.indicator(p) for p in cs.nullspace_basis()] == list(nullspace(dense, width))
+        assert [cs.indicator(p) for p in cs.nullspace_basis()] == list(kernel)
 
     def test_catalog_certificates(self):
         covers = [fixed_polynomial(CharacteristicFunction.from_matrix(

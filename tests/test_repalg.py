@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -146,6 +147,19 @@ class TestRestriction:
         with pytest.raises(ResourceLimitError, match="rank <= 20, got 21"):
             restrict((1,), (1,), 21)
         assert len(restriction_table((1 << 19,), 20)) == 1 << 20
+
+    def test_a_dropped_table_is_freed(self):
+        # No cache keeps a restriction table: three rank-16 tables, about
+        # 2.4 MiB each, leave nothing behind once dropped.
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for shift in range(3):
+                basis = tuple(1 << (i + shift) % 16 for i in range(16))
+                assert len(restriction_table(basis, 16)) == 1 << 16
+            assert tracemalloc.get_traced_memory()[0] - start < 1 << 19
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.fixed_seed
     @settings(max_examples=100, deadline=None)
