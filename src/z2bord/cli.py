@@ -82,7 +82,7 @@ def cmd_dim(args) -> int:
     n, k = args.n, args.k
     cs = build_constraint_system(n, k)
     d = cs.nullspace_dimension()
-    print(f"n={n} k={k} faithful={len(cs.monomials)}"
+    print(f"n={n} k={k} faithful={cs.monomial_count()}"
           f" constraints={cs.row_count()} dimension={d}")
     print(d)
     return 0
@@ -236,7 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="span of the full orbits of the inputs")
     p.set_defaults(fn=cmd_span)
 
-    p = sub.add_parser("graph-validate", help="validate a labeled graph file")
+    p = sub.add_parser("graph-validate",
+                       help="validate a labeled graph file (necessary conditions only)",
+                       description="Check a labeled graph file against necessary conditions "
+                                   "only: valid does not mean realizable.  Run check on its "
+                                   "labeling polynomial to decide realizability.")
     p.add_argument("graph")
     p.set_defaults(fn=cmd_graph_validate)
 

@@ -203,34 +203,28 @@ def cyclotomic_factors(h: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def block_rank(rows, perm) -> int:
+def block_rank(rows, orbit, position, sizes) -> int:
     """Dimension of the least span that holds the sparse rows and is
-    invariant under the index permutation j -> perm[j], of odd order h:
-    len(spin(rows, perm.__getitem__)), with narrower pivot tables.
+    invariant under an index permutation of odd order h, given by its
+    orbits: orbit[j] and position[j] number index j's orbit and its place
+    t in it, and sizes[o] is orbit o's size.  Every index a row holds must
+    have coordinates; the others need none.  Equal to len(spin(rows, step))
+    for that permutation's step, with narrower pivot tables.
 
-    With x acting by perm, the span is a module over GF(2)[x]/(x^h - 1).
-    For odd h that ring is the sum of the fields GF(2)[x]/(f), f running
-    over cyclotomic_factors(h), so the span is the sum of its projections
-    to these blocks and its dimension the sum of theirs.  An orbit of size
-    s, walked from its least index, is GF(2)[x]/(x^s - 1), its index at
-    position t being x^t.  It adds a slot of d = deg f bits to block f when
-    f divides x^s - 1, and a row's entry in the slot is the sum of x^t mod f
-    over the row's indices in the orbit; the other orbits' entries are
-    masked off.  Block by block, the rows' projections go into one pivot
-    table, shortest row first.  A nonzero remainder u spans a field line
-    that meets the table's span, a sum of such lines, only in 0, so u and
-    its d - 1 translates x^i u are all filed: x multiplies every slot at
-    once.  Only one block's table is held at a time."""
-    orbit: list = [None] * len(perm)  # orbit number of each index
-    position = [0] * len(perm)  # position t in its orbit
-    sizes: list[int] = []
-    for start in range(len(perm)):
-        if orbit[start] is None:
-            j, t = start, 0
-            while orbit[j] is None:
-                orbit[j], position[j] = len(sizes), t
-                j, t = perm[j], t + 1
-            sizes.append(t)
+    With x acting as the permutation, the span is a module over
+    GF(2)[x]/(x^h - 1), h the lcm of the sizes.  For odd h that ring is the
+    sum of the fields GF(2)[x]/(f), f running over cyclotomic_factors(h),
+    so the span is the sum of its projections to these blocks and its
+    dimension the sum of theirs.  An orbit of size s is
+    GF(2)[x]/(x^s - 1), its index at position t being x^t.  It adds a slot
+    of d = deg f bits to block f when f divides x^s - 1, and a row's entry
+    in the slot is the sum of x^t mod f over the row's indices in the
+    orbit; the other orbits' entries are masked off.  Block by block, the
+    rows' projections go into one pivot table, shortest row first.  A
+    nonzero remainder u spans a field line that meets the table's span, a
+    sum of such lines, only in 0, so u and its d - 1 translates x^i u are
+    all filed: x multiplies every slot at once.  Only one block's table is
+    held at a time."""
     h = math.lcm(*sizes)
     rows = sorted(rows, key=len)
     rank = 0
@@ -287,7 +281,13 @@ def rank_of(rows) -> int:
     return len(pivot_table(rows))
 
 
-_REVERSED_BYTE = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
+# Entry b is b with its 8 bits reversed, built by doubling: bit j of b sets
+# bit 7 - j.  A tenth of the time of reversing 256 bit-strings, at import.
+_REVERSED_BYTE = [0]
+for _j in range(8):
+    _REVERSED_BYTE += [r | 0x80 >> _j for r in _REVERSED_BYTE]
+_REVERSED_BYTE = bytes(_REVERSED_BYTE)
+del _j
 
 
 def reverse_bits(v: int, k: int) -> int:

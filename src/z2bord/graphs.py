@@ -61,7 +61,10 @@ def validate_graph(g: LabeledGraph) -> list[str]:
     """The violations of g, in order: zero labels, irregularity, labels not
     spanning the dual space at a vertex, the mod-rho congruence along every
     edge, and same-valence monochromatic components sharing a restriction
-    class.  An empty list means g is valid."""
+    class.  An empty list means g is valid.  These are necessary conditions
+    only: no condition here sees the odd-witness parities of membership,
+    so a valid graph's labeling polynomial can still be rejected by
+    check_membership."""
     inc = g.incidence
     violations = [f"edge {u}-{v} carries the trivial label" for u, v, l in g.edges if l == 0]
     if len(g.valences) > 1:

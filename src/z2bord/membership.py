@@ -34,13 +34,14 @@ the build reads rho = 1's alone.  It rests on four facts:
   by s_1, ..., s_L, k bits each.  Codes of longer s are larger, so
   numeric order on codes is (len(s), s) order.
 
-The build files only rho = 1's rows, the seeds; the other rows are
-their Singer translates, made only when read.  No translate repeats a
-row, so the rows number 2^k - 1 times the seeds (ConstraintSystem, with
-the proof).
-The dimension sums the seeds' ranks in the Singer cycle's isotypic
-blocks (gf2.block_rank); the basis and in_nullspace read the independent
-rows that gf2.spin makes from the seeds.
+The build enumerates only the prefix, the faithful monomials holding 1,
+and files only rho = 1's rows, the seeds; the other rows are their
+Singer translates.  No translate repeats a row, so the rows number
+2^k - 1 times the seeds (ConstraintSystem, with the proof).  The
+dimension reads the prefix and the seeds alone, through the prefix's
+Singer orbit coordinates (singer_coordinates, gf2.block_rank); the
+basis and in_nullspace read the independent rows that gf2.spin makes
+from the seeds, over the full list and its permutation, made when read.
 
 check_membership reads each monomial's (group, odd witness) pairs as
 one int with a bit per pair, from the table of its shape (n, k).  The
@@ -60,10 +61,9 @@ so no verdict mixes numberings; a lock covers only new pairs' numbering.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
 from collections import defaultdict
 from functools import cached_property, lru_cache, reduce
-from operator import xor
+from operator import and_, xor
 from typing import NamedTuple
 
 from z2bord import gf2
@@ -288,9 +288,12 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
 _ENUM_BOUNDS = (8, 4)  # max degree, max rank
 
 
-def enumerate_faithful_monomials(n: int, k: int) -> list[tuple[int, ...]]:
-    """All degree-n faithful monomials over rank k, lexicographic order;
-    none when 0 < n < k, as n factors span rank at most n."""
+def enumerate_faithful_monomials(n: int, k: int,
+                                 start: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+    """All degree-n faithful monomials over rank k that begin with the
+    sorted factors start, in lexicographic order: a block of the full
+    list, its first one for start (1,).  None when 0 < n < k, as n factors
+    span rank at most n."""
     if n < 0 or k < 1:
         raise InputError("need n >= 0 and k >= 1")
     if 0 < n < k:
@@ -302,39 +305,50 @@ def enumerate_faithful_monomials(n: int, k: int) -> list[tuple[int, ...]]:
     # The factors span rank k iff no nonzero rho vanishes on all of them,
     # i.e. iff the AND of their masks is 0; bit rho of mask[f] is set when
     # rho(f) = 0.  Prefixes, each with its least next factor and the AND of
-    # its masks, grow a level at a time; only the last level is filtered.
+    # its masks, grow a level at a time from start; only the last level is
+    # filtered.
     top = 1 << k
     mask = [sum(1 << rho for rho in range(1, top) if not gf2.dot(rho, f)) for f in range(top)]
-    level = [((), 1, mask[0])]
-    for _ in range(n - 1):
+    acc = reduce(and_, map(mask.__getitem__, start), mask[0])
+    if n <= len(start):  # start is the whole monomial, or too long to begin one
+        return [start] if n == len(start) and not acc else []
+    level = [(start, start[-1] if start else 1, acc)]
+    for _ in range(n - len(start) - 1):
         level = [(prefix + (f,), f, acc & mask[f])
                  for prefix, low, acc in level for f in range(low, top)]
     return [prefix + (f,) for prefix, low, acc in level for f in range(low, top)
-            if not acc & mask[f]] if n else []
+            if not acc & mask[f]]
 
 
 class ConstraintSystem(Frozen):
     """Linearized parity constraints over the faithful-monomial basis.
 
     A row is the tuple of its monomial indices j, highest first, each the
-    j-th faithful monomial with coefficient 1.  The seeds are rho = 1's
-    rows, sorted; rows, made when first read, are the seeds and their
-    translates under a Singer cycle g's index permutation, sorted.  An
+    j-th faithful monomial with coefficient 1.  The system keeps prefix,
+    the faithful monomials that hold factor 1, and the seeds, rho = 1's
+    rows, sorted.  prefix is the first block of the full list, so its
+    indices are the full list's, and every seed index lies in it.  An
     automorphism of the functionals keeps rho-multiplicities and maps the
     classes to ker rho and the odd rho-free witnesses one-to-one onto those
     of rho's image, so it maps rho's rows onto that image's, and the powers
-    of g take 1 to every nonzero rho.  So the rows span the least
-    g-invariant span holding the seeds.  nullspace_dimension ranks that span
-    block by block in narrow pivot tables (gf2.block_rank); nullspace_basis
-    and in_nullspace read its independent rows, _spanning, made once by
-    gf2.spin and kept as ints.  An indicator lies in the nullspace iff its
-    dot product with each of them is 0, iff check_membership accepts its
-    support.
+    of a Singer cycle g take 1 to every nonzero rho.  So the rows are the
+    seeds and their translates under g's index permutation, and they span
+    the least g-invariant span holding the seeds.
 
-    The orbits are free: no set of indices is a row of two different rho.
-    For 0 < i < h = 2^k - 1, g^i takes 1 to some rho != 1 and so moves no
-    seed onto a seed.  So the seeds, each with its h - 1 translates, give
-    h * len(seeds) distinct rows, which row_count returns.
+    The dimension reads prefix and the seeds alone: monomial_count and
+    nullspace_dimension (gf2.block_rank) take prefix's Singer orbit
+    coordinates (singer_coordinates).  The rest is made only when read:
+    monomials, the full list; _index, for indicator; _permutation, g's
+    index permutation of monomials; rows, the seeds and their translates,
+    sorted; and _spanning, gf2.spin's independent rows as ints, which
+    nullspace_basis and in_nullspace read.  An indicator lies in the
+    nullspace iff its dot product with each of them is 0, iff
+    check_membership accepts its support.
+
+    The row orbits are free: no set of indices is a row of two different
+    rho.  For 0 < i < h = 2^k - 1, g^i takes 1 to some rho != 1 and so
+    moves no seed onto a seed.  So the seeds, each with its h - 1
+    translates, give h * len(seeds) distinct rows, which row_count returns.
 
     Proof.  Let R be the (c, cls, s) row of rho, s rho-free with
     len(s) < c.  The group (c, cls) fixes, per coset {f, f + rho} other
@@ -369,7 +383,12 @@ class ConstraintSystem(Frozen):
     tests/test_membership.py checks H1 and H2 exhaustively for small N.
     """
 
-    _fields = ("n", "k", "monomials", "seeds")
+    _fields = ("n", "k", "prefix", "seeds")
+
+    @cached_property
+    def monomials(self) -> tuple[tuple[int, ...], ...]:
+        """Every faithful monomial of the shape, prefix first."""
+        return tuple(enumerate_faithful_monomials(self.n, self.k))
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
@@ -426,13 +445,23 @@ class ConstraintSystem(Frozen):
         return list(map(from_bits, gf2.spin(self.seeds, self._permutation.__getitem__)))
 
     @cached_property
+    def _coordinates(self) -> tuple[list[int], list[int], list[int]]:
+        return singer_coordinates(self.prefix, self.k)
+
+    def monomial_count(self) -> int:
+        """len(monomials), the total size of the Singer orbits, without
+        making monomials."""
+        return sum(self._coordinates[2])
+
+    @cached_property
     def _rank(self) -> int:
-        return gf2.block_rank(self.seeds, self._permutation)
+        return gf2.block_rank(self.seeds, *self._coordinates)
 
     def nullspace_dimension(self) -> int:
         """Dimension of the nullspace, ranked once per system by
-        gf2.block_rank; _spanning stays unmade."""
-        return len(self.monomials) - self._rank
+        gf2.block_rank from prefix's Singer coordinates; monomials,
+        _permutation, rows and _spanning stay unmade."""
+        return self.monomial_count() - self._rank
 
     def nullspace_basis(self) -> list[Polynomial]:
         """Polynomials whose indicators form a basis of the nullspace.  The
@@ -465,28 +494,75 @@ def index_permutation(a: tuple[int, ...], monomials) -> list[int]:
     return [index[tuple(sorted(map(image, m)))] for m in monomials]
 
 
+def singer_coordinates(prefix, k: int) -> tuple[list[int], list[int], list[int]]:
+    """(orbit, position, sizes) of the Singer cycle g on the faithful
+    monomials of one shape, read from prefix, those holding 1: each prefix
+    index's orbit number and place, and each orbit's size, as
+    gf2.block_rank takes them.  They are the first len(prefix) entries of
+    the walk of g's index permutation that numbers the orbits by least
+    index and steps through each from it.
+
+    Every orbit meets prefix, as some power of g takes a factor to 1, so
+    its least member m holds 1.  With e the exponent taking 1 to a factor
+    of m, g^-e m is a prefix member at position -e mod s; the least e > 0
+    that fixes m is the orbit's size s, or s = h = 2^k - 1 if none does,
+    and the e below it give distinct members.  So about one sort per
+    prefix index, with one table per e, replaces the sort of every
+    monomial's image that index_permutation makes.  An empty prefix reads
+    no Singer cycle."""
+    orbit, position, sizes = [-1] * len(prefix), [0] * len(prefix), []
+    if not prefix:
+        return orbit, position, sizes
+    h = (1 << k) - 1
+    image = automorphism_table(singer_cycle(k), k)
+    power = [1]  # power[t] = g^t 1
+    for _ in range(h - 1):
+        power.append(image[power[-1]])
+    log = [0] * (h + 1)
+    for t, f in enumerate(power):
+        log[f] = t
+    # rotate[e][f] = g^-e f; entry 0 is never read, as no factor is 0.
+    rotate = [[0] + [power[log[f] - e] for f in range(1, h + 1)] for e in range(h)]
+    index = {m: j for j, m in enumerate(prefix)}
+    for j, m in enumerate(prefix):
+        if orbit[j] >= 0:
+            continue
+        size, members = h, [(j, 0)]
+        for e in sorted({log[f] for f in m})[1:]:  # 0 is the log of m's own 1
+            moved = tuple(sorted(map(rotate[e].__getitem__, m)))
+            if moved == m:
+                size = e
+                break
+            members.append((index[moved], e))
+        for i, e in members:
+            orbit[i], position[i] = len(sizes), -e % size
+        sizes.append(size)
+    return orbit, position, sizes
+
+
 def build_constraint_system(n: int, k: int) -> ConstraintSystem:
     """The system with rho = 1's rows as its seeds: one row per (group,
     witness code) that some monomial meets, index j in it when monomial j
     is in that group and the witness is one of its odd 1-free sub-multisets.
 
     A faithful monomial has no factor 0, so those holding 1 are the first
-    block of the list, m[0] == 1.  They are visited last first, so each row
-    lists its indices highest first as they are met.  A row is filed under
+    block of the list, m[0] == 1, and only that block, the system's prefix,
+    is enumerated.  They are visited last first, so each row lists its
+    indices highest first as they are met.  A row is filed under
     (class, code), the class being m's factors f >> 1: repalg.kernel_class
     at rho = 1, already sorted as m is.  Its zeros count the multiplicity,
     so the class alone names the group."""
-    monomials = tuple(enumerate_faithful_monomials(n, k))
+    prefix = tuple(enumerate_faithful_monomials(n, k, (1,)))
     rows: defaultdict[tuple, list[int]] = defaultdict(list)
-    for j in range(bisect_left(monomials, (2,)) - 1, -1, -1):
-        m = monomials[j]
+    for j in range(len(prefix) - 1, -1, -1):
+        m = prefix[j]
         cls = tuple([f >> 1 for f in m])
         for code in odd_codes(factor_counts(m), 1, k):
             rows[cls, code].append(j)
     seeds = set()
     while rows:  # each list is dropped as its tuple is made
         seeds.add(tuple(rows.popitem()[1]))
-    return ConstraintSystem(n, k, monomials, tuple(sorted(seeds)))
+    return ConstraintSystem(n, k, prefix, tuple(sorted(seeds)))
 
 
 def image_dimension(n: int, k: int) -> int:

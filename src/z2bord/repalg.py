@@ -43,6 +43,10 @@ def render_monomial(m: tuple[int, ...], k: int) -> str:
 # Bound on automorphism_table's cache, the one table cache, in lists: all of
 # GL(4,2) (20,160 matrices) fits.
 _TABLE_CACHE = 1 << 15
+# Highest rank whose tables are cached: the highest with a pinned Singer
+# cycle, and above the GL(k,2) orbit walk's k <= 4.  A rank-20 table takes
+# some 42 MB, and no caller reads one twice.
+_CACHED_RANK = 8
 # Highest rank with a table: a list of 2^20 entries holds 8 MiB of slots.
 _TABLE_RANK = 20
 
@@ -141,7 +145,9 @@ class Polynomial(Frozen):
 def automorphism_table(a: tuple[int, ...], k: int) -> list[int]:
     """Entry f is f composed with g -> Ag, the rows a checked once per
     matrix: f restricted to the columns A e_1, ..., A e_k.  Cached, as the
-    GL(k,2) orbit walk and the Singer permutation read a matrix again."""
+    GL(k,2) orbit walk and the Singer tables read a matrix again; no
+    caller keeps a table above _CACHED_RANK, as apply_automorphism builds
+    those through __wrapped__, this function without its cache."""
     if len(a) != k or any(r >> k for r in a) or rank_of(a) != k:
         raise InputError("matrix is singular or of the wrong size")
     return restriction_table(transpose(a, k), k)
@@ -149,8 +155,10 @@ def automorphism_table(a: tuple[int, ...], k: int) -> list[int]:
 
 def apply_automorphism(p: Polynomial, a: tuple[int, ...]) -> Polynomial:
     """Precompose every factor functional with the automorphism g -> Ag,
-    one automorphism_table lookup per factor."""
-    image = automorphism_table(a, p.k).__getitem__
+    one automorphism_table lookup per factor; the table is cached only up
+    to rank _CACHED_RANK."""
+    table = automorphism_table if p.k <= _CACHED_RANK else automorphism_table.__wrapped__
+    image = table(a, p.k).__getitem__
     monos = {tuple(sorted(map(image, m))) for m in p.monomials}
     return Polynomial(frozenset(monos), p.n, p.k)
 

@@ -88,7 +88,7 @@ def run_reproduction() -> ReproductionReport:
 
     # Image dimensions in degree 5 and below for rank 3, plus rank 2.
     sys53 = build_constraint_system(5, 3)
-    rep.add("faithful_monomials_5_3", 329, len(sys53.monomials))
+    rep.add("faithful_monomials_5_3", 329, sys53.monomial_count())
     rep.add("constraint_rows_5_3", 490, sys53.row_count())
     rep.add("dimension_5_3", 77, sys53.nullspace_dimension())
     rep.add("dimension_4_3", 32, image_dimension(4, 3))

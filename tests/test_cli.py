@@ -259,6 +259,20 @@ class TestGraphValidate:
         assert out == ["invalid", *validate_graph(g)]
         assert "graph is not regular: valences [1, 2, 3]" in out
 
+    def test_valid_does_not_mean_realizable(self, tmp_path, capsys):
+        # The graph conditions are necessary only: check rejects the
+        # labeling polynomial of this valid graph.
+        from test_graphs import VALID_BUT_REJECTED
+        from z2bord.graphs import labeling_polynomial, parse_graph
+
+        graph, poly = tmp_path / "g.graph", tmp_path / "g.poly"
+        graph.write_text(VALID_BUT_REJECTED)
+        poly.write_text(render_polynomial(labeling_polynomial(parse_graph(VALID_BUT_REJECTED))))
+        assert main(["graph-validate", str(graph)]) == 0
+        assert capsys.readouterr().out == "valid\n"
+        assert main(["check", str(poly)]) == 1
+        assert capsys.readouterr().out == "rejected\nrho 101\nmultiplicity 2\nwitness 010\n"
+
     def test_malformed(self, tmp_path):
         path = tmp_path / "junk.graph"
         path.write_text("not a graph\n")

@@ -253,6 +253,24 @@ def rows_and_odd_permutations(draw):
     return draw(st.lists(row, max_size=6)), perm
 
 
+def walk(perm):
+    """The orbit coordinates that block_rank takes, (orbit, position,
+    sizes), of the permutation perm of range(len(perm)), given as a list:
+    orbits are numbered in order of their least index and walked from it,
+    that index at position 0."""
+    orbit: list = [None] * len(perm)
+    position = [0] * len(perm)
+    sizes: list[int] = []
+    for start in range(len(perm)):
+        if orbit[start] is None:
+            j, t = start, 0
+            while orbit[j] is None:
+                orbit[j], position[j] = len(sizes), t
+                j, t = perm[j], t + 1
+            sizes.append(t)
+    return orbit, position, sizes
+
+
 def poly_mul(a, b):
     """Carry-less product of two GF(2) polynomials, bit i the coefficient of x^i."""
     out = 0
@@ -277,7 +295,11 @@ class TestBlockRank:
     def test_equals_the_rank_of_every_translate(self, rows_and_perm):
         rows, perm = rows_and_perm
         rank = rank_of(translates(rows, perm))
-        assert block_rank(rows, perm) == rank == len(spin(rows, perm.__getitem__))
+        assert block_rank(rows, *walk(perm)) == rank == len(spin(rows, perm.__getitem__))
+        # Only the indices the rows hold need coordinates.
+        held = 1 + max((j for row in rows for j in row), default=-1)
+        orbit, position, sizes = walk(perm)
+        assert block_rank(rows, orbit[:held], position[:held], sizes) == rank
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_the_factors_of_x_to_the_2_to_the_k_minus_1(self, k):
@@ -298,11 +320,12 @@ class TestBlockRank:
         # (2, 1, 0) the invariant line; (3, 2, 1, 0), which the permutation
         # fixes, adds one more line.
         assert cyclotomic_factors(7) == (0b11, 0b1011, 0b1101)
-        perm = [1, 2, 0, 3]
-        assert block_rank([(1, 0)], perm) == 2
-        assert block_rank([(2, 1, 0)], perm) == 1
-        assert block_rank([(1, 0), (3, 2, 1, 0)], perm) == 3
-        assert block_rank([], perm) == 0 and block_rank([()], []) == 0
+        coordinates = walk([1, 2, 0, 3])
+        assert coordinates == ([0, 0, 0, 1], [0, 1, 2, 0], [3, 1])
+        assert block_rank([(1, 0)], *coordinates) == 2
+        assert block_rank([(2, 1, 0)], *coordinates) == 1
+        assert block_rank([(1, 0), (3, 2, 1, 0)], *coordinates) == 3
+        assert block_rank([], *coordinates) == 0 and block_rank([()], *walk([])) == 0
 
     @pytest.mark.parametrize("h", [0, 2, 6, -3])
     def test_refuses_an_even_order(self, h):
@@ -310,7 +333,7 @@ class TestBlockRank:
             cyclotomic_factors(h)
         if h > 0:
             with pytest.raises(InputError, match="odd h"):
-                block_rank([(0,)], list(range(1, h)) + [0])
+                block_rank([(0,)], *walk(list(range(1, h)) + [0]))
 
 
 class TestSubspace:

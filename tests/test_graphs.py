@@ -40,7 +40,35 @@ class TestProjectiveSpaceGraphs:
         assert len(g.edges) == 10
 
 
+# A graph that meets every condition validate_graph checks, though its
+# labeling polynomial is not realizable: the conditions are necessary only.
+VALID_BUT_REJECTED = """\
+3 4
+v0 v1 001
+v0 v3 101
+v0 v3 101
+v0 v4 010
+v1 v2 101
+v1 v2 101
+v1 v4 011
+v2 v3 001
+v2 v5 110
+v3 v5 111
+v4 v5 101
+v4 v5 101
+"""
+
+
 class TestValidation:
+    def test_a_valid_graph_can_have_a_rejected_polynomial(self):
+        # Its (rho, multiplicity, class) groups all have even size, which
+        # the graph conditions see; the witness 010 of rho 101 at
+        # multiplicity 2 has an odd parity sum, which none of them sees.
+        g = parse_graph(VALID_BUT_REJECTED)
+        assert validate_graph(g) == []
+        v = check_membership(labeling_polynomial(g)).violation
+        assert (v.rho, v.multiplicity, v.witness) == (0b101, 2, (0b010,))
+
     def test_single_edge_fails_congruence(self):
         # a doubled edge is regular, balances both congruences and forms a
         # single label-11 component, so no other component can share its

@@ -35,6 +35,7 @@ from z2bord.membership import (
     odd_codes,
     parity_profile,
     restriction_class,
+    singer_coordinates,
     singer_cycle,
     submultiset,
 )
@@ -45,6 +46,7 @@ from z2bord.repalg import (
 from z2bord.report import run_reproduction
 from z2bord.smallcover import CharacteristicFunction, fixed_polynomial
 from test_acceptance import closed_form_dimension
+from test_gf2 import walk
 
 
 RP2 = poly("1 2\n1 12\n2 12", 2)  # the unique realizable class at degree 2, rank 2
@@ -216,11 +218,15 @@ class TestFaithfulEnumeration:
     def test_equals_the_rank_definition(self, k):
         # Up to the ladder's rank-3 degrees, and (5,4) at rank 4.
         for n in range(9 if k <= 3 else 6):
-            assert enumerate_faithful_monomials(n, k) == [
+            faithful = [
                 factors
                 for factors in itertools.combinations_with_replacement(range(1, 1 << k), n)
                 if rank_of(factors) == k
             ]
+            assert enumerate_faithful_monomials(n, k) == faithful
+            # The build's prefix: the first block, the monomials holding 1.
+            prefix = enumerate_faithful_monomials(n, k, (1,))
+            assert prefix == [m for m in faithful if m[0] == 1] == faithful[:len(prefix)]
 
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -263,6 +269,7 @@ class TestConstraintSystem:
         cs = build_constraint_system(5, 4)
         assert cs.nullspace_dimension() == 3177
         assert "_spanning" not in cs.__dict__ and "rows" not in cs.__dict__
+        assert "monomials" not in cs.__dict__ and "_permutation" not in cs.__dict__
 
     def test_the_reproduction_spins_no_rows(self, monkeypatch):
         # Its row count is a product and its generators' verdicts come from
@@ -319,8 +326,8 @@ class TestConstraintSystem:
         monkeypatch.setattr(membership, "singer_cycle", no_cycle)
         monkeypatch.setattr(membership, "index_permutation", no_cycle)
         cs = build_constraint_system(n, k)
-        assert cs.monomials == () and cs.rows == ()
-        assert cs.nullspace_dimension() == 0
+        assert cs.nullspace_dimension() == 0 == cs.monomial_count()
+        assert cs.prefix == () == cs.monomials and cs.rows == ()
         assert cs.nullspace_basis() == []
         assert cs.in_nullspace(0)
         assert cs.accepts(Polynomial.zero(n, k))
@@ -939,6 +946,44 @@ class TestAgainstReference:
         # Without 2^256 3^256, rho = 10 and rho = 11 each have a lone member.
         v = check_membership(Polynomial.make(ms[:2], 512, 2)).violation
         assert v == Violation(2, 256, restriction_class(ms[0], 2, 2), ())
+
+
+# The shapes beyond REFERENCE_SHAPES whose prefix coordinates are checked:
+# (3,2) has an orbit of size 1, and (5,5) lies beyond _ENUM_BOUNDS.
+PREFIX_SHAPES = [*REFERENCE_SHAPES, (3, 2), (5, 5), (7, 4)]
+
+
+class TestPrefixCoordinates:
+    """The dimension reads the Singer orbit coordinates of the prefix, the
+    monomials holding 1, in place of the full list and its permutation."""
+
+    @pytest.mark.parametrize("n,k", PREFIX_SHAPES)
+    def test_they_begin_the_walk_of_the_permutation(self, n, k, monkeypatch):
+        monkeypatch.setattr(membership, "_ENUM_BOUNDS", (8, 5))
+        cs = build_constraint_system(n, k)
+        size = len(cs.prefix)
+        assert cs.monomials[:size] == cs.prefix
+        orbit, position, sizes = walk(cs._permutation)
+        assert singer_coordinates(cs.prefix, k) == (orbit[:size], position[:size], sizes)
+        assert cs.monomial_count() == len(enumerate_faithful_monomials(n, k))
+
+    @pytest.mark.parametrize("n,k", PREFIX_SHAPES)
+    def test_the_dimension_makes_no_full_list(self, n, k, monkeypatch):
+        monkeypatch.setattr(membership, "_ENUM_BOUNDS", (8, 5))
+        cs = build_constraint_system(n, k)
+        cs.nullspace_dimension()
+        assert not {"monomials", "_index", "_permutation", "rows", "_spanning"} & set(vars(cs))
+
+    def test_orbits_of_size_1_and_3(self):
+        # At (3,2) the Singer cycle takes 1 -> 3 -> 2 -> 1.  It fixes
+        # (1, 2, 3), and its two orbits of size 3 each hold two prefix
+        # members: (1, 1, 2) -> (1, 3, 3) -> (2, 2, 3) and
+        # (1, 1, 3) -> (2, 3, 3) -> (1, 2, 2).
+        cs = build_constraint_system(3, 2)
+        assert cs.prefix == ((1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3), (1, 3, 3))
+        assert singer_coordinates(cs.prefix, 2) == (
+            [0, 1, 1, 2, 0], [0, 0, 2, 0, 1], [3, 3, 1])
+        assert cs.monomial_count() == 7
 
 
 def matrix_product(a, b):

@@ -53,9 +53,9 @@ CASES = {
                 lambda: Violation(4, 2, (0, 0, 1), (4, 4)), True),
     MembershipCertificate: (lambda: MembershipCertificate(False, VIOLATION),
                             lambda: MembershipCertificate(True), True),
-    # (n, k, monomials, seeds): the full rows are not a field.
-    ConstraintSystem: (lambda: ConstraintSystem(2, 2, ((1, 2),), ((0,),)),
-                       lambda: ConstraintSystem(2, 2, ((1, 2),), ()), True),
+    # (n, k, prefix, seeds): the full monomial list and rows are not fields.
+    ConstraintSystem: (lambda: ConstraintSystem(2, 2, ((1, 2), (1, 3)), ((1, 0),)),
+                       lambda: ConstraintSystem(2, 2, ((1, 2), (1, 3)), ()), True),
     LabeledGraph: (lambda: LabeledGraph(1, (("a", "b", 1),)),
                    lambda: LabeledGraph(1, (("a", "c", 1),)), True),
     ProductOfSimplices: (lambda: ProductOfSimplices((1, 4)),
@@ -116,7 +116,7 @@ def test_certificate_equality_ignores_polynomial():
 def test_constraint_systems_compare_without_making_their_rows():
     a, b = build_constraint_system(5, 3), build_constraint_system(5, 3)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert "rows" not in vars(a) and "rows" not in vars(b)
+    assert not {"monomials", "rows"} & (set(vars(a)) | set(vars(b)))
     assert a.rows == b.rows and len(a.rows) == 490
 
 

@@ -12,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2bord.catalog import GEN_1, GEN_2, GEN_3, GENERATORS, mono, poly
-from z2bord.gf2 import InputError, ResourceLimitError, dot, enumerate_gl, reduce_into
+from z2bord.gf2 import (
+    InputError, ResourceLimitError, dot, enumerate_gl, reduce_into, transpose, unit,
+)
 from z2bord.repalg import (
     Polynomial,
     apply_automorphism,
+    automorphism_table,
     is_faithful,
     parse_polynomial,
     render_monomial,
@@ -125,6 +128,19 @@ class TestAutomorphismAction:
         for a in rng.sample(enumerate_gl(3), 30):
             q = apply_automorphism(GEN_3, a)
             assert all(len(m) == 5 and is_faithful(m, 3) for m in q.support())
+
+    @pytest.mark.parametrize("k,kept", [(8, 1), (9, 0)])
+    def test_the_cache_keeps_no_table_above_rank_8(self, k, kept):
+        # A rank-20 table holds some 42 MB and no caller reads one twice,
+        # so only the ranks of the Singer tables and GL(k,2) walks are kept.
+        # The matrix has rows e_i + e_(i+1), new to the cache at either rank.
+        a = tuple(unit(i, k) | (i < k and unit(i + 1, k)) for i in range(1, k + 1))
+        p = Polynomial(frozenset([tuple(sorted(unit(i, k) for i in range(1, k + 1)))]), k, k)
+        before = automorphism_table.cache_info().currsize
+        image = restriction_table(transpose(a, k), k)
+        assert apply_automorphism(p, a).support() == [tuple(sorted(image[f] for f in m))
+                                                       for m in p.support()]
+        assert automorphism_table.cache_info().currsize == before + kept
 
     def test_known_stabilizer_element(self):
         # fixing the first coordinate functional stabilizes the first generator
