@@ -70,11 +70,8 @@ def cmd_check(args) -> int:
                 print(f"  multiplicity {g.multiplicity}"
                       f"  size {len(g.members)}  members {members}")
         return 0
-    v = cert.violation
     print("rejected")
-    print(f"rho {vec_str(v.rho, p.k)}")
-    print(f"multiplicity {v.multiplicity}")
-    print("witness " + (" / ".join(vec_str(g, p.k) for g in v.witness) or "(empty)"))
+    print("\n".join(cert.violation.lines(p.k)))
     return 1
 
 
@@ -121,11 +118,13 @@ def cmd_span(args) -> int:
 
 
 def cmd_graph_validate(args) -> int:
-    from z2bord.graphs import parse_graph, validate_graph
+    from z2bord.graphs import labeling_verdict, parse_graph, validate_graph
 
-    violations = validate_graph(_read(args.graph, parse_graph))
+    g = _read(args.graph, parse_graph)
+    violations = validate_graph(g)
     if not violations:
         print("valid")
+        print(labeling_verdict(g))
         return 0
     print("invalid")
     for v in violations:
@@ -237,10 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_span)
 
     p = sub.add_parser("graph-validate",
-                       help="validate a labeled graph file (necessary conditions only)",
+                       help="validate a labeled graph file (necessary conditions only) "
+                            "and decide its labeling polynomial",
                        description="Check a labeled graph file against necessary conditions "
-                                   "only: valid does not mean realizable.  Run check on its "
-                                   "labeling polynomial to decide realizability.")
+                                   "only: valid does not mean realizable.  After valid, one "
+                                   "more line gives check's verdict on the labeling "
+                                   "polynomial: labeling_polynomial=accepted, or "
+                                   "labeling_polynomial=rejected with the violation's rho, "
+                                   "multiplicity and witness.  The exit code is that of the "
+                                   "graph conditions alone.")
     p.add_argument("graph")
     p.set_defaults(fn=cmd_graph_validate)
 

@@ -14,6 +14,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from z2bord.gf2 import Frozen, InputError, parse_vec, rank_of, unit, vec_str
+from z2bord.membership import check_membership
 from z2bord.repalg import Polynomial, content_lines, kernel_class
 
 
@@ -64,7 +65,7 @@ def validate_graph(g: LabeledGraph) -> list[str]:
     class.  An empty list means g is valid.  These are necessary conditions
     only: no condition here sees the odd-witness parities of membership,
     so a valid graph's labeling polynomial can still be rejected by
-    check_membership."""
+    check_membership, whose verdict labeling_verdict gives."""
     inc = g.incidence
     violations = [f"edge {u}-{v} carries the trivial label" for u, v, l in g.edges if l == 0]
     if len(g.valences) > 1:
@@ -126,6 +127,18 @@ def labeling_polynomial(g: LabeledGraph) -> Polynomial:
     if len(g.valences) > 1:
         raise InputError("labeling polynomial requires a regular graph")
     return Polynomial.make(g.incidence.values(), g.valences[0], g.k)
+
+
+def labeling_verdict(g: LabeledGraph) -> str:
+    """check_membership's verdict on the labeling polynomial of the valid
+    graph g, as the line graph-validate prints after valid:
+    labeling_polynomial=accepted, or labeling_polynomial=rejected with the
+    violation's rho, multiplicity and witness as check prints them.  Each
+    vertex's labels span, so every monomial is faithful."""
+    cert = check_membership(labeling_polynomial(g))
+    if cert.accepted:
+        return "labeling_polynomial=accepted"
+    return " ".join(["labeling_polynomial=rejected", *cert.violation.lines(g.k)])
 
 
 def projective_space_graph(n: int) -> LabeledGraph:

@@ -36,12 +36,17 @@ the build reads rho = 1's alone.  It rests on four facts:
 
 The build enumerates only the prefix, the faithful monomials holding 1,
 and files only rho = 1's rows, the seeds; the other rows are their
-Singer translates.  No translate repeats a row, so the rows number
-2^k - 1 times the seeds (ConstraintSystem, with the proof).  The
-dimension reads the prefix and the seeds alone, through the prefix's
-Singer orbit coordinates (singer_coordinates, gf2.block_rank); the
-basis and in_nullspace read the independent rows that gf2.spin makes
-from the seeds, over the full list and its permutation, made when read.
+Singer translates.  A prefix monomial that holds 1 once is filed under
+its class and code 1 alone, without its factor counts, as odd_codes
+lists only the empty witness at multiplicity 1.  No translate repeats a
+row, so the rows number 2^k - 1 times the seeds (ConstraintSystem, with
+the proof).  The dimension reads the prefix and the seeds alone: it
+ranks a GF(2) basis of the seeds, found group by group as seeds of
+different groups share no index, through the prefix's Singer orbit
+coordinates (singer_coordinates, gf2.block_rank).  A dropped seed is a
+sum of kept ones, so it lies in their span in every block.  The basis
+and in_nullspace read the independent rows that gf2.spin makes from all
+the seeds, over the full list and its permutation, made when read.
 
 check_membership reads each monomial's (group, odd witness) pairs as
 one int with a bit per pair, from the table of its shape (n, k).  The
@@ -67,7 +72,9 @@ from operator import and_, xor
 from typing import NamedTuple
 
 from z2bord import gf2
-from z2bord.gf2 import Frozen, InputError, ResourceLimitError, from_bits, nullspace, set_bits
+from z2bord.gf2 import (
+    Frozen, InputError, ResourceLimitError, from_bits, nullspace, set_bits, vec_str,
+)
 from z2bord.repalg import (
     Polynomial, automorphism_table, is_faithful, kernel_class, render_monomial, restrict,
 )
@@ -102,6 +109,13 @@ class Violation(NamedTuple):
     multiplicity: int
     restriction: tuple[int, ...]  # over rank k-1
     witness: tuple[int, ...]  # the multiset S with odd parity sum
+
+    def lines(self, k: int) -> list[str]:
+        """The rho, multiplicity and witness lines that check prints,
+        functionals written as rank-k bit-strings."""
+        witness = " / ".join(vec_str(g, k) for g in self.witness) or "(empty)"
+        return [f"rho {vec_str(self.rho, k)}", f"multiplicity {self.multiplicity}",
+                f"witness {witness}"]
 
 
 class MembershipCertificate(Frozen):
@@ -320,6 +334,12 @@ def enumerate_faithful_monomials(n: int, k: int,
             if not acc & mask[f]]
 
 
+# Entry f is f >> 1, so bytes(m).translate(_HALVED) is the class at rho = 1
+# of a monomial holding 1, its factors being below 256 at the ranks k <= 8
+# with a pinned Singer cycle.
+_HALVED = bytes(f >> 1 for f in range(256))
+
+
 class ConstraintSystem(Frozen):
     """Linearized parity constraints over the faithful-monomial basis.
 
@@ -337,13 +357,21 @@ class ConstraintSystem(Frozen):
 
     The dimension reads prefix and the seeds alone: monomial_count and
     nullspace_dimension (gf2.block_rank) take prefix's Singer orbit
-    coordinates (singer_coordinates).  The rest is made only when read:
-    monomials, the full list; _index, for indicator; _permutation, g's
-    index permutation of monomials; rows, the seeds and their translates,
-    sorted; and _spanning, gf2.spin's independent rows as ints, which
+    coordinates (singer_coordinates), and nullspace_dimension ranks only
+    _seed_basis, a GF(2) basis of the seeds.  Every member of a seed has
+    the seed's class, f >> 1 for each factor f, and each prefix monomial
+    has one class, so seeds of different groups share no index: the span
+    of the seeds is the direct sum of the groups' spans, and each group's
+    basis is found alone.  A dropped seed is a sum of kept ones, so the
+    span of their translates is the same.  The rest is made only when
+    read: _coordinates; _seed_basis; monomials, the full list; _index,
+    for indicator; _permutation, g's index permutation of monomials;
+    rows, the seeds and their translates, sorted; and _spanning,
+    gf2.spin's independent rows from all the seeds as ints, which
     nullspace_basis and in_nullspace read.  An indicator lies in the
     nullspace iff its dot product with each of them is 0, iff
-    check_membership accepts its support.
+    check_membership accepts its support.  seeds, rows and row_count keep
+    every seed.
 
     The row orbits are free: no set of indices is a row of two different
     rho.  For 0 < i < h = 2^k - 1, g^i takes 1 to some rho != 1 and so
@@ -440,6 +468,26 @@ class ConstraintSystem(Frozen):
         return ((1 << self.k) - 1) * len(self.seeds)
 
     @cached_property
+    def _seed_basis(self) -> list[tuple[int, ...]]:
+        """The seeds that add a pivot when each group's seeds go through
+        their own pivot table, shortest first, as ints numbering only that
+        group's indices: a GF(2) basis of the seeds, group by group, as
+        groups share no index.  A group with one seed keeps it, as no seed
+        is empty."""
+        prefix, groups = self.prefix, defaultdict(list)
+        for row in self.seeds:
+            groups[bytes(prefix[row[0]]).translate(_HALVED)].append(row)
+        basis = []
+        for rows in groups.values():
+            if len(rows) > 1:
+                bit = {j: 1 << b for b, j in enumerate({j for row in rows for j in row})}
+                table: dict[int, int] = {}
+                rows = [row for row in sorted(rows, key=len)
+                        if gf2.reduce_into(table, sum(map(bit.__getitem__, row)))]
+            basis += rows
+        return basis
+
+    @cached_property
     def _spanning(self) -> list[int]:
         """The independent rows of gf2.spin, each as its int."""
         return list(map(from_bits, gf2.spin(self.seeds, self._permutation.__getitem__)))
@@ -455,12 +503,12 @@ class ConstraintSystem(Frozen):
 
     @cached_property
     def _rank(self) -> int:
-        return gf2.block_rank(self.seeds, *self._coordinates)
+        return gf2.block_rank(self._seed_basis, *self._coordinates)
 
     def nullspace_dimension(self) -> int:
         """Dimension of the nullspace, ranked once per system by
-        gf2.block_rank from prefix's Singer coordinates; monomials,
-        _permutation, rows and _spanning stay unmade."""
+        gf2.block_rank over _seed_basis from prefix's Singer coordinates;
+        monomials, _permutation, rows and _spanning stay unmade."""
         return self.monomial_count() - self._rank
 
     def nullspace_basis(self) -> list[Polynomial]:
@@ -549,14 +597,21 @@ def build_constraint_system(n: int, k: int) -> ConstraintSystem:
     block of the list, m[0] == 1, and only that block, the system's prefix,
     is enumerated.  They are visited last first, so each row lists its
     indices highest first as they are met.  A row is filed under
-    (class, code), the class being m's factors f >> 1: repalg.kernel_class
-    at rho = 1, already sorted as m is.  Its zeros count the multiplicity,
-    so the class alone names the group."""
+    (class, code), the class being m's factors f >> 1 as bytes
+    (_HALVED): repalg.kernel_class at rho = 1, already sorted as m is.
+    Its zeros count the multiplicity, so the class alone names the group.
+    A monomial that holds 1 once goes under code 1 alone, without
+    factor_counts or odd_codes, as odd_codes at multiplicity 1 lists only
+    the empty witness: about half the prefix at rank 3 and most of it at
+    rank 4."""
     prefix = tuple(enumerate_faithful_monomials(n, k, (1,)))
     rows: defaultdict[tuple, list[int]] = defaultdict(list)
     for j in range(len(prefix) - 1, -1, -1):
         m = prefix[j]
-        cls = tuple([f >> 1 for f in m])
+        cls = bytes(m).translate(_HALVED)
+        if m[1:2] != (1,):  # 1 once: odd_codes would list the empty witness alone
+            rows[cls, 1].append(j)
+            continue
         for code in odd_codes(factor_counts(m), 1, k):
             rows[cls, code].append(j)
     seeds = set()

@@ -240,7 +240,7 @@ class TestGraphValidate:
         path = tmp_path / "rp3.graph"
         path.write_text(render_graph(projective_space_graph(3)))
         assert main(["graph-validate", str(path)]) == 0
-        assert capsys.readouterr().out.startswith("valid")
+        assert capsys.readouterr().out == "valid\nlabeling_polynomial=accepted\n"
 
     def test_invalid(self, tmp_path, capsys):
         path = tmp_path / "bad.graph"
@@ -261,7 +261,8 @@ class TestGraphValidate:
 
     def test_valid_does_not_mean_realizable(self, tmp_path, capsys):
         # The graph conditions are necessary only: check rejects the
-        # labeling polynomial of this valid graph.
+        # labeling polynomial of this valid graph, and graph-validate
+        # prints that verdict after valid, still exiting 0.
         from test_graphs import VALID_BUT_REJECTED
         from z2bord.graphs import labeling_polynomial, parse_graph
 
@@ -269,7 +270,8 @@ class TestGraphValidate:
         graph.write_text(VALID_BUT_REJECTED)
         poly.write_text(render_polynomial(labeling_polynomial(parse_graph(VALID_BUT_REJECTED))))
         assert main(["graph-validate", str(graph)]) == 0
-        assert capsys.readouterr().out == "valid\n"
+        assert capsys.readouterr().out == (
+            "valid\nlabeling_polynomial=rejected rho 101 multiplicity 2 witness 010\n")
         assert main(["check", str(poly)]) == 1
         assert capsys.readouterr().out == "rejected\nrho 101\nmultiplicity 2\nwitness 010\n"
 

@@ -301,6 +301,21 @@ class TestBlockRank:
         orbit, position, sizes = walk(perm)
         assert block_rank(rows, orbit[:held], position[:held], sizes) == rank
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows_and_odd_permutations(), st.data())
+    def test_sums_of_rows_add_nothing(self, rows_and_perm, data):
+        # A GF(2) sum of rows, the symmetric difference of their index
+        # sets, lies in their span in every block: so the rank of a basis
+        # of the rows is the rank of the rows.
+        rows, perm = rows_and_perm
+        choices = st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))
+        sums = [functools.reduce(operator.xor, (from_bits(row) for row, b in zip(rows, chosen)
+                                                if b), 0)
+                for chosen in data.draw(st.lists(choices, max_size=4))]
+        more = data.draw(st.permutations(rows + [tuple(set_bits(v)) for v in sums]))
+        coordinates = walk(perm)
+        assert block_rank(more, *coordinates) == block_rank(rows, *coordinates)
+
     @pytest.mark.parametrize("k", range(1, 9))
     def test_the_factors_of_x_to_the_2_to_the_k_minus_1(self, k):
         # Each factor has degree dividing k, as the order of 2 mod 2^k - 1

@@ -13,6 +13,7 @@ from z2bord.gf2 import InputError, rank_of, vec_str
 from z2bord.graphs import (
     LabeledGraph,
     labeling_polynomial,
+    labeling_verdict,
     parse_graph,
     projective_space_graph,
     render_graph,
@@ -33,6 +34,7 @@ class TestProjectiveSpaceGraphs:
         p = labeling_polynomial(projective_space_graph(n))
         assert not p.is_zero
         assert check_membership(p).accepted
+        assert labeling_verdict(projective_space_graph(n)) == "labeling_polynomial=accepted"
 
     def test_vertex_and_edge_counts(self):
         g = projective_space_graph(4)
@@ -68,6 +70,8 @@ class TestValidation:
         assert validate_graph(g) == []
         v = check_membership(labeling_polynomial(g)).violation
         assert (v.rho, v.multiplicity, v.witness) == (0b101, 2, (0b010,))
+        assert labeling_verdict(g) == (
+            "labeling_polynomial=rejected rho 101 multiplicity 2 witness 010")
 
     def test_single_edge_fails_congruence(self):
         # a doubled edge is regular, balances both congruences and forms a

@@ -29,6 +29,7 @@ from z2bord.membership import (
     check_membership,
     decompose_for_rho,
     enumerate_faithful_monomials,
+    factor_counts,
     image_dimension,
     index_permutation,
     kernel_basis,
@@ -984,6 +985,60 @@ class TestPrefixCoordinates:
         assert singer_coordinates(cs.prefix, 2) == (
             [0, 1, 1, 2, 0], [0, 0, 2, 0, 1], [3, 3, 1])
         assert cs.monomial_count() == 7
+
+
+def kernel_filed_seeds(n, k):
+    """rho = 1's rows filed as the build files them, but with every prefix
+    monomial's codes from odd_codes(factor_counts(m), 1, k), multiplicity 1
+    included, and its class from kernel_class; rows that two codes share
+    once."""
+    prefix = enumerate_faithful_monomials(n, k, (1,))
+    rows = collections.defaultdict(list)
+    for j in reversed(range(len(prefix))):
+        m = prefix[j]
+        for code in odd_codes(factor_counts(m), 1, k):
+            rows[kernel_class(m, 1), code].append(j)
+    return tuple(sorted(set(map(tuple, rows.values()))))
+
+
+# (3,2) has an orbit of size 1; (6,2) is already a reference shape.
+BASIS_SHAPES = [*REFERENCE_SHAPES, (3, 2)]
+
+
+def assert_basis_ranks_as_the_seeds(cs):
+    coordinates = cs._coordinates
+    assert gf2.block_rank(cs._seed_basis, *coordinates) == gf2.block_rank(cs.seeds, *coordinates)
+
+
+class TestSeedBasis:
+    """The dimension ranks a GF(2) basis of the seeds, one pivot table per
+    group, and the build files a monomial holding 1 once without its
+    witness list."""
+
+    @pytest.mark.parametrize("n,k", BASIS_SHAPES)
+    def test_the_build_files_as_the_kernel_does(self, n, k):
+        assert build_constraint_system(n, k).seeds == kernel_filed_seeds(n, k)
+
+    @pytest.mark.parametrize("n,k", BASIS_SHAPES)
+    def test_the_basis_is_a_basis_of_the_seeds(self, n, k):
+        cs = build_constraint_system(n, k)
+        basis = cs._seed_basis
+        assert set(basis) <= set(cs.seeds) and len(set(basis)) == len(basis)
+        assert len(basis) == rank_of(map(from_bits, cs.seeds)) == rank_of(map(from_bits, basis))
+        assert_basis_ranks_as_the_seeds(cs)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_it_ranks_as_the_seeds_beyond_the_bound(self, n, monkeypatch):
+        monkeypatch.setattr(membership, "_ENUM_BOUNDS", (n, 3))
+        cs = build_constraint_system(n, 3)
+        assert len(cs._seed_basis) < len(cs.seeds)
+        assert_basis_ranks_as_the_seeds(cs)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n,k", [(14, 3), (16, 3), (7, 4), (8, 4)])
+    def test_it_ranks_as_the_seeds_at_the_frontier(self, n, k, monkeypatch):
+        monkeypatch.setattr(membership, "_ENUM_BOUNDS", (n, k))
+        assert_basis_ranks_as_the_seeds(build_constraint_system(n, k))
 
 
 def matrix_product(a, b):
