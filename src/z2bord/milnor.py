@@ -85,10 +85,10 @@ def milnor_fixed_polynomial(m: int, n: int, family: SubsetFamily) -> Polynomial:
     terms = []
     for i in range(m + 1):
         base = [rho[i] ^ rho[k] for k in range(m + 1) if k != i]
-        for j in range(n + 1):
-            if j != i:
-                fiber = [rho[j] ^ rho[l] for l in range(n + 1) if l not in (i, j)]
-                terms.append(base + fiber)
+        others = [l for l in range(n + 1) if l != i]
+        for j in others:
+            fiber = [rho[j] ^ rho[l] for l in others if l != j]
+            terms.append(base + fiber)
     return Polynomial.make(terms, m + n - 1, family.r)
 
 

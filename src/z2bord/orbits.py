@@ -1,13 +1,17 @@
 """GL(k,2) orbits of polynomials and GF(2) span bookkeeping.
 
 The rank k is read from the polynomial; gf2.enumerate_gl bounds it at 4.
+An orbit is expanded by the orbit-stabilizer split: a scan of GL(k,2)
+finds the stabilizer S of p, and then one image is computed per coset
+S.a, since p.(s.a) = (p.s).a = p.a for s in S (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005, section 4.1).
 """
 
 from __future__ import annotations
 
 from z2bord.gf2 import Frozen, InputError, enumerate_gl, rank_of
 from z2bord.membership import ConstraintSystem, check_membership
-from z2bord.repalg import Polynomial, apply_automorphism
+from z2bord.repalg import Polynomial, apply_automorphism, automorphism_table
 
 
 class PolynomialOrbit(Frozen):
@@ -23,14 +27,29 @@ class PolynomialOrbit(Frozen):
 
 
 def orbit(p: Polynomial) -> PolynomialOrbit:
-    """Expand the orbit of p under all automorphisms of (Z/2)^k, k = p.k."""
-    elements = set()
+    """Expand the orbit of p under all automorphisms of (Z/2)^k, k = p.k.
+
+    The stabilizer scan stops, per matrix, at the first monomial whose
+    image is not in p.  The walk then applies each matrix a of no coset
+    met so far, and covers its coset S.a: entry f of a's table is the row
+    vector fA, so mapping the rows of s through it gives the product s.a.
+    With S trivial each coset is one matrix, so none is recorded."""
+    k, monomials = p.k, p.monomials
+    gl = enumerate_gl(k)
     stab = []
-    for a in enumerate_gl(p.k):
-        q = apply_automorphism(p, a)
-        elements.add(q)
-        if q == p:
+    for a in gl:
+        image = automorphism_table(a, k).__getitem__
+        # a permutes the monomials, so mapping p's into p fixes p
+        if all(tuple(sorted(map(image, m))) in monomials for m in monomials):
             stab.append(a)
+    elements = set()
+    covered = set()
+    for a in gl:
+        if a not in covered:
+            elements.add(apply_automorphism(p, a))
+            if len(stab) > 1:
+                image = automorphism_table(a, k).__getitem__
+                covered.update(tuple(map(image, s)) for s in stab)
     return PolynomialOrbit(p, frozenset(elements), tuple(stab))
 
 

@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2bord.catalog import (
     GENERATORS,
@@ -13,15 +15,18 @@ from z2bord.catalog import (
     STAB_SHAPES,
     poly,
 )
+from z2bord import orbits
 from z2bord.gf2 import InputError, enumerate_gl
-from z2bord.membership import build_constraint_system, check_membership
+from z2bord.membership import (
+    build_constraint_system, check_membership, enumerate_faithful_monomials,
+)
 from z2bord.orbits import (
     orbit,
     span_dimension,
     stabilizer_matches,
     verify_generating_set,
 )
-from z2bord.repalg import apply_automorphism
+from z2bord.repalg import Polynomial, apply_automorphism, parse_polynomial
 
 
 ORBIT_SIZES = (7, 28, 42, 28)
@@ -64,6 +69,87 @@ class TestOrbit:
         assert all(p in o3 for p in ORBIT3_SQUARES)
         assert all(p in o4 for p in ORBIT4_SQUARES)
         assert all(p in o2 for p in ORBIT2_SQUARES)
+
+
+def act(p, a):
+    """p under the matrix with rows a: factor f becomes the row vector fA,
+    the XOR of the rows a_i over the bits f_i of f, f_1 its highest bit."""
+    k = p.k
+
+    def image(f):
+        v = 0
+        for i, row in enumerate(a, start=1):
+            if f >> (k - i) & 1:
+                v ^= row
+        return v
+
+    monos = frozenset(tuple(sorted(map(image, m))) for m in p.monomials)
+    return Polynomial(monos, p.n, k)
+
+
+def walk_orbit(p):
+    """The orbit's elements and stabilizer by applying every matrix of GL(k,2)."""
+    images = [(a, act(p, a)) for a in enumerate_gl(p.k)]
+    return frozenset(q for _, q in images), tuple(a for a, q in images if q == p)
+
+
+def assert_matches_the_walk(p):
+    o = orbit(p)
+    elements, stabilizer = walk_orbit(p)
+    assert o.elements == elements
+    assert o.stabilizer == stabilizer
+    assert len(o) * len(o.stabilizer) == len(enumerate_gl(p.k))
+
+
+@st.composite
+def faithful_polynomials(draw):
+    """A polynomial of up to 6 faithful monomials of degree n over rank k <= 3."""
+    k = draw(st.integers(1, 3), label="k")
+    n = draw(st.integers(k, 5), label="n")
+    monos = draw(st.sets(st.sampled_from(enumerate_faithful_monomials(n, k)),
+                         min_size=1, max_size=6), label="monomials")
+    return Polynomial.make(monos, n, k)
+
+
+class TestOrbitOracle:
+    """orbit, with its stabilizer scan and one image per coset, against
+    the walk over all of GL(k,2) with an action written here."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(faithful_polynomials())
+    def test_faithful_polynomials_of_rank_at_most_3(self, p):
+        assert_matches_the_walk(p)
+
+    def test_generators(self):
+        for g in GENERATORS:
+            assert_matches_the_walk(g)
+
+    def test_one_image_per_orbit_element(self, monkeypatch):
+        # The coset cover is what makes reproduce-paper apply 105 matrices, not 672.
+        calls = []
+        monkeypatch.setattr(orbits, "apply_automorphism",
+                            lambda p, a: calls.append(a) or apply_automorphism(p, a))
+        sizes = [len(orbit(g)) for g in GENERATORS]
+        assert len(calls) == sum(sizes) == 105
+
+    def test_zero_polynomial_is_fixed_by_all_of_gl(self):
+        z = Polynomial.zero(5, 3)
+        o = orbit(z)
+        assert o.elements == {z} and o.stabilizer == enumerate_gl(3)
+        assert_matches_the_walk(z)
+
+    def test_rank_4_units(self):
+        p = parse_polynomial("0001,0010,0100,1000\n")
+        o = orbit(p)
+        assert (len(o), len(o.stabilizer)) == (840, 24)
+        assert_matches_the_walk(p)
+
+    @pytest.mark.slow
+    def test_rank_4_trivial_stabilizer(self):
+        p = parse_polynomial("0001,0010,0100,1000\n0011,0010,0100,1000\n0001,0110,1100,1000\n")
+        o = orbit(p)
+        assert (len(o), len(o.stabilizer)) == (20160, 1)
+        assert_matches_the_walk(p)
 
 
 class TestSpan:

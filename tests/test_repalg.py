@@ -84,6 +84,21 @@ class TestPolynomial:
         assert Polynomial.make([(3, 1)], 2, 2).monomials == {(1, 3)}
         assert next(iter(Polynomial.make([m], 3, 3).monomials)) is m
 
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_make_is_the_parity_of_the_sorted_terms(self, data):
+        n = data.draw(st.integers(0, 4), label="n")
+        k = data.draw(st.integers(1, 3), label="k")
+        pool = data.draw(st.lists(st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n),
+                                  min_size=1, max_size=4), label="pool")
+        # Terms from a small pool repeat; each is a list or tuple in any factor order.
+        terms = data.draw(st.lists(st.sampled_from(pool).flatmap(st.permutations).flatmap(
+            lambda t: st.sampled_from([t, tuple(t)])), max_size=10), label="terms")
+        counts = Counter(tuple(sorted(t)) for t in terms)
+        p = Polynomial.make(terms, n, k)
+        assert p.monomials == {m for m, c in counts.items() if c % 2}
+        assert (p.n, p.k) == (n, k)
+
     def test_make_keeps_the_shape_of_the_zero_polynomial(self):
         for n, k in ((0, 0), (5, 3), (5, 20)):
             p = Polynomial.make([], n, k)
@@ -122,6 +137,21 @@ class TestAutomorphismAction:
             a, b = rng.choice(gl), rng.choice(gl)
             lhs = apply_automorphism(apply_automorphism(GEN_2, a), b)
             assert lhs == apply_automorphism(GEN_2, matmul(a, b))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_coset_law(self, k):
+        # orbits.orbit covers the coset S.a of each applied a by mapping
+        # the rows of each s in S through a's table, and takes one image
+        # for the coset: both rest on this law.
+        rng = random.Random(k)
+        gl = enumerate_gl(k)
+        nonzero = range(1, 1 << k)
+        p = Polynomial.make([[rng.choice(nonzero) for _ in range(4)] for _ in range(3)], 4, k)
+        for _ in range(20):
+            s, a = rng.choice(gl), rng.choice(gl)
+            assert tuple(map(automorphism_table(a, k).__getitem__, s)) == matmul(s, a)
+            assert apply_automorphism(p, matmul(s, a)) == apply_automorphism(
+                apply_automorphism(p, s), a)
 
     def test_preserves_degree_and_faithfulness(self):
         rng = random.Random(5)
