@@ -148,27 +148,6 @@ def pivot_table(rows) -> dict[int, int]:
     return table
 
 
-def spin(rows, step) -> list[tuple[int, ...]]:
-    """Independent sparse rows of the least span that holds the sparse rows
-    and is invariant under the index permutation j -> step(j).
-
-    Rows go through one pivot table, shortest first.  A row with a nonzero
-    remainder is kept and its translate (its positions' images, highest
-    first, so of its length) is filed next; a row with remainder 0 is
-    dropped with its translates.  The kept rows span the rows and their own
-    translates, and each is a translate of a row: the least such span, from
-    at most len(rows) + its dimension reductions (MeatAxe spinning, Parker 1984)."""
-    table: dict[int, int] = {}
-    kept = []
-    queue = sorted(rows, key=len, reverse=True)
-    while queue:
-        row = queue.pop()
-        if reduce_into(table, from_bits(row)):
-            kept.append(row)
-            queue.append(tuple(sorted(map(step, row), reverse=True)))
-    return kept
-
-
 def _poly_divmod(a: int, f: int) -> tuple[int, int]:
     """Quotient and remainder of the GF(2) polynomial a by f, bit i the
     coefficient of x^i."""
@@ -208,8 +187,8 @@ def block_rank(rows, orbit, position, sizes) -> int:
     invariant under an index permutation of odd order h, given by its
     orbits: orbit[j] and position[j] number index j's orbit and its place
     t in it, and sizes[o] is orbit o's size.  Every index a row holds must
-    have coordinates; the others need none.  Equal to len(spin(rows, step))
-    for that permutation's step, with narrower pivot tables.
+    have coordinates; the others need none.  Equal to rank_of over every
+    translate of the rows, with narrower pivot tables.
 
     With x acting as the permutation, the span is a module over
     GF(2)[x]/(x^h - 1), h the lcm of the sizes.  For odd h that ring is the

@@ -45,8 +45,8 @@ ranks a GF(2) basis of the seeds, found group by group as seeds of
 different groups share no index, through the prefix's Singer orbit
 coordinates (singer_coordinates, gf2.block_rank).  A dropped seed is a
 sum of kept ones, so it lies in their span in every block.  The basis
-and in_nullspace read the independent rows that gf2.spin makes from all
-the seeds, over the full list and its permutation, made when read.
+and in_nullspace read every row, the seeds and their translates over
+the full list and its permutation, made when read.
 
 check_membership reads each monomial's (group, odd witness) pairs as
 one int with a bit per pair, from the table of its shape (n, k).  The
@@ -366,12 +366,11 @@ class ConstraintSystem(Frozen):
     span of their translates is the same.  The rest is made only when
     read: _coordinates; _seed_basis; monomials, the full list; _index,
     for indicator; _permutation, g's index permutation of monomials;
-    rows, the seeds and their translates, sorted; and _spanning,
-    gf2.spin's independent rows from all the seeds as ints, which
-    nullspace_basis and in_nullspace read.  An indicator lies in the
-    nullspace iff its dot product with each of them is 0, iff
-    check_membership accepts its support.  seeds, rows and row_count keep
-    every seed.
+    rows, the seeds and their translates, sorted; and _spanning, the
+    rows as ints, which nullspace_basis and in_nullspace read.  An
+    indicator lies in the nullspace iff its dot product with each row is
+    0, iff check_membership accepts its support.  seeds, rows and
+    row_count keep every seed.
 
     The row orbits are free: no set of indices is a row of two different
     rho.  For 0 < i < h = 2^k - 1, g^i takes 1 to some rho != 1 and so
@@ -437,8 +436,7 @@ class ConstraintSystem(Frozen):
         return bits
 
     def in_nullspace(self, bits: int) -> bool:
-        """Whether the indicator bits meet every row an even number of times:
-        whether they meet every spun row, which span the rows, evenly."""
+        """Whether the indicator bits meet every row an even number of times."""
         if bits < 0 or bits >> len(self.monomials):
             raise InputError(f"not an indicator over the {len(self.monomials)} faithful "
                              f"monomials of degree {self.n} rank {self.k}")
@@ -489,8 +487,8 @@ class ConstraintSystem(Frozen):
 
     @cached_property
     def _spanning(self) -> list[int]:
-        """The independent rows of gf2.spin, each as its int."""
-        return list(map(from_bits, gf2.spin(self.seeds, self._permutation.__getitem__)))
+        """The rows, which span the row space, each as its int."""
+        return list(map(from_bits, self.rows))
 
     @cached_property
     def _coordinates(self) -> tuple[list[int], list[int], list[int]]:
@@ -508,7 +506,8 @@ class ConstraintSystem(Frozen):
     def nullspace_dimension(self) -> int:
         """Dimension of the nullspace, ranked once per system by
         gf2.block_rank over _seed_basis from prefix's Singer coordinates;
-        monomials, _permutation, rows and _spanning stay unmade."""
+        monomials, _permutation, rows and their ints, _spanning, stay
+        unmade."""
         return self.monomial_count() - self._rank
 
     def nullspace_basis(self) -> list[Polynomial]:

@@ -26,7 +26,6 @@ from z2bord.gf2 import (
     rank_of,
     row_reduce,
     set_bits,
-    spin,
     transpose,
     unit,
     vec_str,
@@ -184,16 +183,6 @@ class TestRowReduce:
         assert list(ns) == reference_rref(ns)
 
 
-@st.composite
-def rows_and_permutations(draw):
-    """Sparse rows over a width w and a permutation of range(w), as a list:
-    any cycle type, the identity often."""
-    w = draw(st.integers(1, 12))
-    perm = draw(st.one_of(st.just(list(range(w))), st.permutations(range(w))))
-    row = st.sets(st.integers(0, w - 1)).map(lambda s: tuple(sorted(s, reverse=True)))
-    return draw(st.lists(row, max_size=6)), perm
-
-
 def translates(rows, perm):
     """Every row moved by every power of the permutation, as ints, each
     row until it comes back."""
@@ -206,31 +195,6 @@ def translates(rows, perm):
             if moved == row:
                 break
     return out
-
-
-class TestSpin:
-    @pytest.mark.fixed_seed
-    @settings(max_examples=300, deadline=None)
-    @given(rows_and_permutations())
-    def test_spins_the_span_of_every_translate(self, rows_and_perm):
-        # The oracle ranks all translates of the rows at once.
-        rows, perm = rows_and_perm
-        every = translates(rows, perm)
-        spun = spin(rows, perm.__getitem__)
-        rank = rank_of(every)
-        assert len(spun) == rank_of(map(from_bits, spun)) == rank
-        assert all(rank_of(every + [from_bits(r)]) == rank for r in spun)
-        assert all(list(r) == sorted(r, reverse=True) for r in spun)
-
-    def test_a_dependent_row_is_dropped_with_its_translates(self):
-        # Under the cycle j -> j + 1 mod 4 the translates of (3, 0) are
-        # (1, 0), (2, 1) and (3, 2), the sum of the three before it: the
-        # fourth is dropped and the spin of that length stops, and the
-        # seed (3, 2) is dropped too.  Shorter rows are spun first.
-        step = [1, 2, 3, 0].__getitem__
-        assert spin([(3, 2), (3, 0)], step) == [(3, 0), (1, 0), (2, 1)]
-        assert spin([(3, 2), (3,)], step) == [(3,), (0,), (1,), (2,)]
-        assert spin([], step) == [] and spin([()], step) == []
 
 
 @st.composite
@@ -295,7 +259,7 @@ class TestBlockRank:
     def test_equals_the_rank_of_every_translate(self, rows_and_perm):
         rows, perm = rows_and_perm
         rank = rank_of(translates(rows, perm))
-        assert block_rank(rows, *walk(perm)) == rank == len(spin(rows, perm.__getitem__))
+        assert block_rank(rows, *walk(perm)) == rank
         # Only the indices the rows hold need coordinates.
         held = 1 + max((j for row in rows for j in row), default=-1)
         orbit, position, sizes = walk(perm)

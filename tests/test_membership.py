@@ -20,7 +20,7 @@ from z2bord.catalog import (
     GEN_1, GENERATORS, REJECTED_SINGLETON, SMALL_COVER_1, SMALL_COVER_2, mono, poly,
 )
 from z2bord.gf2 import (
-    InputError, ResourceLimitError, enumerate_gl, from_bits, nullspace, rank_of, set_bits, unit,
+    InputError, ResourceLimitError, enumerate_gl, from_bits, rank_of, set_bits, unit,
 )
 from z2bord import gf2, membership
 from z2bord.membership import (
@@ -253,7 +253,8 @@ class TestConstraintSystem:
         assert image_dimension(5, 4) == 3177
 
     def test_rows_are_made_only_when_read(self, monkeypatch):
-        # The rank, the basis and the checks read the spun seeds only.
+        # The rank reads the seeds alone; the basis and the checks read
+        # every row.
         built = []
         build = membership.build_constraint_system
         monkeypatch.setattr(membership, "build_constraint_system",
@@ -261,10 +262,13 @@ class TestConstraintSystem:
         assert image_dimension(5, 4) == 3177
         (cs,) = built
         assert "rows" not in cs.__dict__
-        assert cs.accepts(cs.nullspace_basis()[0])
-        assert not cs.in_nullspace(1)
-        assert "rows" not in cs.__dict__
-        assert len(cs.rows) == 4725
+        basis = cs.nullspace_basis()
+        assert len(cs.__dict__["rows"]) == 4725
+        fresh = build(5, 4)
+        assert "rows" not in fresh.__dict__
+        assert fresh.accepts(basis[0])
+        assert len(fresh.__dict__["rows"]) == 4725
+        assert not fresh.in_nullspace(1)
 
     def test_the_dimension_leaves_the_spun_rows_unmade(self):
         cs = build_constraint_system(5, 4)
@@ -272,13 +276,14 @@ class TestConstraintSystem:
         assert "_spanning" not in cs.__dict__ and "rows" not in cs.__dict__
         assert "monomials" not in cs.__dict__ and "_permutation" not in cs.__dict__
 
-    def test_the_reproduction_spins_no_rows(self, monkeypatch):
+    def test_the_reproduction_makes_no_rows(self, monkeypatch):
         # Its row count is a product and its generators' verdicts come from
-        # check_membership, so no rows are spun to repeat them.
-        def no_spin(*args):
-            raise AssertionError("gf2.spin was called")
+        # check_membership, so no rows are made to repeat them: rows need
+        # the Singer cycle's index permutation.
+        def no_permutation(*args):
+            raise AssertionError("membership.index_permutation was called")
 
-        monkeypatch.setattr(gf2, "spin", no_spin)
+        monkeypatch.setattr(membership, "index_permutation", no_permutation)
         assert run_reproduction().ok
 
     def test_rank_five_at_full_degree(self, monkeypatch):
@@ -737,20 +742,26 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("n,k", REFERENCE_SHAPES)
     def test_spun_seeds_span_every_row(self, n, k):
-        # The dimension comes from the seeds' block ranks and the basis from
-        # their spun rows; ranked and reduced over every row they must come
-        # out the same.  This is a second elimination over the same rows,
-        # not a second criterion: test_rows compares the rows with the
-        # definition.  The rank is the width less the nullity, as
-        # tests/test_gf2.py checks.
+        # The basis comes from one elimination over every row, the dimension
+        # from the seeds' block ranks.  The basis spans the nullspace iff
+        # its vectors are independent, here by distinct leading bits, as
+        # many as the dimension, and meet every row evenly; test_rows
+        # compares the rows with the definition.  Bit i of index j's column
+        # mask is basis vector i's entry j, so a row meets every vector
+        # evenly iff its indices' masks XOR to 0.
         cs = build_constraint_system(n, k)
-        dense = [from_bits(row) for row in cs.rows]
-        width = len(cs.monomials)
-        kernel = nullspace(dense, width)
-        rank = width - len(kernel)
-        assert cs.nullspace_dimension() == width - rank
-        assert len(cs._spanning) == rank
-        assert [cs.indicator(p) for p in cs.nullspace_basis()] == list(kernel)
+        basis = cs.nullspace_basis()
+        index = {m: j for j, m in enumerate(cs.monomials)}
+        leading, columns = set(), [[] for _ in cs.monomials]
+        for i, p in enumerate(basis):
+            held = [index[m] for m in p.monomials]
+            leading.add(max(held))
+            for j in held:
+                columns[j].append(i)
+        assert len(leading) == len(basis) == cs.nullspace_dimension()
+        masks = list(map(from_bits, columns))
+        assert not any(functools.reduce(operator.xor, map(masks.__getitem__, row), 0)
+                       for row in cs.rows)
 
     def test_catalog_certificates(self):
         covers = [fixed_polynomial(CharacteristicFunction.from_matrix(
