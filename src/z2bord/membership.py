@@ -54,13 +54,18 @@ table numbers that shape's distinct (rho, multiplicity, class, code)
 pairs in first-seen order and keeps the bit -> pair list, so a profile
 is only as wide as its shape's pair count.  A polynomial is accepted iff
 the XOR of its monomials' profiles, folded in one pass, is 0.  Otherwise
-the set bits are peeled off from the top and decoded to their pairs,
-and the least of these is the reported violation: tuples compare field
-by field and every class of a polynomial has its degree as length, so
-tuple order is the certificate's (rho, multiplicity, class, (len(s), s))
-order, which bit order is not.  A verdict that starts with _PROFILE_BOUND
-profile bits stored drops all tables, then reads only the one it took,
-so no verdict mixes numberings; a lock covers only new pairs' numbering.
+the rejected certificate keeps the folded int, the table's pairs list
+and the polynomial, and decodes its violation when first read: the set
+bits are peeled off from the top and decoded to their pairs, and the
+least of these is the violation.  Tuples compare field by field and
+every class of a polynomial has its degree as length, so tuple order is
+the certificate's (rho, multiplicity, class, (len(s), s)) order, which
+bit order is not.  A verdict that starts with _PROFILE_BOUND profile
+bits stored drops all tables, then reads only the one it took, so no
+verdict mixes numberings; a lock covers only new pairs' numbering.  The
+pairs list is append-only and a drop makes new tables with new lists,
+so a certificate held across drops keeps its list, not its table, and
+still decodes through its own numbering.
 """
 
 from __future__ import annotations
@@ -121,11 +126,15 @@ class Violation(NamedTuple):
 class MembershipCertificate(Frozen):
     """The verdict on polynomial: its violation when rejected, and when
     accepted its decompositions, built from polynomial when first read.
-    Certificates compare, hash and print without their polynomial."""
+    A rejection from check_membership keeps the folded odd bits, the
+    pairs list of the table it read and its polynomial, and decodes its
+    violation when first read; it holds that list alive, not the table,
+    so a later drop never renumbers it.  Certificates compare, hash and
+    print by accepted and violation, without their polynomial."""
 
     _fields = ("accepted", "violation")
 
-    # Its own constructor, run once per verdict: polynomial is not a field, and two default.
+    # Its own constructor, run once per accepted verdict: polynomial is not a field; two default.
     def __init__(self, accepted: bool, violation: Violation | None = None,
                  polynomial: Polynomial | None = None):
         d = self.__dict__
@@ -133,16 +142,43 @@ class MembershipCertificate(Frozen):
         d["violation"] = violation
         d["polynomial"] = polynomial
 
+    @classmethod
+    def _rejected(cls, odd: int, pairs: list[tuple], polynomial: Polynomial):
+        """check_membership's rejection of polynomial, whose monomials'
+        profiles XOR to odd, their bits numbering pairs; undecoded."""
+        self = cls.__new__(cls)
+        d = self.__dict__
+        d["accepted"] = False
+        d["polynomial"] = polynomial
+        d["_odd"] = odd
+        d["_pairs"] = pairs
+        return self
+
+    def _values(self) -> tuple:  # violation may not be decoded yet
+        return self.accepted, self.violation
+
+    @cached_property
+    def violation(self) -> Violation:
+        """Stored by the constructor, None when accepted; a rejection from
+        check_membership decodes it here when first read, as the least
+        pair of its odd bits (module docstring)."""
+        odd, pairs, found = self._odd, self._pairs, []
+        while odd:
+            top = odd.bit_length() - 1
+            found.append(pairs[top])
+            odd ^= 1 << top
+        rho, mult, cls, code = min(found)
+        return Violation(rho, mult, cls, submultiset(code, self.polynomial.k))
+
     @cached_property
     def decompositions(self) -> tuple[RhoDecomposition, ...]:
         """One decomposition per rho that divides some monomial, in
         increasing rho order, its groups in (multiplicity, class) order;
         () when rejected."""
-        p = self.polynomial
-        if p is None:  # rejected
+        if not self.accepted:
             return ()
         members: defaultdict[tuple, list[tuple[int, ...]]] = defaultdict(list)
-        for m in p.monomials:
+        for m in self.polynomial.monomials:
             for rho, c in factor_counts(m).items():
                 members[rho, c, kernel_class(m, rho)].append(m)
         by_rho: defaultdict[int, list[Group]] = defaultdict(list)
@@ -289,14 +325,7 @@ def check_membership(p: Polynomial) -> MembershipCertificate:
         raise
     if not odd:
         return MembershipCertificate(True, polynomial=p)
-    pairs, found = table.pairs, []
-    while odd:
-        top = odd.bit_length() - 1
-        found.append(pairs[top])
-        odd ^= 1 << top
-    rho, mult, cls, code = min(found)
-    return MembershipCertificate(
-        False, violation=Violation(rho, mult, cls, submultiset(code, p.k)))
+    return MembershipCertificate._rejected(odd, table.pairs, p)
 
 
 _ENUM_BOUNDS = (8, 4)  # max degree, max rank
@@ -487,8 +516,10 @@ class ConstraintSystem(Frozen):
 
     @cached_property
     def _spanning(self) -> list[int]:
-        """The rows, which span the row space, each as its int."""
-        return list(map(from_bits, self.rows))
+        """The rows, which span the row space, each as its int, shortest
+        first: nullspace_basis eliminates them in this order, which keeps
+        the reduced rows sparse, and its RREF does not depend on it."""
+        return list(map(from_bits, sorted(self.rows, key=len)))
 
     @cached_property
     def _coordinates(self) -> tuple[list[int], list[int], list[int]]:

@@ -270,7 +270,7 @@ class TestConstraintSystem:
         assert len(fresh.__dict__["rows"]) == 4725
         assert not fresh.in_nullspace(1)
 
-    def test_the_dimension_leaves_the_spun_rows_unmade(self):
+    def test_the_dimension_leaves_the_rows_unmade(self):
         cs = build_constraint_system(5, 4)
         assert cs.nullspace_dimension() == 3177
         assert "_spanning" not in cs.__dict__ and "rows" not in cs.__dict__
@@ -838,6 +838,10 @@ class TestAgainstReference:
         assert 0 < len(accepted) < len(interleaved)
         read_before = {p: check_membership(p).decompositions for p in accepted}
         unread = {p: check_membership(p) for p in accepted}
+        # The rejected twins' violations stay undecoded until every drop is
+        # done, so each decodes through the numbering its verdict read.
+        undecoded = {p: check_membership(p) for p in interleaved if p not in unread}
+        assert not any("violation" in vars(cert) for cert in undecoded.values())
 
         # A bound of a few polynomials' profile bits, so a drop happens
         # every few verdicts.
@@ -862,6 +866,8 @@ class TestAgainstReference:
         assert drops >= 3
         for p, cert in unread.items():
             assert cert.decompositions == read_before[p] == reference_check(p)[2]
+        for p, cert in undecoded.items():
+            assert cert.violation == reference_check(p)[1]
 
     def test_threads_share_the_numbering(self, monkeypatch):
         # Three threads check polynomials of two shapes under a bound of one
@@ -1128,14 +1134,20 @@ class TestTableDrops:
     """A drop frees what the check path built: its shape tables."""
 
     def test_a_drop_frees_the_tables(self, monkeypatch):
+        # A held rejection keeps its table's pair list, not the table, and
+        # decodes through that list after the drop.
         monkeypatch.setattr(membership, "_profiles", {})
         check_membership(GEN_1)
+        held = check_membership(REJECTED_SINGLETON)
+        assert (REJECTED_SINGLETON.n, REJECTED_SINGLETON.k) == (GEN_1.n, GEN_1.k)
         ref = weakref.ref(membership._profiles[GEN_1.n, GEN_1.k])
         monkeypatch.setattr(membership, "_profile_bits", membership._PROFILE_BOUND)
         check_membership(RP2)
         gc.collect()
         assert ref() is None
         assert list(membership._profiles) == [(RP2.n, RP2.k)]
+        assert "violation" not in vars(held)
+        assert held.violation == reference_check(REJECTED_SINGLETON)[1]
 
     def test_a_stream_of_new_rhos_stays_small(self, monkeypatch):
         # Without the drops, 400 verdicts of the recipe hold some 9 MB.

@@ -14,6 +14,7 @@ from z2bord.graphs import LabeledGraph
 from z2bord.membership import (
     ConstraintSystem,
     build_constraint_system,
+    check_membership,
     Group,
     MembershipCertificate,
     RhoDecomposition,
@@ -111,6 +112,15 @@ def test_certificate_equality_ignores_polynomial():
     assert a == b and hash(a) == hash(b)
     assert a == MembershipCertificate(False, violation=VIOLATION)
     assert "polynomial" not in repr(a)
+    # check_membership's rejection holds its polynomial and decodes its
+    # violation when first read, and equality, hash and repr each read it.
+    p = poly((1, 2, 4))
+    explicit = MembershipCertificate(False, Violation(1, 1, (0, 1, 2), ()))
+    undecoded = [check_membership(p) for _ in range(3)]
+    assert not any("violation" in vars(cert) for cert in undecoded)
+    assert undecoded[0] == explicit
+    assert hash(undecoded[1]) == hash(explicit)
+    assert repr(undecoded[2]) == repr(explicit)
 
 
 def test_constraint_systems_compare_without_making_their_rows():
