@@ -4,8 +4,8 @@ A length-k vector is an int whose bit (k - i) holds coordinate i, so the
 bit-string "110" is the vector (1, 1, 0) and numeric order on ints equals
 lexicographic order on bit-strings.  All operations are pure.  A subspace
 is the tuple of its canonical RREF basis rows, highest first, and a matrix
-is the tuple of its bit-packed rows; repalg.restriction_table(rows, k)
-lists its products with all 2^k vectors of width k.  Every elimination
+is the tuple of its bit-packed rows; repalg.images(vectors, rows) maps
+each row vector f to its product fM with the matrix.  Every elimination
 goes through one step, reduce_into, on a pivot table: a dict from a
 pivot bit to the one row whose highest set bit it is.
 
@@ -27,7 +27,7 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(ValueError):
-    """A request beyond the supported desk-scale bounds: an enumeration or a table."""
+    """A request beyond the supported desk-scale bounds of an enumeration or a search."""
 
 
 class Record:

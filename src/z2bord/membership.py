@@ -81,7 +81,7 @@ from z2bord.gf2 import (
     Frozen, InputError, ResourceLimitError, from_bits, nullspace, set_bits, vec_str,
 )
 from z2bord.repalg import (
-    Polynomial, automorphism_table, is_faithful, kernel_class, render_monomial, restrict,
+    Polynomial, images, is_faithful, kernel_class, render_monomial, restrict,
 )
 
 
@@ -567,7 +567,7 @@ def index_permutation(a: tuple[int, ...], monomials) -> list[int]:
     """sigma with monomials[sigma[j]] the image of monomials[j] under the
     automorphism with rows a, as repalg.apply_automorphism maps it; the
     monomials are all faithful ones of a shape, so they hold every image."""
-    image = automorphism_table(a, len(a)).__getitem__
+    image = images(range(1, 1 << len(a)), a).__getitem__
     index = {m: j for j, m in enumerate(monomials)}
     return [index[tuple(sorted(map(image, m)))] for m in monomials]
 
@@ -592,7 +592,7 @@ def singer_coordinates(prefix, k: int) -> tuple[list[int], list[int], list[int]]
     if not prefix:
         return orbit, position, sizes
     h = (1 << k) - 1
-    image = automorphism_table(singer_cycle(k), k)
+    image = images(range(1, 1 << k), singer_cycle(k))
     power = [1]  # power[t] = g^t 1
     for _ in range(h - 1):
         power.append(image[power[-1]])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from z2bord.gf2 import Frozen, InputError, enumerate_gl, rank_of
 from z2bord.membership import ConstraintSystem, check_membership
-from z2bord.repalg import Polynomial, apply_automorphism, automorphism_table
+from z2bord.repalg import Polynomial, apply_automorphism, images
 
 
 class PolynomialOrbit(Frozen):
@@ -29,26 +29,29 @@ class PolynomialOrbit(Frozen):
 def orbit(p: Polynomial) -> PolynomialOrbit:
     """Expand the orbit of p under all automorphisms of (Z/2)^k, k = p.k.
 
-    The stabilizer scan stops, per matrix, at the first monomial whose
-    image is not in p.  The walk then applies each matrix a of no coset
-    met so far, and covers its coset S.a: entry f of a's table is the row
-    vector fA, so mapping the rows of s through it gives the product s.a.
-    With S trivial each coset is one matrix, so none is recorded."""
+    The stabilizer scan maps p's distinct factors through each matrix a,
+    unchecked, as enumerate_gl's are invertible, and stops at the first
+    monomial whose image is not in p.  The walk then applies each matrix a
+    of no coset met so far, and covers its coset S.a: the image of a row
+    vector f is fA, so mapping the rows of s through a gives the product
+    s.a.  With S trivial each coset is one matrix, so none is recorded."""
     k, monomials = p.k, p.monomials
+    factors = set().union(*monomials)
     gl = enumerate_gl(k)
     stab = []
     for a in gl:
-        image = automorphism_table(a, k).__getitem__
+        image = images(factors, a).__getitem__
         # a permutes the monomials, so mapping p's into p fixes p
         if all(tuple(sorted(map(image, m))) in monomials for m in monomials):
             stab.append(a)
+    rows = set().union(*stab)
     elements = set()
     covered = set()
     for a in gl:
         if a not in covered:
             elements.add(apply_automorphism(p, a))
             if len(stab) > 1:
-                image = automorphism_table(a, k).__getitem__
+                image = images(rows, a).__getitem__
                 covered.update(tuple(map(image, s)) for s in stab)
     return PolynomialOrbit(p, frozenset(elements), tuple(stab))
 

@@ -10,12 +10,9 @@ degree n over a common rank k, and it carries n and k once.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, prod
 
-from z2bord.gf2 import (
-    Frozen, InputError, ResourceLimitError, parse_vec, rank_of, transpose, vec_str,
-)
+from z2bord.gf2 import Frozen, InputError, parse_vec, rank_of, transpose, vec_str
 
 
 class NonIsolatedError(ValueError):
@@ -27,41 +24,35 @@ def is_faithful(m: tuple[int, ...], k: int) -> bool:
     return 0 not in m and rank_of(m) == k
 
 
+def images(factors, rows) -> dict[int, int]:
+    """The dict from each f of factors to fM, the XOR of the rows of the
+    matrix M at f's set bits, row 1 at bit len(rows) - 1, the highest of
+    f's width.  Every linear map on functionals is read through it: fA is f
+    composed with g -> Ag, and f times the transposed basis rows is f
+    restricted to that basis.  Each f costs one XOR per set bit, so a
+    caller maps only the factors it reads."""
+    out = {}
+    for f in factors:
+        x, g = 0, f
+        while g:
+            low = g & -g
+            x ^= rows[-low.bit_length()]
+            g ^= low
+        out[f] = x
+    return out
+
+
 def restrict(m: tuple[int, ...], basis, k: int) -> tuple[int, ...]:
     """The rank-k monomial m restricted to the subgroup with the ordered
-    basis: factor f becomes the vector (f(b_1), ..., f(b_r)), read from a
-    restriction_table built for this call.  The basis is not validated."""
-    return tuple(sorted(map(restriction_table(tuple(basis), k).__getitem__, m)))
+    basis: factor f becomes the vector (f(b_1), ..., f(b_r)), f(b_1) its
+    highest bit.  The basis is not validated."""
+    image = images(m, transpose(tuple(basis), k))
+    return tuple(sorted(map(image.__getitem__, m)))
 
 
 def render_monomial(m: tuple[int, ...], k: int) -> str:
     """The factors as comma-separated width-k bit-strings."""
     return ",".join(vec_str(f, k) for f in m)
-
-
-# Bound on automorphism_table's cache, the one table cache, in lists: all of
-# GL(4,2) (20,160 matrices) fits.
-_TABLE_CACHE = 1 << 15
-# Highest rank whose tables are cached: the highest with a pinned Singer
-# cycle, and above the GL(k,2) orbit walk's k <= 4.  A rank-20 table takes
-# some 42 MB, and no caller reads one twice.
-_CACHED_RANK = 8
-# Highest rank with a table: a list of 2^20 entries holds 8 MiB of slots.
-_TABLE_RANK = 20
-
-
-def restriction_table(basis: tuple[int, ...], k: int) -> list[int]:
-    """Entry f of this 2^k list is f restricted to the ordered basis, f(b_1)
-    its highest bit.  Restriction is linear, so the list is built by
-    doubling: bit j of f adds its image, column k - j of the basis rows.  A
-    list maps faster than a tuple.  Each call builds a new list, so a caller
-    that reads it twice keeps it.  ResourceLimitError above _TABLE_RANK."""
-    if k > _TABLE_RANK:
-        raise ResourceLimitError(f"restriction tables need rank <= {_TABLE_RANK}, got {k}")
-    table = [0]
-    for image in reversed(transpose(basis, k)):
-        table += [x ^ image for x in table]
-    return table
 
 
 def kernel_class(m: tuple[int, ...], rho: int) -> tuple[int, ...]:
@@ -149,26 +140,15 @@ class Polynomial(Frozen):
         return render_polynomial(self)
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def automorphism_table(a: tuple[int, ...], k: int) -> list[int]:
-    """Entry f is f composed with g -> Ag, the rows a checked once per
-    matrix: f restricted to the columns A e_1, ..., A e_k.  Cached, as the
-    GL(k,2) orbit walk and the Singer tables read a matrix again; no
-    caller keeps a table above _CACHED_RANK, as apply_automorphism builds
-    those through __wrapped__, this function without its cache."""
+def apply_automorphism(p: Polynomial, a: tuple[int, ...]) -> Polynomial:
+    """Precompose every factor functional with the automorphism g -> Ag:
+    the rows a are checked once, then each distinct factor f becomes fA."""
+    k = p.k
     if len(a) != k or any(r >> k for r in a) or rank_of(a) != k:
         raise InputError("matrix is singular or of the wrong size")
-    return restriction_table(transpose(a, k), k)
-
-
-def apply_automorphism(p: Polynomial, a: tuple[int, ...]) -> Polynomial:
-    """Precompose every factor functional with the automorphism g -> Ag,
-    one automorphism_table lookup per factor; the table is cached only up
-    to rank _CACHED_RANK."""
-    table = automorphism_table if p.k <= _CACHED_RANK else automorphism_table.__wrapped__
-    image = table(a, p.k).__getitem__
+    image = images(set().union(*p.monomials), a).__getitem__
     monos = {tuple(sorted(map(image, m))) for m in p.monomials}
-    return Polynomial(frozenset(monos), p.n, p.k)
+    return Polynomial(frozenset(monos), p.n, k)
 
 
 def sub_multiset_multiplicity(t: tuple[int, ...], s) -> int:

@@ -32,7 +32,7 @@ from z2bord.gf2 import (
     vec_str,
 )
 from z2bord.graphs import LabeledGraph
-from z2bord.repalg import NonIsolatedError, Polynomial, content_lines, restriction_table
+from z2bord.repalg import NonIsolatedError, Polynomial, content_lines, images
 
 Facet = tuple[int, int]  # (factor index, facet index within the factor)
 Vertex = tuple[int, ...]
@@ -166,11 +166,11 @@ def skeleton_graph(cf: CharacteristicFunction) -> LabeledGraph:
     return LabeledGraph.make(p.dim, edges)
 
 
-def _trivial_factor(reps: dict[Vertex, tuple[int, ...]], table: list[int]):
+def _trivial_factor(reps: dict[Vertex, tuple[int, ...]], image: dict[int, int]):
     """The first (vertex, factor), in reps order and sorted factor order,
-    that the subgroup's restriction_table maps to 0, the trivial
+    whose image under the subgroup's restriction is 0, the trivial
     representation, or None."""
-    trivial = ((v, f) for v, m in reps.items() for f in m if not table[f])
+    trivial = ((v, f) for v, m in reps.items() for f in m if not image[f])
     return next(trivial, None)
 
 
@@ -178,8 +178,9 @@ def admissible_subgroups(cf: CharacteristicFunction, r: int) -> list[tuple[int, 
     """Canonical basis tuples of the admissible rank-r subgroups (module
     docstring).  Raises InputError for an invalid cf, as tangent_reps does."""
     reps, dim = tangent_reps(cf), cf.polytope.dim
+    factors = set().union(*reps.values())
     return [h for h in enumerate_subspaces(dim, r)
-            if _trivial_factor(reps, restriction_table(h, dim)) is None]
+            if 0 not in images(factors, transpose(h, dim)).values()]
 
 
 def restricted_polynomial(cf: CharacteristicFunction, basis) -> Polynomial:
@@ -191,14 +192,14 @@ def restricted_polynomial(cf: CharacteristicFunction, basis) -> Polynomial:
         raise InputError(f"basis vector {wide[0]} is outside (Z/2)^{dim}")
     if rank_of(basis) != len(basis):
         raise InputError("basis rows are not independent")
-    reps, table = tangent_reps(cf), restriction_table(basis, dim)
-    trivial = _trivial_factor(reps, table)
+    reps = tangent_reps(cf)
+    image = images(set().union(*reps.values()), transpose(basis, dim))
+    trivial = _trivial_factor(reps, image)
     if trivial is not None:
         v, f = trivial
         raise NonIsolatedError(f"factor {vec_str(f, dim)} at vertex {v} restricts "
                                "to the trivial representation")
-    image = table.__getitem__
-    return Polynomial.make((map(image, m) for m in reps.values()), dim, len(basis))
+    return Polynomial.make((map(image.__getitem__, m) for m in reps.values()), dim, len(basis))
 
 
 def parse_characteristic(text: str, factor_dims=None) -> CharacteristicFunction:

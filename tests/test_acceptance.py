@@ -14,7 +14,7 @@ import random
 import pytest
 
 from z2bord.catalog import GENERATORS, SMALL_COVER_1, SMALL_COVER_2
-from z2bord.gf2 import enumerate_gl, rank_of
+from z2bord.gf2 import enumerate_gl, rank_of, transpose
 from z2bord.membership import (
     build_constraint_system,
     check_membership,
@@ -22,9 +22,10 @@ from z2bord.membership import (
     image_dimension,
 )
 from z2bord.orbits import orbit
-from z2bord.repalg import Polynomial, apply_automorphism, restriction_table
+from z2bord.repalg import Polynomial, apply_automorphism
 from z2bord.report import run_reproduction
 from z2bord.smallcover import CharacteristicFunction, fixed_polynomial
+from test_gf2 import product_table
 
 
 def closed_form_dimension(n: int) -> int:
@@ -198,7 +199,7 @@ class TestAcceptance:
                     rows = tuple(rng.randrange(1, 2**k) for _ in range(k))
                     if rank_of(rows) == k:
                         break
-                table = restriction_table(rows, k)
+                table = product_table(transpose(rows, k))
                 cf = CharacteristicFunction(
                     cf0.polytope, tuple(table[l] for l in cf0.labels)
                 )

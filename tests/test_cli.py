@@ -328,6 +328,31 @@ class TestSmallcover:
         assert main(["smallcover", "--polytope", "1x4", "--lambda", lam_file,
                      "--subgroup", str(sub)]) == 2
 
+    def test_subgroups_of_a_21_simplex(self, tmp_path, capsys):
+        # The standard characteristic function e_1, ..., e_21, e_1 + ... + e_21
+        # of the 21-simplex: the subgroup of every unit row restricts each
+        # factor to itself, and three unit rows meet a factor trivially.
+        n = 21
+        lam = tmp_path / "simplex.lam"
+        lam.write_text(f"{n}\n" + "".join(
+            " ".join("1" if j in (i, n) else "0" for j in range(n + 1)) + "\n"
+            for i in range(n)))
+        run = ["smallcover", "--polytope", str(n), "--lambda", str(lam)]
+        assert main(run) == 0
+        unrestricted = capsys.readouterr().out
+        assert len(unrestricted.splitlines()) == n + 1
+        units = [format(1 << n - i, f"0{n}b") for i in range(1, n + 1)]
+        sub = tmp_path / "h.sub"
+        sub.write_text("\n".join(units) + "\n")
+        assert main([*run, "--subgroup", str(sub)]) == 0
+        assert capsys.readouterr().out == unrestricted
+        sub.write_text("\n".join(units[:3]) + "\n")
+        assert main([*run, "--subgroup", str(sub)]) == 1
+        assert capsys.readouterr().out == (
+            f"non-isolated: factor {units[3]} at vertex (3,) restricts to the "
+            "trivial representation\n"
+        )
+
 
 class TestMilnor:
     def test_published_family(self, capsys):

@@ -30,7 +30,7 @@ from z2bord.gf2 import (
     unit,
     vec_str,
 )
-from z2bord.repalg import automorphism_table
+from z2bord.repalg import images
 
 
 def gl_order(k):
@@ -86,6 +86,16 @@ def matmul(a, b):
 
 
 IDENTITY_3 = (0b100, 0b010, 0b001)
+
+
+def product_table(rows):
+    """The reference for repalg.images: entry f of this 2^k list, k =
+    len(rows), is fM, built by doubling, as the map is linear: bit j of f
+    adds row k - j of M."""
+    table = [0]
+    for row in reversed(rows):
+        table += [x ^ row for x in table]
+    return table
 
 
 @st.composite
@@ -384,9 +394,11 @@ class TestMat:
         assert transpose(transpose(a, 4), 2) == a
 
     def test_restriction_table_matches_entry_arithmetic(self):
-        # bit i of the image is column i . v, column 1 the highest bit
+        # bit i of the image is column i . v, column 1 the highest bit, in
+        # the reference table and in repalg.images alike
         for a in enumerate_gl(3):
-            table = automorphism_table(a, 3)
+            table = product_table(a)
+            assert images(range(8), a) == dict(enumerate(table))
             for v in range(8):
                 product = [sum(entry(a, 3, j, i) & (v >> (3 - j)) & 1 for j in (1, 2, 3)) & 1
                            for i in (1, 2, 3)]

@@ -41,13 +41,13 @@ from z2bord.membership import (
     submultiset,
 )
 from z2bord.repalg import (
-    Polynomial, apply_automorphism, automorphism_table, is_faithful, kernel_class,
+    Polynomial, apply_automorphism, is_faithful, kernel_class,
     sub_multiset_multiplicity,
 )
 from z2bord.report import run_reproduction
 from z2bord.smallcover import CharacteristicFunction, fixed_polynomial
 from test_acceptance import closed_form_dimension
-from test_gf2 import walk
+from test_gf2 import product_table, walk
 
 
 RP2 = poly("1 2\n1 12\n2 12", 2)  # the unique realizable class at degree 2, rank 2
@@ -671,7 +671,7 @@ class TestParityKernel:
         classes = [restriction_class(x, 1, 3) for x in (m, twin)]
         assert classes[0] != classes[1]
         assert count_vector(classes[0], 2) == count_vector(classes[1], 2)
-        image = automorphism_table(singer_cycle(3), 3).__getitem__
+        image = product_table(singer_cycle(3)).__getitem__
         one = 1
         while one != rho:
             one = image(one)
@@ -1083,7 +1083,7 @@ class TestSingerTranslates:
             powers.append(matrix_product(powers[-1], g))
         assert powers[h] == identity
         assert all(powers[h // p] != identity for p in prime_factors(h))
-        image = automorphism_table(g, k)
+        image = product_table(g)
         orbit = [1]
         for _ in range(h - 1):
             orbit.append(image[orbit[-1]])

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import z2bord
-from z2bord.gf2 import transpose
 from z2bord.graphs import LabeledGraph
 from z2bord.membership import (
     ConstraintSystem,
@@ -22,7 +21,7 @@ from z2bord.membership import (
 )
 from z2bord.milnor import SearchReport, SubsetFamily
 from z2bord.orbits import PolynomialOrbit
-from z2bord.repalg import Polynomial, automorphism_table, restrict, restriction_table
+from z2bord.repalg import Polynomial
 from z2bord.report import Checkpoint, ReproductionReport
 from z2bord.smallcover import CharacteristicFunction, ProductOfSimplices
 
@@ -128,19 +127,6 @@ def test_constraint_systems_compare_without_making_their_rows():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert not {"monomials", "rows"} & (set(vars(a)) | set(vars(b)))
     assert a.rows == b.rows and len(a.rows) == 490
-
-
-def test_restriction_table_is_shared_and_restricts():
-    # One cached list per matrix: its automorphism table equals the
-    # restriction table of its columns, and every restriction to them
-    # agrees with it.
-    a = (0b110, 0b011, 0b001)
-    columns = transpose(a, 3)
-    table = automorphism_table(a, 3)
-    assert type(table) is list and len(table) == 8
-    assert automorphism_table(a, 3) is table == restriction_table(columns, 3)
-    for f in range(8):
-        assert (table[f],) == restrict((f,), columns, 3)
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -3,7 +3,6 @@
 import math
 import random
 import re
-import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -13,21 +12,20 @@ from hypothesis import strategies as st
 
 from z2bord.catalog import GEN_1, GEN_2, GEN_3, GENERATORS, mono, poly
 from z2bord.gf2 import (
-    InputError, ResourceLimitError, dot, enumerate_gl, reduce_into, transpose, unit,
+    InputError, dot, enumerate_gl, inverse, reduce_into, transpose, unit,
 )
 from z2bord.repalg import (
     Polynomial,
     apply_automorphism,
-    automorphism_table,
+    images,
     is_faithful,
     parse_polynomial,
     render_monomial,
     render_polynomial,
     restrict,
-    restriction_table,
     sub_multiset_multiplicity,
 )
-from test_gf2 import IDENTITY_3, matmul
+from test_gf2 import IDENTITY_3, matmul, product_table
 
 
 class TestMonomial:
@@ -141,15 +139,15 @@ class TestAutomorphismAction:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_coset_law(self, k):
         # orbits.orbit covers the coset S.a of each applied a by mapping
-        # the rows of each s in S through a's table, and takes one image
-        # for the coset: both rest on this law.
+        # the rows of each s in S through a, and takes one image for the
+        # coset: both rest on this law.
         rng = random.Random(k)
         gl = enumerate_gl(k)
         nonzero = range(1, 1 << k)
         p = Polynomial.make([[rng.choice(nonzero) for _ in range(4)] for _ in range(3)], 4, k)
         for _ in range(20):
             s, a = rng.choice(gl), rng.choice(gl)
-            assert tuple(map(automorphism_table(a, k).__getitem__, s)) == matmul(s, a)
+            assert tuple(map(images(s, a).__getitem__, s)) == matmul(s, a)
             assert apply_automorphism(p, matmul(s, a)) == apply_automorphism(
                 apply_automorphism(p, s), a)
 
@@ -159,18 +157,26 @@ class TestAutomorphismAction:
             q = apply_automorphism(GEN_3, a)
             assert all(len(m) == 5 and is_faithful(m, 3) for m in q.support())
 
-    @pytest.mark.parametrize("k,kept", [(8, 1), (9, 0)])
-    def test_the_cache_keeps_no_table_above_rank_8(self, k, kept):
-        # A rank-20 table holds some 42 MB and no caller reads one twice,
-        # so only the ranks of the Singer tables and GL(k,2) walks are kept.
-        # The matrix has rows e_i + e_(i+1), new to the cache at either rank.
+    def test_maps_a_small_polynomial_at_rank_24(self):
+        # fA's bit for column j is f . column j, column 1 the highest bit;
+        # a has rows e_i + e_(i+1), and A^-1 maps the image back.
+        k = 24
         a = tuple(unit(i, k) | (i < k and unit(i + 1, k)) for i in range(1, k + 1))
-        p = Polynomial(frozenset([tuple(sorted(unit(i, k) for i in range(1, k + 1)))]), k, k)
-        before = automorphism_table.cache_info().currsize
-        image = restriction_table(transpose(a, k), k)
-        assert apply_automorphism(p, a).support() == [tuple(sorted(image[f] for f in m))
-                                                       for m in p.support()]
-        assert automorphism_table.cache_info().currsize == before + kept
+        p = Polynomial.make([(unit(1, k), unit(5, k), 7), (3, 1 << 23, 1 << 23)], 3, k)
+        columns = transpose(a, k)
+        expect = {tuple(sorted(sum(dot(f, c) << (k - 1 - j) for j, c in enumerate(columns))
+                               for f in m)) for m in p.monomials}
+        q = apply_automorphism(p, a)
+        assert q.monomials == expect and (q.n, q.k) == (3, 24)
+        assert apply_automorphism(q, inverse(a)) == p
+
+    def test_rejects_singular_at_rank_24(self):
+        # The matrix check holds at any rank: the last row repeats the first.
+        k = 24
+        a = tuple(unit(i, k) for i in range(1, k)) + (unit(1, k),)
+        p = Polynomial.make([tuple(unit(i, k) for i in range(1, 4))], 3, k)
+        with pytest.raises(InputError, match="^matrix is singular or of the wrong size$"):
+            apply_automorphism(p, a)
 
     def test_known_stabilizer_element(self):
         # fixing the first coordinate functional stabilizes the first generator
@@ -188,24 +194,33 @@ class TestRestriction:
         )
         assert list(restrict(m, basis, 5)) == expect
 
-    def test_a_table_above_rank_20_is_refused(self):
-        # A rank-20 table is 2^20 entries; one more bit doubles it.
-        with pytest.raises(ResourceLimitError, match="rank <= 20, got 21"):
-            restrict((1,), (1,), 21)
-        assert len(restriction_table((1 << 19,), 20)) == 1 << 20
+    def test_restricts_at_rank_24(self):
+        basis = (1 << 23 | 1, 0b1011 << 10, 0xFFFFFF)
+        m = (1, 1, 1 << 23, 0b11 << 10, 0x800001)
+        expect = sorted(
+            sum(dot(f, b) << (len(basis) - 1 - i) for i, b in enumerate(basis))
+            for f in m
+        )
+        assert list(restrict(m, basis, 24)) == expect
 
-    def test_a_dropped_table_is_freed(self):
-        # No cache keeps a restriction table: three rank-16 tables, about
-        # 2.4 MiB each, leave nothing behind once dropped.
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            for shift in range(3):
-                basis = tuple(1 << (i + shift) % 16 for i in range(16))
-                assert len(restriction_table(basis, 16)) == 1 << 16
-            assert tracemalloc.get_traced_memory()[0] - start < 1 << 19
-        finally:
-            tracemalloc.stop()
+    @pytest.mark.fixed_seed
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_images_match_the_reference_table(self, data):
+        # Square rows, as apply_automorphism maps by once it has checked
+        # them, and the transposed rows of a basis, as restrict reads them:
+        # the images are the reference table's entries.
+        k = data.draw(st.integers(1, 8), label="k")
+        vec = st.integers(1, 2**k - 1)
+        basis, table = [], {}
+        for v in data.draw(st.lists(vec, min_size=1, max_size=k), label="vectors"):
+            if reduce_into(table, v):  # v is outside the span of basis
+                basis.append(v)
+        a = tuple(data.draw(st.lists(vec, min_size=k, max_size=k), label="rows"))
+        factors = data.draw(st.lists(st.integers(0, 2**k - 1), max_size=10), label="factors")
+        for rows in (a, transpose(basis, k)):
+            reference = product_table(rows)
+            assert images(factors, rows) == {f: reference[f] for f in factors}
 
     @pytest.mark.fixed_seed
     @settings(max_examples=100, deadline=None)

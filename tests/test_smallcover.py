@@ -9,10 +9,12 @@ import tracemalloc
 import pytest
 
 from z2bord.catalog import DELTA5, SMALL_COVER_1, SMALL_COVER_2
-from z2bord.gf2 import InputError, enumerate_subspaces, nullspace, rank_of, row_reduce
+from z2bord.gf2 import (
+    InputError, enumerate_subspaces, nullspace, rank_of, row_reduce, transpose,
+)
 from z2bord.membership import check_membership
 from z2bord.orbits import orbit
-from z2bord.repalg import Polynomial, restrict, restriction_table
+from z2bord.repalg import Polynomial, restrict
 from z2bord.smallcover import (
     CharacteristicFunction,
     NonIsolatedError,
@@ -25,6 +27,7 @@ from z2bord.smallcover import (
     tangent_reps,
 )
 from z2bord.graphs import LabeledGraph, validate_graph
+from test_gf2 import product_table
 
 
 def random_invertible(k, rng):
@@ -53,7 +56,7 @@ def randomized_valid_cf(data, rng):
     by relabeling with a random change of basis."""
     a = random_invertible(len(data["matrix"]), rng)
     cf = CharacteristicFunction.from_matrix(data["factor_dims"], data["matrix"])
-    table = restriction_table(a, len(a))
+    table = product_table(transpose(a, len(a)))
     return CharacteristicFunction(cf.polytope, tuple(table[l] for l in cf.labels))
 
 
