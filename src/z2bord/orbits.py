@@ -78,11 +78,13 @@ def span_dimension(ps) -> int:
 
 def verify_generating_set(cs: ConstraintSystem, generators) -> bool:
     """True iff the generators span exactly the realizable space of cs.
-    check_membership gives each verdict; cs.indicator only refuses a
-    generator outside cs's basis, with no elimination."""
+    check_membership gives each verdict.  An accepted generator's monomials
+    are faithful, so it lies in cs's basis iff it has cs's degree and rank."""
     generators = list(generators)
     for p in generators:
         if not check_membership(p).accepted:
             raise InputError(f"generator rejected by the membership criterion:\n{p}")
-        cs.indicator(p)
+        if (p.n, p.k) != (cs.n, cs.k):
+            raise InputError(f"a polynomial of degree {p.n} rank {p.k} has no indicator "
+                             f"over the faithful monomials of degree {cs.n} rank {cs.k}")
     return span_dimension(generators) == cs.nullspace_dimension()

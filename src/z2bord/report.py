@@ -162,31 +162,29 @@ def run_reproduction() -> ReproductionReport:
 
 
 def emit_data(directory):
-    """Write the embedded catalog data out as plain files."""
+    """Write the embedded catalog data out as plain files; return the names
+    written, sorted, and none of what directory held before."""
     import pathlib
 
     from z2bord.graphs import projective_space_graph, render_graph
     from z2bord.repalg import render_polynomial
 
-    out = pathlib.Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, g in enumerate(GENERATORS, 1):
-        (out / f"generator_{i}.poly").write_text(render_polynomial(g))
-    (out / "rejected_candidate.poly").write_text(
-        render_polynomial(REJECTED_SINGLETON)
-    )
+    files = {f"generator_{i}.poly": render_polynomial(g) for i, g in enumerate(GENERATORS, 1)}
+    files["rejected_candidate.poly"] = render_polynomial(REJECTED_SINGLETON)
     for name, group in (("orbit3", ORBIT3_SQUARES), ("orbit4", ORBIT4_SQUARES),
                         ("orbit2", ORBIT2_SQUARES)):
         for i, p in enumerate(group, 1):
-            (out / f"{name}_square_{i}.poly").write_text(render_polynomial(p))
+            files[f"{name}_square_{i}.poly"] = render_polynomial(p)
     for idx, data in ((1, SMALL_COVER_1), (2, SMALL_COVER_2)):
         dims = " ".join(str(d) for d in data["factor_dims"])
         rows = "\n".join(
             " ".join(str(e) for e in row) for row in data["matrix"]
         )
-        (out / f"small_cover_{idx}.lam").write_text(dims + "\n" + rows + "\n")
+        files[f"small_cover_{idx}.lam"] = dims + "\n" + rows + "\n"
     for n in (2, 3, 4):
-        (out / f"projective_{n}.graph").write_text(
-            render_graph(projective_space_graph(n))
-        )
-    return sorted(p.name for p in out.iterdir())
+        files[f"projective_{n}.graph"] = render_graph(projective_space_graph(n))
+    out = pathlib.Path(directory)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+    return sorted(files)

@@ -31,7 +31,6 @@ from z2bord.gf2 import (
     transpose,
     vec_str,
 )
-from z2bord.graphs import LabeledGraph
 from z2bord.repalg import NonIsolatedError, Polynomial, content_lines, images
 
 Facet = tuple[int, int]  # (factor index, facet index within the factor)
@@ -150,20 +149,6 @@ def fixed_polynomial(cf: CharacteristicFunction) -> Polynomial:
     """Mod-2 sum of the tangent monomials over all vertices."""
     dim = cf.polytope.dim
     return Polynomial.make(tangent_reps(cf).values(), dim, dim)
-
-
-def skeleton_graph(cf: CharacteristicFunction) -> LabeledGraph:
-    """The labeled one-skeleton: edge v-w carries the functional annihilating
-    the labels of the facets containing it, which is the dual row at v of
-    the one facet through v that it leaves, (j, w[j]) where v[j] != w[j]."""
-    p = cf.polytope
-    duals = cf.dual_bases()
-    edges = []
-    for v, w in p.edges:
-        j = next(i for i, (a, b) in enumerate(zip(v, w)) if a != b)
-        label = duals[v][p.vertex_facets(v).index((j, w[j]))]
-        edges.append(("v" + "".join(map(str, v)), "v" + "".join(map(str, w)), label))
-    return LabeledGraph.make(p.dim, edges)
 
 
 def _trivial_factor(reps: dict[Vertex, tuple[int, ...]], image: dict[int, int]):

@@ -419,6 +419,15 @@ class TestReproduce:
         assert "small_cover_1.lam" in names
         assert "projective_3.graph" in names
 
+    def test_emit_data_counts_only_the_files_it_writes(self, tmp_path, capsys):
+        out_dir = tmp_path / "data"
+        (out_dir / "kept").mkdir(parents=True)
+        (out_dir / "notes.txt").write_text("")
+        assert main(["reproduce-paper", "--emit-data", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        assert f"emitted 24 files to {out_dir}\n" in out
+        assert len(list(out_dir.iterdir())) == 26
+
     def test_emit_data_under_a_file(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

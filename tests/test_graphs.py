@@ -21,7 +21,8 @@ from z2bord.graphs import (
 )
 from z2bord.catalog import SMALL_COVER_1, SMALL_COVER_2
 from z2bord.membership import check_membership
-from z2bord.smallcover import CharacteristicFunction, skeleton_graph
+from z2bord.smallcover import CharacteristicFunction
+from test_smallcover import skeleton_by_definition
 
 
 class TestProjectiveSpaceGraphs:
@@ -240,7 +241,8 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("data", [SMALL_COVER_1, SMALL_COVER_2], ids=["cover1", "cover2"])
     def test_small_cover_skeletons(self, data):
-        g = skeleton_graph(CharacteristicFunction.from_matrix(data["factor_dims"], data["matrix"]))
+        cf = CharacteristicFunction.from_matrix(data["factor_dims"], data["matrix"])
+        g = skeleton_by_definition(cf)
         assert validate_graph(g) == reference_violations(g) == []
 
     def test_shared_restriction_class(self):

@@ -184,10 +184,11 @@ class TestSpan:
 
 class TestGeneratingSet:
     def test_full_pool_generates(self):
-        pool = []
-        for g in GENERATORS:
-            pool.extend(orbit(g).elements)
-        assert verify_generating_set(build_constraint_system(5, 3), pool)
+        # without making the system's full monomial list or its rows
+        cs = build_constraint_system(5, 3)
+        pool = [p for g in GENERATORS for p in orbit(g).elements]
+        assert verify_generating_set(cs, pool)
+        assert not {"monomials", "_index", "rows"} & set(vars(cs))
 
     def test_the_system_accepts_the_full_pool(self):
         # verify_generating_set takes check_membership's verdicts alone;

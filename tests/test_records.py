@@ -1,5 +1,6 @@
-"""The value classes: equality, hash and immutability, and an import of
-z2bord that loads neither dataclasses nor inspect."""
+"""The value classes: equality, hash and immutability, an import of
+z2bord that loads neither dataclasses nor inspect, and reproduce-paper's
+imports, which leave graphs out."""
 
 import os
 import subprocess
@@ -144,3 +145,18 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_reproduce_paper_imports_do_not_load_graphs():
+    # emit_data imports graphs when called, and nothing else that
+    # reproduce-paper loads does.  The import runs in a fresh interpreter,
+    # as pytest's has graphs loaded already.
+    package = Path(z2bord.__file__).parent
+    code = (
+        "import sys, z2bord.cli, z2bord.report\n"
+        "print('z2bord.graphs' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -23,7 +23,6 @@ from z2bord.smallcover import (
     fixed_polynomial,
     parse_characteristic,
     restricted_polynomial,
-    skeleton_graph,
     tangent_reps,
 )
 from z2bord.graphs import LabeledGraph, validate_graph
@@ -109,9 +108,8 @@ class TestCharacteristicFunction:
         fixed_polynomial,
         lambda cf: admissible_subgroups(cf, 1),
         lambda cf: restricted_polynomial(cf, [0b10, 0b01]),
-        skeleton_graph,
     ], ids=["tangent_reps", "fixed_polynomial", "admissible_subgroups",
-            "restricted_polynomial", "skeleton_graph"])
+            "restricted_polynomial"])
     def test_constant_labeling_raises(self, compute):
         cf = CharacteristicFunction.from_matrix((2,), [[1, 1, 1], [1, 1, 1]])
         with pytest.raises(InputError, match=r"^facet labels at vertex \(0,\) are not a basis$"):
@@ -138,7 +136,7 @@ class TestCharacteristicFunction:
             cf = CharacteristicFunction.from_matrix(
                 data["factor_dims"], data["matrix"]
             )
-            assert validate_graph(skeleton_graph(cf)) == []
+            assert validate_graph(skeleton_by_definition(cf)) == []
 
 
 class TestConstructions:
@@ -274,19 +272,6 @@ def skeleton_by_definition(cf):
         assert len(ann) == 1
         edges.append(("v" + "".join(map(str, v)), "v" + "".join(map(str, w)), ann[0]))
     return LabeledGraph.make(p.dim, edges)
-
-
-class TestSkeletonGraph:
-    @pytest.mark.parametrize("dims", [(2,), (1, 1), (3,)])
-    def test_matches_definition_on_every_valid_labeling(self, dims):
-        cfs = list(valid_labelings(dims))
-        assert cfs
-        for cf in cfs:
-            assert skeleton_graph(cf) == skeleton_by_definition(cf)
-
-    @pytest.mark.parametrize("cf", CATALOG_COVERS)
-    def test_matches_definition_on_catalog_covers(self, cf):
-        assert skeleton_graph(cf) == skeleton_by_definition(cf)
 
 
 class TestSimplexFiveObstruction:
